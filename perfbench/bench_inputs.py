@@ -364,16 +364,15 @@ def polymer_chain(rng: random.Random, n: int) -> Mol:
     return Mol(labels, edges)
 
 
-def relabel(rng: random.Random, mol: Mol, share: float) -> Mol:
+def relabel(mol: Mol, share: float, offset: float) -> Mol:
     """Relabel a share of the vertices "N", evenly spaced in id order.
 
-    A seeded offset places them.  Even spacing keeps the cost of a given
-    share alike from seed to seed; clustered picks can leave most of a
-    lattice's symmetry in place.
+    The offset, from 0 to 1, places them.  Even spacing keeps the cost of
+    a given share alike from seed to seed; clustered picks can leave most
+    of a lattice's symmetry in place.
     """
     n = len(mol.labels)
     count = round(share * n)
-    offset = rng.random()
     chosen = {int((i + offset) * n / count) for i in range(count)}
     labels = tuple("N" if v in chosen else lab for v, lab in enumerate(mol.labels))
     return Mol(labels, mol.edges)

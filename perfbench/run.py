@@ -42,6 +42,9 @@ DEFAULT_SEED = 0
 DEPTH = "3"
 JOBS_REPS = 2
 MAX_CHAIN_CAP = 10_000
+# Wall time of probe() at the reference speed: about its time in a fast
+# spell on the 2-vCPU Linux VM with Python 3.11 of the baseline.
+PROBE_REF_S = 0.0015
 
 
 @dataclass
@@ -57,9 +60,10 @@ class Op:
 class Workload:
     ops: list[Op]
     jobs_argv: list[str]  # a table or chain command, run at --jobs 1 and --jobs 2
-    # Set-ups per run, whose median is setup_s.  A fixed count keeps the
-    # memory the discarded imports leave behind alike from run to run.
-    setup_reps: int
+    # The op each set-up runs cold, one set-up per entry; setup_s is their
+    # median.  A fixed count keeps the memory the discarded imports leave
+    # behind alike from run to run.
+    setup_ops: list[Op]
 
 
 # -- output checks ------------------------------------------------------------------
@@ -130,62 +134,83 @@ def _tsv(*argv: str) -> list[str]:
     return [*argv, "--depth", DEPTH, "--format", "tsv"]
 
 
+# Panels per seed.  A run cycles through them, so its op times average
+# over three draws of R groups rather than hang on one.
+PANELS = 3
+
+
 def analog_table(seed: int, work: Path) -> Workload:
-    """table over four analog series of three, one series per scaffold."""
+    """table over four analog series of three, one series per scaffold;
+    one op and one round per panel."""
     rng = random.Random(f"analog-table:{seed}")
-    named = []
-    for k, scaffold in enumerate(bi.SCAFFOLDS):
-        for i, smiles in enumerate(bi.analog_series(rng, scaffold, 3, 4)):
-            named.append((f"s{k}a{i}", smiles))
-    path = work / "panel.smi"
-    _write_molecules(path, named)
-    names = [name for name, _ in named]
-    steps = len(named) * sum(bi.read_smiles(s).size for _, s in named)
-    argv = _tsv("table", str(path))
-    return Workload([Op("table", argv, steps, _check_table(names), 0)], argv, 3)
+    ops = []
+    for p in range(PANELS):
+        named = []
+        for k, scaffold in enumerate(bi.SCAFFOLDS):
+            for i, smiles in enumerate(bi.analog_series(rng, scaffold, 3, 4)):
+                named.append((f"s{k}a{i}", smiles))
+        path = work / f"panel{p}.smi"
+        _write_molecules(path, named)
+        names = [name for name, _ in named]
+        steps = len(named) * sum(bi.read_smiles(s).size for _, s in named)
+        ops.append(Op(f"table{p}", _tsv("table", str(path)), steps, _check_table(names), p))
+    return Workload(ops, ops[0].argv, ops)
 
 
 def analog_chain(seed: int, work: Path) -> Workload:
-    """chain over three analog series of eight, sent series by series."""
+    """chain over three analog series of eight, sent series by series;
+    one op and one round per panel."""
     rng = random.Random(f"analog-chain:{seed}")
-    named = []
-    for k, scaffold in enumerate(bi.SCAFFOLDS[1:]):
-        for i, smiles in enumerate(bi.analog_series(rng, scaffold, 8, 3)):
-            named.append((f"s{k}a{i}", smiles))
-    path = work / "series.smi"
-    _write_molecules(path, named)
-    names = [name for name, _ in named]
-    steps = sum(bi.read_smiles(s).size for _, s in named)
-    argv = _tsv("chain", str(path))
-    return Workload([Op("chain", argv, steps, _check_chain(names), 0)], argv, 3)
+    ops = []
+    for p in range(PANELS):
+        named = []
+        for k, scaffold in enumerate(bi.SCAFFOLDS[1:]):
+            for i, smiles in enumerate(bi.analog_series(rng, scaffold, 8, 3)):
+                named.append((f"s{k}a{i}", smiles))
+        path = work / f"series{p}.smi"
+        _write_molecules(path, named)
+        names = [name for name, _ in named]
+        steps = sum(bi.read_smiles(s).size for _, s in named)
+        ops.append(Op(f"chain{p}", _tsv("chain", str(path)), steps, _check_chain(names), p))
+    return Workload(ops, ops[0].argv, ops)
 
 
 LATTICES = (
     ("grid", (3, 3)), ("ladder", (6,)), ("hex", (2, 2)), ("grid", (3, 4)),
     ("ladder", (10,)), ("hex", (2, 3)), ("grid", (4, 4)), ("ladder", (14,)),
-    ("hex", (3, 3)), ("grid", (4, 5)), ("grid", (5, 5)),
+    ("hex", (3, 3)), ("grid", (4, 5)), ("grid", (3, 8)), ("grid", (5, 5)),
 )
 # Relabelled shares.  Below about 0.3 the cost of a grid swings by half
 # with where the relabelled vertices fall; from 0.3 up it is steady, and
-# a 5x5 grid given itself, the heaviest op, takes about a second.
+# a 5x5 grid given itself, the heaviest op, takes about a second.  The
+# 3x8 grid, whose cost barely moves with the placement, fills the tenth
+# of the ops where op_p90_s falls.
 SHARES = (0.3, 0.35, 0.4, 0.45)
 _FAMILIES = {"grid": bi.grid, "ladder": bi.ladder, "hex": bi.hex_sheet}
 
 
 def lattice_self(seed: int, work: Path) -> Workload:
-    """info G --given G, one op per lattice and relabelled share."""
+    """info G --given G, one op per lattice and relabelled share.
+
+    A lattice's shares take offsets a quarter apart from one seeded start,
+    so each lattice meets the whole range of placements in every seed.
+    A round is one share over every lattice, so a run that stops between
+    rounds still has the full range of lattice sizes.
+    """
     rng = random.Random(f"lattice-self:{seed}")
+    starts = [rng.random() for _ in LATTICES]
     ops = []
-    for share in SHARES:
-        for family, size in LATTICES:
-            mol = bi.relabel(rng, _FAMILIES[family](*size), share)
+    for k, share in enumerate(SHARES):
+        for (family, size), start in zip(LATTICES, starts):
+            offset = (start + k / len(SHARES)) % 1.0
+            mol = bi.relabel(_FAMILIES[family](*size), share, offset)
             name = f"{family}{'x'.join(map(str, size))}_{round(share * 100)}"
             path = work / f"{name}.graph"
             path.write_text(bi.edge_list_text(mol))
             argv = _tsv("info", str(path), "--given", str(path))
-            ops.append(Op(name, argv, mol.size, _check_info(name, mol, None), 0))
+            ops.append(Op(name, argv, mol.size, _check_info(name, mol, None), k))
     jobs = [op.argv[1] for op in ops[:3]]
-    return Workload(ops, _tsv("table", *jobs), 15)
+    return Workload(ops, _tsv("table", *jobs), [ops[0]] * 15)
 
 
 CORPUS_ROUNDS = 15
@@ -197,19 +222,25 @@ def cold_corpus(seed: int, work: Path) -> Workload:
     """info with no backgrounds over drug-like SMILES and large edge lists.
 
     Each round holds four SMILES to one large graph, with sizes spread
-    evenly over their ranges, so any run of whole rounds has the same mix.
+    evenly over their ranges and the large graphs alternating between
+    chains and ladders along the sizes, so any run of whole rounds has the
+    same mix.  A large graph's size keeps within four vertices of the
+    middle of its slot on the schedule, because op_p90_s falls among them
+    and their time grows with the square of their size.
     """
     rng = random.Random(f"cold-corpus:{seed}")
     ops = []
     for r in range(CORPUS_ROUNDS):
         small = [round(10 + (j + rng.random()) * 50 / CORPUS_SMILES) for j in range(CORPUS_SMILES)]
-        large = [round(100 + (j + rng.random()) * 300 / CORPUS_LARGE) for j in range(CORPUS_LARGE)]
+        parity = rng.randrange(2)
+        large = [(round(100 + (j + 0.4 + 0.2 * rng.random()) * 300 / CORPUS_LARGE),
+                  (j + parity) % 2) for j in range(CORPUS_LARGE)]
         rng.shuffle(small)
         rng.shuffle(large)
         for k in range(CORPUS_SMILES + CORPUS_LARGE):
             if k % 5 == 4:
-                n = large.pop()
-                if rng.random() < 0.5:
+                n, is_chain = large.pop()
+                if is_chain:
                     mol = bi.polymer_chain(rng, n)
                 else:
                     mol = bi.ladder(n // 2, *rng.choice((("b", "b"), ("s", "d"), ("d", "s"))))
@@ -226,8 +257,10 @@ def cold_corpus(seed: int, work: Path) -> Workload:
                 cold = bi.cold_bits(mol, bi.molecule_degrees(mol))
             ops.append(Op(name, _tsv("info", str(path)), mol.size,
                           _check_info(name, mol, cold), r))
-    jobs = [op.argv[1] for op in ops if op.id.startswith("m")][:4]
-    return Workload(ops, _tsv("table", *jobs), 15)
+    molecules = [op for op in ops if op.id.startswith("m")]
+    jobs = [op.argv[1] for op in molecules[:4]]
+    # Fifteen molecules of seeded sizes, so the median does not hang on one.
+    return Workload(ops, _tsv("table", *jobs), molecules[:15])
 
 
 WORKLOADS = {
@@ -249,6 +282,39 @@ def fresh_import():
     if not Path(cli.__file__).resolve().is_relative_to(SRC):
         raise ImportError(f"graphmml was imported from {cli.__file__}, not from {SRC}")
     return cli
+
+
+def _probe_loop() -> float:
+    start = time.perf_counter()
+    table: dict[tuple[int, int], list[int]] = {}
+    total = 0
+    for i in range(5000):
+        row = table.setdefault((i % 97, i % 13), [])
+        row.append(i)
+        total += len(row)
+    total += len(sorted(table, key=lambda key: (key[1], key[0])))
+    elapsed = time.perf_counter() - start
+    if total <= 0:
+        raise RuntimeError("the speed probe computed nothing")
+    return elapsed
+
+
+def probe() -> float:
+    """Median wall time of three runs of a fixed pure-Python loop of tuples,
+    dicts and lists.
+
+    A shared host runs the same Python code up to 1.7 times slower for
+    tens of seconds at a time.  The probe slows with it, so an op's time
+    times PROBE_REF_S over the probe's time next to it is the op's time at
+    the reference speed, whatever spell the host is in.  The median of
+    three ignores a pause of a few milliseconds that hits one run.
+    """
+    return statistics.median(_probe_loop() for _ in range(3))
+
+
+def scaled(elapsed: float, before: float, after: float) -> float:
+    """elapsed at the reference speed, given the probe's times around it."""
+    return elapsed * PROBE_REF_S * 2 / (before + after)
 
 
 def call(cli, argv: list[str]) -> tuple[float, str, str | None]:
@@ -295,9 +361,29 @@ class Checker:
 @dataclass
 class Sample:
     op: Op
-    seconds: float
+    seconds: float  # at the reference speed
+    wall: float  # as the clock read it
     ok: bool
     lap: int
+
+
+class Meter:
+    """Runs ops between speed probes and checks their outputs.
+
+    The probe after one op also serves as the probe before the next.
+    """
+
+    def __init__(self, cli, checker: Checker):
+        self.cli = cli
+        self.checker = checker
+        self.last: float | None = None
+
+    def __call__(self, op: Op, lap: int) -> Sample:
+        before = probe() if self.last is None else self.last
+        elapsed, text, error = call(self.cli, op.argv)
+        self.last = probe()
+        return Sample(op, scaled(elapsed, before, self.last), elapsed,
+                      self.checker(op, text, error), lap)
 
 
 def closed_loop(cli, ops: list[Op], seconds: float, checker: Checker) -> list[Sample]:
@@ -310,19 +396,19 @@ def closed_loop(cli, ops: list[Op], seconds: float, checker: Checker) -> list[Sa
     for op in ops:
         rounds.setdefault(op.round, []).append(op)
     order = [rounds[r] for r in sorted(rounds)]
+    meter = Meter(cli, checker)
     samples = []
     deadline = time.perf_counter() + seconds
     lap = 0
     while not samples or time.perf_counter() < deadline:
         for op in order[lap % len(order)]:
-            elapsed, text, error = call(cli, op.argv)
-            samples.append(Sample(op, elapsed, checker(op, text, error), lap))
+            samples.append(meter(op, lap))
         lap += 1
     return samples
 
 
 def steps_rate(samples: list[Sample]) -> float:
-    """Median over laps of the steps priced per second of op time."""
+    """Median over laps of the steps priced per second of op time (reference speed)."""
     laps: dict[int, list[Sample]] = {}
     for s in samples:
         laps.setdefault(s.lap, []).append(s)
@@ -332,9 +418,11 @@ def steps_rate(samples: list[Sample]) -> float:
     )
 
 
-def latency(samples: list[Sample], q: float) -> float:
-    """Percentile of op wall time; a failed op counts as infinitely slow."""
-    return bt.percentile([s.seconds if s.ok else math.inf for s in samples], q)
+def latency(samples: list[Sample], q: float, wall: bool = False) -> float:
+    """Percentile of op time at the reference speed (or as the clock read it,
+    with wall=True); a failed op counts as infinitely slow."""
+    return bt.percentile([(s.wall if wall else s.seconds) if s.ok else math.inf
+                          for s in samples], q)
 
 
 # -- end-to-end run -----------------------------------------------------------------
@@ -342,14 +430,15 @@ def latency(samples: list[Sample], q: float) -> float:
 
 def end_to_end(workload: Workload, seconds: float, checker: Checker) -> tuple[dict, list[Sample]]:
     setup = []
-    for _ in range(workload.setup_reps):
+    for op in workload.setup_ops:
         gc.collect()  # frees the modules of the last import, which hold cycles
+        before = probe()
         start = time.perf_counter()
         cli = fresh_import()
         imported = time.perf_counter() - start
-        elapsed, text, error = call(cli, workload.ops[0].argv)
-        checker(workload.ops[0], text, error)
-        setup.append(imported + elapsed)
+        elapsed, text, error = call(cli, op.argv)
+        setup.append(scaled(imported + elapsed, before, probe()))
+        checker(op, text, error)
     samples = closed_loop(cli, workload.ops, seconds, checker)
     metrics = {
         "setup_s": (statistics.median(setup), "s"),
@@ -540,21 +629,20 @@ def traced(workload: Workload, seconds: float, checker: Checker,
     graphmml = sys.modules["graphmml"]
     first_round = [op for op in workload.ops if op.round == 0]
     kept = bt.Tracer()
+    meter = Meter(cli, checker)
     plain, samples = [], []
     deadline = time.perf_counter() + seconds / 2
     lap = 0
     while lap == 0 or time.perf_counter() < deadline:
         for op in first_round:
-            elapsed, text, error = call(cli, op.argv)
-            plain.append(Sample(op, elapsed, checker(op, text, error), lap))
+            plain.append(meter(op, lap))
             tracer = kept if lap == 0 else bt.Tracer()
             tracer.op = op.id
             try:
                 absent = install(tracer, graphmml)
-                elapsed, text, error = call(cli, op.argv)
+                samples.append(meter(op, lap))
             finally:
                 tracer.restore()
-            samples.append(Sample(op, elapsed, checker(op, text, error), lap))
         lap += 1
     metrics = layer_metrics(kept.spans, absent)
     metrics["smiles.max_chain_atoms"] = (max_chain_atoms(graphmml), "count")
@@ -626,6 +714,8 @@ def main(argv=None) -> int:
     print(f"{args.workload} seed {args.seed}: closed loop, one client, depth {DEPTH}, "
           f"{'traced round' if args.trace else f'{len(samples)} ops'}")
     print(f"  error_rate {failed / attempted:.4f} ({failed} failed of {attempted} ops)")
+    print(f"  op p50 as the clock read it {latency(samples, 50, wall=True):.6g} s "
+          f"(end-to-end times are at the reference speed)")
     for name, (value, unit) in metrics.items():
         print(f"  {name:30s} {value:12.6g} {unit}")
     result = {

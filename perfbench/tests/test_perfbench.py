@@ -80,7 +80,7 @@ def test_closed_form_cold_price_reproduces_the_readme_k33():
 def test_closed_form_cold_price_matches_graphmml_on_lattices():
     rng = random.Random(2)
     for mol in (bi.grid(3, 4), bi.hex_sheet(2, 3), bi.ladder(9, "s", "d"),
-                bi.polymer_chain(rng, 40), bi.relabel(rng, bi.grid(4, 4), 0.3)):
+                bi.polymer_chain(rng, 40), bi.relabel(bi.grid(4, 4), 0.3, rng.random())):
         degrees = bi.observed_degrees(mol)
         g = build_graph(False, mol.labels, mol.edges)
         assert bi.cold_bits(mol, degrees) == pytest.approx(information_content(g, [], degrees).total)
@@ -118,6 +118,14 @@ def test_percentile_interpolates_between_ranks():
     assert bt.percentile([4.0, 1.0, 3.0, 2.0], 50) == pytest.approx(2.5)
     assert bt.percentile(range(1, 11), 90) == pytest.approx(9.1)
     assert bt.percentile([1.0, 2.0, float("inf")], 50) == 2.0
+
+
+def test_scaled_time_cancels_the_host_speed():
+    ref = run.PROBE_REF_S
+    assert run.scaled(1.5, ref, ref) == pytest.approx(1.5)
+    assert run.scaled(3.0, 2 * ref, 2 * ref) == pytest.approx(1.5)  # a host at half speed
+    assert run.scaled(2.0, ref, 3 * ref) == pytest.approx(1.0)  # slowed during the op
+    assert run.probe() > 0
 
 
 def _attributes():
