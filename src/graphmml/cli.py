@@ -368,67 +368,78 @@ def _tree_tokens(text: str) -> list[str]:
 
 def _parse_strict_tree(text: str) -> StrictBinaryTree:
     tokens = _tree_tokens(text)
+    forks: list[list[StrictBinaryTree]] = []  # open forks: subtrees read so far
     pos = 0
-
-    def node() -> StrictBinaryTree:
-        nonlocal pos
+    while True:
         if pos + 1 >= len(tokens) or tokens[pos] != "(":
             raise FileFormatError("expected '(' starting a tree node")
-        pos += 1
-        kind = tokens[pos]
-        pos += 1
-        if kind == "L":
-            tree: StrictBinaryTree = Leaf()
-        elif kind == "F":
-            left = node()
-            right = node()
-            tree = Fork(left, right)
-        else:
+        kind = tokens[pos + 1]
+        pos += 2
+        if kind == "F":
+            forks.append([])
+            continue
+        if kind != "L":
             raise FileFormatError("expected 'L' or 'F' after '('")
-        if pos >= len(tokens) or tokens[pos] != ")":
-            raise FileFormatError("expected ')' closing a tree node")
-        pos += 1
-        return tree
-
-    tree = node()
-    if pos != len(tokens):
-        raise FileFormatError("trailing tokens after the tree")
-    return tree
+        tree: StrictBinaryTree = Leaf()
+        # Close the node; a fork's second subtree closing closes the fork too.
+        while True:
+            if pos >= len(tokens) or tokens[pos] != ")":
+                raise FileFormatError("expected ')' closing a tree node")
+            pos += 1
+            if not forks:
+                if pos != len(tokens):
+                    raise FileFormatError("trailing tokens after the tree")
+                return tree
+            forks[-1].append(tree)
+            if len(forks[-1]) == 1:
+                break
+            tree = Fork(*forks.pop())
 
 
 def _render_strict(tree: StrictBinaryTree) -> str:
-    if isinstance(tree, Leaf):
-        return "(L)"
-    return f"(F {_render_strict(tree.left)} {_render_strict(tree.right)})"
+    out: list[str] = []
+    stack: list = [tree]  # nodes still to render, and text that follows them
+    while stack:
+        item = stack.pop()
+        if isinstance(item, str):
+            out.append(item)
+        elif isinstance(item, Leaf):
+            out.append("(L)")
+        else:
+            out.append("(F ")
+            stack += [")", item.right, " ", item.left]
+    return "".join(out)
 
 
 def _parse_general_tree(text: str) -> GeneralTree:
     tokens = _tree_tokens(text)
     if any(t in ("L", "F") for t in tokens):
         raise FileFormatError("general tree text uses only parentheses")
-    pos = 0
-
-    def node() -> GeneralTree:
-        nonlocal pos
-        if pos >= len(tokens) or tokens[pos] != "(":
-            raise FileFormatError("expected '(' starting a tree node")
-        pos += 1
-        children = []
-        while pos < len(tokens) and tokens[pos] == "(":
-            children.append(node())
+    if not tokens or tokens[0] != "(":
+        raise FileFormatError("expected '(' starting a tree node")
+    stack: list[list[GeneralTree]] = [[]]  # open nodes: children read so far
+    pos = 1
+    while True:
+        if pos < len(tokens) and tokens[pos] == "(":
+            stack.append([])
+            pos += 1
+            continue
         if pos >= len(tokens) or tokens[pos] != ")":
             raise FileFormatError("expected ')' closing a tree node")
         pos += 1
-        return GeneralTree(tuple(children))
-
-    tree = node()
+        tree = GeneralTree(tuple(stack.pop()))
+        if not stack:
+            break
+        stack[-1].append(tree)
     if pos != len(tokens):
         raise FileFormatError("trailing tokens after the tree")
     return tree
 
 
 def _render_general(tree: GeneralTree) -> str:
-    return "(" + "".join(_render_general(child) for child in tree.children) + ")"
+    # The codeword descends into every node but the root and ascends out of
+    # every node, so the text is "(" for the root, then d as "(" and u as ")".
+    return "(" + general_tree_encode(tree).replace("d", "(").replace("u", ")")
 
 
 def cmd_tree(args) -> int:

@@ -127,23 +127,25 @@ def strict_binary_tree_decode(code: str) -> StrictBinaryTree:
     A valid codeword is the shortest prefix where leaves outnumber forks
     by one; anything shorter is truncated, anything longer is overlong.
     """
+    forks: list[list[StrictBinaryTree]] = []  # open forks: subtrees read so far
     pos = 0
-
-    def parse() -> StrictBinaryTree:
-        nonlocal pos
+    while True:
         if pos >= len(code):
             raise TreeCodeError("truncated codeword")
         sym = code[pos]
         pos += 1
-        if sym == "L":
-            return Leaf()
         if sym == "F":
-            left = parse()
-            right = parse()
-            return Fork(left, right)
-        raise TreeCodeError(f"unexpected symbol {sym!r} at position {pos - 1}")
-
-    tree = parse()
+            forks.append([])
+            continue
+        if sym != "L":
+            raise TreeCodeError(f"unexpected symbol {sym!r} at position {pos - 1}")
+        tree: StrictBinaryTree = Leaf()
+        # A finished subtree completes every fork still waiting for its right side.
+        while forks and len(forks[-1]) == 1:
+            tree = Fork(forks.pop()[0], tree)
+        if not forks:
+            break
+        forks[-1].append(tree)
     if pos != len(code):
         raise TreeCodeError(f"overlong codeword: {len(code) - pos} trailing symbols")
     return tree
@@ -154,11 +156,17 @@ def general_tree_encode(tree: GeneralTree) -> str:
 
     A tree with E edges costs 2E + 1 symbols.
     """
-
-    def walk(node: GeneralTree) -> str:
-        return "".join("d" + walk(child) + "u" for child in node.children)
-
-    return walk(tree) + "u"
+    out: list[str] = []
+    stack = [iter(tree.children)]  # children still to visit, per open node
+    while stack:
+        child = next(stack[-1], None)
+        if child is None:
+            stack.pop()
+            out.append("u")
+        else:
+            out.append("d")
+            stack.append(iter(child.children))
+    return "".join(out)
 
 
 def general_tree_decode(code: str) -> GeneralTree:

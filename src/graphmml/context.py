@@ -426,6 +426,8 @@ def vertex_matches(
                 outcome = VertexOutcome(bg.labels[v2], bg.degree(v2))
                 matches.append(ScoredMatch((bi, v2), 0, outcome))
         return matches
+    if not backgrounds:
+        return matches
     labels1 = state.graph.labels
     closed1 = _closed_slots(state)
     for bi, bg in enumerate(backgrounds):
@@ -467,6 +469,8 @@ def edge_matches(
     """
     if candidates is None:
         candidates = loop_candidates(state, source)
+    if not backgrounds:
+        return []
     candidate_set = set(candidates)
     labels1 = state.graph.labels
     closed1 = _closed_slots(state)
@@ -559,8 +563,6 @@ def information_content(
     depth: int = 3,
     *,
     edge_alphabet: Sequence | None = None,
-    match_smoothing: float = 1.0,
-    escape_per_outcome: float = 0.5,
     background_names: Sequence[str] | None = None,
 ) -> InfoResult:
     """Bits to transmit g to a receiver who already knows the backgrounds.
@@ -607,10 +609,7 @@ def information_content(
     def on_vertex(state: TraversalState, event) -> None:
         matches = vertex_matches(state, backgrounds, event.incoming, depth, _bounds=bounds)
         space = space_initial if event.incoming is None else space_later
-        model = scored_matches_to_model(
-            matches, space,
-            match_smoothing=match_smoothing, escape_per_outcome=escape_per_outcome,
-        )
+        model = scored_matches_to_model(matches, space)
         outcome = VertexOutcome(event.label, event.degree)
         steps.append(StepRecord(len(steps), "V", outcome, model.nl_pr(outcome)))
 
@@ -620,10 +619,7 @@ def information_content(
             state, backgrounds, event.source, event.edge, depth,
             candidates=candidates, _bounds=bounds,
         )
-        model = scored_matches_to_model(
-            matches, edge_outcome_space(alphabet, candidates),
-            match_smoothing=match_smoothing, escape_per_outcome=escape_per_outcome,
-        )
+        model = scored_matches_to_model(matches, edge_outcome_space(alphabet, candidates))
         resolution = event.resolution
         target = None if isinstance(resolution, FreshVertex) else resolution.target
         outcome = EdgeOutcome(event.label, target)
@@ -663,11 +659,9 @@ class ChainResult:
 
 
 def _info_task(args) -> tuple[int, int, float]:
-    (key, target, bgs, degrees, depth, alphabet, smoothing, escape, names) = args
+    (key, target, bgs, degrees, depth, alphabet, names) = args
     result = information_content(
-        target, bgs, degrees, depth,
-        edge_alphabet=alphabet, match_smoothing=smoothing,
-        escape_per_outcome=escape, background_names=names,
+        target, bgs, degrees, depth, edge_alphabet=alphabet, background_names=names
     )
     return (*key, result.total)
 
@@ -685,8 +679,6 @@ def conditional_table(
     depth: int = 3,
     *,
     jobs: int = 1,
-    match_smoothing: float = 1.0,
-    escape_per_outcome: float = 0.5,
 ) -> TableResult:
     """Pairwise conditional costs: cell (i, j) prices graph i given graph j.
 
@@ -701,8 +693,7 @@ def conditional_table(
     graphs = [g for _, g in named]
     alphabet = _shared_edge_alphabet(graphs)
     tasks = [
-        ((i, j), graphs[i], [graphs[j]], dict(degrees), depth, alphabet,
-         match_smoothing, escape_per_outcome, (names[j],))
+        ((i, j), graphs[i], [graphs[j]], dict(degrees), depth, alphabet, (names[j],))
         for i in range(len(named))
         for j in range(len(named))
     ]
@@ -721,8 +712,6 @@ def chain_information(
     depth: int = 3,
     *,
     jobs: int = 1,
-    match_smoothing: float = 1.0,
-    escape_per_outcome: float = 0.5,
 ) -> ChainResult:
     """Price the graphs in order, each conditioned on all earlier ones.
 
@@ -737,8 +726,7 @@ def chain_information(
     graphs = [g for _, g in named]
     alphabet = _shared_edge_alphabet(graphs)
     tasks = [
-        ((i, 0), graphs[i], graphs[:i], dict(degrees), depth, alphabet,
-         match_smoothing, escape_per_outcome, names[:i])
+        ((i, 0), graphs[i], graphs[:i], dict(degrees), depth, alphabet, names[:i])
         for i in range(len(named))
     ]
     totals = {}

@@ -15,11 +15,10 @@ No chemical perception is attempted.
 
 from __future__ import annotations
 
-import copy
 import enum
 import re
 from dataclasses import dataclass, field
-from typing import Iterator, Mapping
+from typing import Mapping
 
 from .graph import Graph, build_graph
 
@@ -112,29 +111,32 @@ class SmilesAtom:
     chirality: str | None = None
     h_count: int | None = None
     bracket: bool = False
+    # Junctions to the atom's branches and chain continuation, in written
+    # order; each is (bond, child atom index), bond None until inferred.
+    children: list[tuple[Bond | None, int]] = field(default_factory=list)
 
 
 @dataclass
-class RingRef:
-    """One ring-closure digit on an atom; bond is None until inferred."""
+class RingBond:
+    """One ring closure: the digit, the atoms it joins, the bond at each end.
+
+    Each end's bond is the symbol written before its digit, None when
+    none was written; inference fills both ends with the same bond.
+    """
 
     digit: int
-    bond: Bond | None = None
-
-
-@dataclass
-class AtomNode:
-    atom: SmilesAtom
-    ring_refs: list[RingRef] = field(default_factory=list)
-    # Branches and the chain continuation, in written order; each child
-    # is (bond-to-child, subtree), bond None until inferred.
-    children: list[tuple[Bond | None, "AtomNode"]] = field(default_factory=list)
+    opener: int
+    closer: int
+    open_bond: Bond | None = None
+    close_bond: Bond | None = None
 
 
 @dataclass
 class SmilesAst:
-    root: AtomNode
+    # Atoms in document order, so every junction points forward.
     atoms: list[SmilesAtom]
+    # Ring closures in closing order, the order the ring bonds are written.
+    rings: list[RingBond]
 
 
 # -- tokenizer -----------------------------------------------------------------
@@ -157,10 +159,10 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
             tokens.append((_T_ATOM, _bracket_atom(m), i))
             i = end + 1
         elif text[i : i + 2] in _ORGANIC:
-            tokens.append((_T_ATOM, _ORGANIC[text[i : i + 2]] + (False,), i))
+            tokens.append((_T_ATOM, _ORGANIC[text[i : i + 2]] + (0, None, None, False), i))
             i += 2
         elif ch in _ORGANIC:
-            tokens.append((_T_ATOM, _ORGANIC[ch] + (False,), i))
+            tokens.append((_T_ATOM, _ORGANIC[ch] + (0, None, None, False), i))
             i += 1
         elif ch in _BOND_SYMBOLS:
             tokens.append((_T_BOND, _BOND_SYMBOLS[ch], i))
@@ -190,7 +192,8 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
-def _bracket_atom(m: re.Match) -> tuple[Element, bool, bool, int, str | None, int | None]:
+def _bracket_atom(m: re.Match) -> tuple[Element, bool, int, str | None, int | None, bool]:
+    """An atom token's value: SmilesAtom's fields after `index`, in order."""
     element, aromatic = _ORGANIC.get(m["symbol"]) or (Element.HYDROGEN, False)
     charge_text = m["charge"]
     if charge_text is None:
@@ -204,169 +207,115 @@ def _bracket_atom(m: re.Match) -> tuple[Element, bool, bool, int, str | None, in
         h_count = None
     else:
         h_count = int(hcount_text[1:]) if len(hcount_text) > 1 else 1
-    return (element, aromatic, True, charge, m["chiral"], h_count)
+    return (element, aromatic, charge, m["chiral"], h_count, True)
 
 
 # -- parser --------------------------------------------------------------------
 
 
-class _Stream:
-    def __init__(self, tokens: list, text: str):
-        self.tokens = tokens
-        self.text = text
-        self.pos = 0
-
-    def peek(self, ahead: int = 0):
-        j = self.pos + ahead
-        return self.tokens[j] if j < len(self.tokens) else (None, None, len(self.text))
-
-    def take(self):
-        tok = self.peek()
-        self.pos += 1
-        return tok
-
-
 def parse_smiles(text: str) -> SmilesAst:
-    """Parse a SMILES string into its tree of atoms, branches and ring refs."""
+    """Parse a SMILES string into its atoms, junctions and ring closures.
+
+    One pass over the tokens: a stack holds the atom each open branch
+    hangs from, and a table of open ring digits pairs each digit as soon
+    as it recurs.  A digit is reusable once closed.
+    """
     text = text.strip()
     if not text:
         raise SmilesError("empty SMILES string")
-    stream = _Stream(_tokenize(text), text)
+    tokens = _tokenize(text)
+    tokens.append((None, None, len(text)))  # end sentinel
     atoms: list[SmilesAtom] = []
-    root = _parse_chain(stream, atoms)
-    kind, _, at = stream.peek()
-    if kind is not None:
-        raise SmilesError(f"unexpected {kind} token at position {at}")
-    _check_ring_digits(root)
-    return SmilesAst(root=root, atoms=atoms)
-
-
-def _parse_atom_unit(stream: _Stream, atoms: list[SmilesAtom]) -> AtomNode:
-    kind, value, at = stream.take()
-    if kind is not _T_ATOM:
-        raise SmilesError(f"expected an atom at position {at}")
-    element, aromatic, bracket, charge, chirality, h_count = (
-        value if len(value) == 6 else (*value, 0, None, None)
-    )
-    atom = SmilesAtom(
-        index=len(atoms),
-        element=element,
-        aromatic=aromatic,
-        charge=charge,
-        chirality=chirality,
-        h_count=h_count,
-        bracket=bracket,
-    )
-    atoms.append(atom)
-    node = AtomNode(atom=atom)
+    rings: list[RingBond] = []
+    open_rings: dict[int, tuple[int, Bond | None]] = {}
+    branch_points: list[int] = []
+    parent: int | None = None  # the atom the next one bonds to
+    bond: Bond | None = None  # the symbol written for that bond
+    i = 0
     while True:
-        kind, value, at = stream.peek()
-        if kind is _T_RING:
-            stream.take()
-            node.ring_refs.append(RingRef(digit=value))
-        elif kind is _T_BOND and stream.peek(1)[0] is _T_RING:
-            stream.take()
-            _, digit, _ = stream.take()
-            node.ring_refs.append(RingRef(digit=digit, bond=value))
-        else:
-            return node
-
-
-def _parse_chain(stream: _Stream, atoms: list[SmilesAtom]) -> AtomNode:
-    head = _parse_atom_unit(stream, atoms)
-    current = head
-    while True:
-        kind, value, at = stream.peek()
-        if kind is _T_OPEN:
-            stream.take()
-            bond = None
-            if stream.peek()[0] is _T_BOND:
-                bond = stream.take()[1]
-            child = _parse_chain(stream, atoms)
-            kind, _, at = stream.take()
-            if kind is not _T_CLOSE:
-                raise SmilesError(f"unbalanced parenthesis at position {at}")
-            current.children.append((bond, child))
-        elif kind is _T_BOND:
-            stream.take()
-            nxt = stream.peek()[0]
-            if nxt is not _T_ATOM:
-                raise SmilesError(f"bond symbol at position {at} is not followed by an atom")
-            unit = _parse_atom_unit(stream, atoms)
-            current.children.append((value, unit))
-            current = unit
-        elif kind is _T_ATOM:
-            unit = _parse_atom_unit(stream, atoms)
-            current.children.append((None, unit))
-            current = unit
-        else:
-            return head
-
-
-def _walk(node: AtomNode) -> Iterator[AtomNode]:
-    """Nodes in document order (an atom precedes its branches)."""
-    yield node
-    for _, child in node.children:
-        yield from _walk(child)
-
-
-def _check_ring_digits(root: AtomNode) -> None:
-    open_digits: dict[int, int] = {}
-    for node in _walk(root):
-        for ref in node.ring_refs:
-            if ref.digit in open_digits:
-                del open_digits[ref.digit]
+        kind, value, at = tokens[i]
+        if kind is not _T_ATOM:
+            raise SmilesError(f"expected an atom at position {at}")
+        atom = SmilesAtom(len(atoms), *value)
+        atoms.append(atom)
+        if parent is not None:
+            atoms[parent].children.append((bond, atom.index))
+        i += 1
+        # Ring digits written on this atom, each optionally after a bond.
+        while True:
+            kind, value, _ = tokens[i]
+            if kind is _T_RING:
+                digit, ring_bond = value, None
+                i += 1
+            elif kind is _T_BOND and tokens[i + 1][0] is _T_RING:
+                digit, ring_bond = tokens[i + 1][1], value
+                i += 2
             else:
-                open_digits[ref.digit] = node.atom.index
-    if open_digits:
-        digit = min(open_digits)
-        raise SmilesError(f"unmatched ring closure digit {digit}")
-
-
-def _ring_pairs(root: AtomNode) -> list[tuple[AtomNode, RingRef, AtomNode, RingRef]]:
-    """Pair each ring digit's opening occurrence with its closing one.
-
-    A digit is reusable once closed.  Pairs come out in closing order,
-    which is the order the ring bonds occur in the written string.
-    """
-    open_refs: dict[int, tuple[AtomNode, RingRef]] = {}
-    pairs = []
-    for node in _walk(root):
-        for ref in node.ring_refs:
-            if ref.digit in open_refs:
-                a_node, a_ref = open_refs.pop(ref.digit)
-                pairs.append((a_node, a_ref, node, ref))
+                break
+            if digit in open_rings:
+                opener, open_bond = open_rings.pop(digit)
+                rings.append(RingBond(digit, opener, atom.index, open_bond, ring_bond))
             else:
-                open_refs[ref.digit] = (node, ref)
-    return pairs
+                open_rings[digit] = (atom.index, ring_bond)
+        # What joins the next atom: a branch, a bond, plain adjacency, or
+        # closing branches back to where they hang.
+        parent = atom.index
+        while True:
+            kind, value, at = tokens[i]
+            if kind is _T_OPEN:
+                branch_points.append(parent)
+                bond = None
+                i += 1
+                if tokens[i][0] is _T_BOND:
+                    bond = tokens[i][1]
+                    i += 1
+                break
+            if kind is _T_BOND:
+                if tokens[i + 1][0] is not _T_ATOM:
+                    raise SmilesError(f"bond symbol at position {at} is not followed by an atom")
+                bond = value
+                i += 1
+                break
+            if kind is _T_ATOM:
+                bond = None
+                break
+            if branch_points:
+                if kind is not _T_CLOSE:
+                    raise SmilesError(f"unbalanced parenthesis at position {at}")
+                parent = branch_points.pop()
+                i += 1
+            elif kind is not None:
+                raise SmilesError(f"unexpected {kind} token at position {at}")
+            elif open_rings:
+                raise SmilesError(f"unmatched ring closure digit {min(open_rings)}")
+            else:
+                return SmilesAst(atoms=atoms, rings=rings)
 
 
 # -- bond inference and graph construction --------------------------------------
 
 
 def infer_implicit_bonds(ast: SmilesAst) -> SmilesAst:
-    """Return a copy of the tree with every bond slot filled in.
+    """Fill every bond slot of the tree in place and return the tree.
 
     Junctions and ring closures with no written symbol become aromatic
     when both atoms are aromatic, single otherwise.  Written symbols are
     preserved; a ring closure written with conflicting symbols at its two
     ends is an error.
     """
-    ast = copy.deepcopy(ast)
-    for node in _walk(ast.root):
-        node.children = [
-            (bond if bond is not None else _implied(node.atom, child.atom), child)
-            for bond, child in node.children
+    atoms = ast.atoms
+    for atom in atoms:
+        atom.children = [
+            (bond or _implied(atom, atoms[child]), child) for bond, child in atom.children
         ]
-    for a_node, a_ref, b_node, b_ref in _ring_pairs(ast.root):
-        if a_ref.bond is not None and b_ref.bond is not None and a_ref.bond != b_ref.bond:
+    for ring in ast.rings:
+        if ring.open_bond and ring.close_bond and ring.open_bond != ring.close_bond:
             raise SmilesError(
-                f"ring closure {a_ref.digit} has conflicting bond symbols "
-                f"({a_ref.bond.value} vs {b_ref.bond.value})"
+                f"ring closure {ring.digit} has conflicting bond symbols "
+                f"({ring.open_bond.value} vs {ring.close_bond.value})"
             )
-        bond = a_ref.bond or b_ref.bond or _implied(a_node.atom, b_node.atom)
-        a_ref.bond = bond
-        b_ref.bond = bond
+        bond = ring.open_bond or ring.close_bond or _implied(atoms[ring.opener], atoms[ring.closer])
+        ring.open_bond = ring.close_bond = bond
     return ast
 
 
@@ -389,34 +338,34 @@ def smiles_to_graph(ast: SmilesAst) -> Graph:
             heavy[atom.index] = len(labels)
             labels.append(atom.element)
 
-    closing: dict[int, list[tuple[AtomNode, RingRef]]] = {}
-    for a_node, a_ref, b_node, b_ref in _ring_pairs(ast.root):
-        if b_ref.bond is None:
+    closing: dict[int, list[RingBond]] = {}
+    for ring in ast.rings:
+        if ring.close_bond is None:
             raise SmilesError("bonds not inferred; run infer_implicit_bonds first")
-        if a_node.atom.index == b_node.atom.index:
-            raise SmilesError(f"ring closure {a_ref.digit} forms a self-loop")
-        closing.setdefault(b_node.atom.index, []).append((a_node, b_ref))
+        if ring.opener == ring.closer:
+            raise SmilesError(f"ring closure {ring.digit} forms a self-loop")
+        closing.setdefault(ring.closer, []).append(ring)
 
     edges: list[tuple[int, int, Bond]] = []
     seen: set[tuple[int, int]] = set()
 
-    def add_edge(a: SmilesAtom, b: SmilesAtom, bond: Bond, what: str) -> None:
-        if a.element is Element.HYDROGEN or b.element is Element.HYDROGEN:
+    def add_edge(a: int, b: int, bond: Bond, what: str) -> None:
+        if a not in heavy or b not in heavy:
             return
-        u, v = heavy[a.index], heavy[b.index]
+        u, v = heavy[a], heavy[b]
         key = (min(u, v), max(u, v))
         if key in seen:
             raise SmilesError(f"{what} duplicates the bond between atoms {u} and {v}")
         seen.add(key)
         edges.append((u, v, bond))
 
-    for node in _walk(ast.root):
-        for opener, ref in closing.get(node.atom.index, ()):
-            add_edge(opener.atom, node.atom, ref.bond, f"ring closure {ref.digit}")
-        for bond, child in node.children:
+    for atom in ast.atoms:
+        for ring in closing.get(atom.index, ()):
+            add_edge(ring.opener, atom.index, ring.close_bond, f"ring closure {ring.digit}")
+        for bond, child in atom.children:
             if bond is None:
                 raise SmilesError("bonds not inferred; run infer_implicit_bonds first")
-            add_edge(node.atom, child.atom, bond, "the chain")
+            add_edge(atom.index, child, bond, "the chain")
     return build_graph(False, labels, edges)
 
 

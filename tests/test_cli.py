@@ -123,6 +123,13 @@ class TestInfo:
         first = steps[0].split("\t")
         assert first == ["#step", "k33", "0", "V", "vertex Utility degree 3", "1.585"]
 
+    def test_long_chain(self, capsys, tmp_path):
+        chain = tmp_path / "chain.txt"
+        chain.write_text("chain " + "C" * 2000 + "\n")
+        code, out, _ = run(["info", chain, "--format", "tsv"], capsys)
+        assert code == 0
+        assert out.splitlines()[1] == "chain\t4000.322\t2000\t1999"
+
     def test_disconnected_target_sums_components(self, files, capsys, tmp_path):
         two = tmp_path / "two.graph"
         two.write_text(edge_list_text(
@@ -184,6 +191,24 @@ class TestTreeCommand:
         assert code == 0 and out == "duduu\n"
         code, out, _ = run(["tree", "decode", "general", "duduu"], capsys)
         assert code == 0 and out == "(()())\n"
+
+    def test_deep_strict_round_trip(self, capsys):
+        depth = 5000
+        code_word = "F" * depth + "L" * (depth + 1)
+        text = "(F " * depth + "(L)" + " (L))" * depth
+        code, out, _ = run(["tree", "decode", "strict", code_word], capsys)
+        assert code == 0 and out == text + "\n"
+        code, out, _ = run(["tree", "encode", "strict", text], capsys)
+        assert code == 0 and out == code_word + "\n"
+
+    def test_deep_general_round_trip(self, capsys):
+        depth = 5000
+        code_word = "d" * depth + "u" * (depth + 1)
+        text = "(" * (depth + 1) + ")" * (depth + 1)
+        code, out, _ = run(["tree", "decode", "general", code_word], capsys)
+        assert code == 0 and out == text + "\n"
+        code, out, _ = run(["tree", "encode", "general", text], capsys)
+        assert code == 0 and out == code_word + "\n"
 
     def test_malformed_input_is_a_format_error(self, capsys):
         assert run(["tree", "decode", "strict", "FLQ"], capsys)[0] == 2

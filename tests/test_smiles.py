@@ -161,6 +161,28 @@ class TestRejectedInput:
             smiles_to_graph(parse_smiles("CC"))
 
 
+class TestLongInput:
+    def test_ten_thousand_atom_chain(self):
+        g, _ = read_molecule("C" * 10_000)
+        assert g.vertex_count == 10_000
+        assert g.edge_count == 9_999
+
+    def test_deeply_nested_branches(self):
+        g, _ = read_molecule("C(" * 2000 + "C" + ")" * 2000)
+        assert g.vertex_count == 2001
+        assert g.edge_count == 2000
+        assert all(g.degree(v) <= 2 for v in range(2001))
+
+
+class TestBondInference:
+    def test_fills_the_tree_in_place(self):
+        ast = parse_smiles("c1ccccc1C=1CC1")
+        assert infer_implicit_bonds(ast) is ast
+        assert all(bond is not None for atom in ast.atoms for bond, _ in atom.children)
+        assert [(r.open_bond, r.close_bond) for r in ast.rings] == [
+            (Bond.AROMATIC, Bond.AROMATIC), (Bond.DOUBLE, Bond.DOUBLE)]
+
+
 class TestValences:
     def test_overfilled_carbon(self):
         with pytest.raises(ValenceError):
