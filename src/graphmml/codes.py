@@ -84,20 +84,46 @@ class Leaf:
     pass
 
 
-@dataclass(frozen=True)
+# Equality, hashing and repr go through the codeword, which the iterative
+# encoders build at any depth; the generated methods would recurse.
+
+
+@dataclass(frozen=True, eq=False, repr=False)
 class Fork:
     left: "StrictBinaryTree"
     right: "StrictBinaryTree"
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Fork):
+            return NotImplemented
+        return strict_binary_tree_encode(self) == strict_binary_tree_encode(other)
+
+    def __hash__(self) -> int:
+        return hash(strict_binary_tree_encode(self))
+
+    def __repr__(self) -> str:
+        return f"strict_binary_tree_decode({strict_binary_tree_encode(self)!r})"
 
 
 StrictBinaryTree = Leaf | Fork
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False, repr=False)
 class GeneralTree:
     """Ordered rooted tree; a node is just the tuple of its subtrees."""
 
     children: tuple["GeneralTree", ...] = ()
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, GeneralTree):
+            return NotImplemented
+        return general_tree_encode(self) == general_tree_encode(other)
+
+    def __hash__(self) -> int:
+        return hash(general_tree_encode(self))
+
+    def __repr__(self) -> str:
+        return f"general_tree_decode({general_tree_encode(self)!r})"
 
 
 class TreeCodeError(ValueError):

@@ -19,7 +19,7 @@ import enum
 import math
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from typing import Any, Iterable, Mapping, NamedTuple, Sequence
+from typing import Any, Container, Iterable, Mapping, NamedTuple, Sequence
 
 from .graph import (
     FreshVertex,
@@ -164,33 +164,70 @@ def scored_matches_to_model(
 
 # -- the correspondence matcher --------------------------------------------------
 
-_Slots = tuple[tuple[tuple[int, int, Any], ...], ...]  # per vertex: (edge id, far end, label)
 
+class _Side:
+    """Matcher data for one graph, over all its edges or only the known ones.
 
-def _graph_slots(g: Graph) -> _Slots:
-    return tuple(
-        tuple((s.edge, s.head, s.label) for s in g.adjacency[v])
-        for v in range(g.vertex_count)
-    )
+    slots[v] lists v's known edges in adjacency order as (edge, far end,
+    label), and buckets[v] groups them by label as (edge, far end) pairs
+    in the same order.  bounds[d][v] is an upper bound on a depth-d match
+    score rooted at v, and caps[d][v][i] one on what slots[v][i:] can
+    still add to it.  add() keeps all four current as edges become known.
+    """
 
+    __slots__ = ("graph", "depth", "known", "slots", "buckets", "bounds", "caps")
 
-def _closed_slots(state: TraversalState) -> _Slots:
-    return tuple(
-        tuple((s.edge, s.head, s.label) for s in state.closed_edges(v))
-        for v in range(state.graph.vertex_count)
-    )
+    def __init__(self, g: Graph, depth: int, known: Container[int] | None = None):
+        n = g.vertex_count
+        self.graph = g
+        self.depth = depth
+        self.known = [known is None or e in known for e in range(g.edge_count)]
+        self.slots: list[tuple[tuple[int, int, Any], ...]] = [()] * n
+        self.buckets: list[dict[Any, list[tuple[int, int]]]] = [{}] * n
+        for v in range(n):
+            self._reslot(v)
+        self.bounds = [[1] * n for _ in range(depth + 1)]
+        # caps[0] is never read: a depth-0 match follows no edges.
+        self.caps: list = [None] + [[None] * n for _ in range(depth)]
+        self._refresh(range(n))
 
+    def _reslot(self, v: int) -> None:
+        known = self.known
+        slots = tuple((s.edge, s.head, s.label) for s in self.graph.adjacency[v] if known[s.edge])
+        buckets: dict[Any, list[tuple[int, int]]] = {}
+        for e, far, label in slots:
+            buckets.setdefault(label, []).append((e, far))
+        self.slots[v] = slots
+        self.buckets[v] = buckets
 
-def _ball_bounds(slots: _Slots, depth: int) -> list[list[int]]:
-    """bounds[d][v]: upper bound on a depth-d match score rooted at v."""
-    n = len(slots)
-    levels = [[1] * n]
-    for _ in range(depth):
-        prev = levels[-1]
-        levels.append(
-            [1 + sum(1 + prev[far] for _, far, _ in slots[v]) for v in range(n)]
-        )
-    return levels
+    def _refresh(self, vertices: Iterable[int]) -> None:
+        slots = self.slots
+        for d in range(1, self.depth + 1):
+            below, level, caps = self.bounds[d - 1], self.bounds[d], self.caps[d]
+            for v in vertices:
+                here = slots[v]
+                cap = [0] * (len(here) + 1)
+                for i in range(len(here) - 1, -1, -1):
+                    cap[i] = cap[i + 1] + 1 + below[here[i][1]]
+                caps[v] = cap
+                level[v] = 1 + cap[0]
+
+    def add(self, edge: int) -> None:
+        """Make edge known.
+
+        Its two ends get new slots, so their level-d bounds change, and
+        through them those of every vertex within d - 1 of either end:
+        only that ball is refreshed.
+        """
+        u, w, _ = self.graph.edges[edge]
+        self.known[edge] = True
+        self._reslot(u)
+        self._reslot(w)
+        ball = frontier = {u, w}
+        for _ in range(self.depth - 1):
+            frontier = {far for v in frontier for _, far, _ in self.slots[v]} - ball
+            ball = ball | frontier
+        self._refresh(ball)
 
 
 class _Matcher:
@@ -199,64 +236,54 @@ class _Matcher:
     Tracks a bijective correspondence over vertex pairs and edge pairs so
     each background vertex or edge is counted at most once per match; the
     score of a match is exactly the number of corresponded vertices plus
-    edges.  Bindings are journaled so alternatives can be rolled back,
-    and every call leaves the bindings of its best alternative in place.
+    edges.  The maps are lists indexed by id, -1 where unbound.  Bindings
+    are journaled, (v1, v2) for a vertex pair and (~e1, e2) for an edge
+    pair, so alternatives can be rolled back, and every call leaves the
+    bindings of its best alternative in place.
     """
 
     __slots__ = (
-        "labels1", "slots1", "labels2", "slots2",
-        "bound1", "bound2", "vmap", "vinv", "emap", "einv", "journal",
+        "labels1", "slots1", "bounds1", "caps1", "labels2", "buckets2", "bounds2",
+        "vmap", "vinv", "emap", "einv", "journal",
     )
 
-    def __init__(
-        self,
-        labels1: Sequence,
-        slots1: _Slots,
-        labels2: Sequence,
-        slots2: _Slots,
-        depth: int,
-        bound2: list[list[int]] | None = None,
-    ):
-        self.labels1 = labels1
-        self.slots1 = slots1
-        self.labels2 = labels2
-        self.slots2 = slots2
-        self.bound1 = _ball_bounds(slots1, depth)
-        self.bound2 = bound2 if bound2 is not None else _ball_bounds(slots2, depth)
-        self.vmap: dict[int, int] = {}
-        self.vinv: dict[int, int] = {}
-        self.emap: dict[int, int] = {}
-        self.einv: dict[int, int] = {}
-        self.journal: list[tuple[int, int, int]] = []
+    def __init__(self, side1: _Side, side2: _Side):
+        self.labels1 = side1.graph.labels
+        self.slots1 = side1.slots
+        self.bounds1 = side1.bounds
+        self.caps1 = side1.caps
+        self.labels2 = side2.graph.labels
+        self.buckets2 = side2.buckets
+        self.bounds2 = side2.bounds
+        self.vmap = [-1] * side1.graph.vertex_count
+        self.vinv = [-1] * side2.graph.vertex_count
+        self.emap = [-1] * side1.graph.edge_count
+        self.einv = [-1] * side2.graph.edge_count
+        self.journal: list[tuple[int, int]] = []
 
     # binding journal ------------------------------------------------------
 
     def bind_edge(self, e1: int, e2: int) -> None:
         self.emap[e1] = e2
         self.einv[e2] = e1
-        self.journal.append((1, e1, e2))
-
-    def _bind_vertex(self, v1: int, v2: int) -> None:
-        self.vmap[v1] = v2
-        self.vinv[v2] = v1
-        self.journal.append((0, v1, v2))
+        self.journal.append((~e1, e2))
 
     def rollback(self, mark: int) -> None:
         journal = self.journal
         while len(journal) > mark:
-            tag, a, b = journal.pop()
-            if tag:
-                del self.emap[a]
-                del self.einv[b]
+            a, b = journal.pop()
+            if a < 0:
+                self.emap[~a] = -1
+                self.einv[b] = -1
             else:
-                del self.vmap[a]
-                del self.vinv[b]
+                self.vmap[a] = -1
+                self.vinv[b] = -1
 
-    def _apply(self, segment: list[tuple[int, int, int]]) -> None:
-        for tag, a, b in segment:
-            if tag:
-                self.emap[a] = b
-                self.einv[b] = a
+    def _apply(self, segment: list[tuple[int, int]]) -> None:
+        for a, b in segment:
+            if a < 0:
+                self.emap[~a] = b
+                self.einv[b] = ~a
             else:
                 self.vmap[a] = b
                 self.vinv[b] = a
@@ -269,61 +296,51 @@ class _Matcher:
             return 0
         # Already-corresponded vertices were counted when first bound; a
         # contradictory pairing is worth nothing either.
-        if v1 in self.vmap or v2 in self.vinv:
+        if self.vmap[v1] >= 0 or self.vinv[v2] >= 0:
             return 0
-        self._bind_vertex(v1, v2)
+        self.vmap[v1] = v2
+        self.vinv[v2] = v1
+        self.journal.append((v1, v2))
         slots = self.slots1[v1]
         if depth < 1 or not slots:
             return 1
-        # caps[i]: upper bound on what slots[i:] can still contribute.
-        caps = [0] * (len(slots) + 1)
-        level = self.bound1[depth - 1]
-        for i in range(len(slots) - 1, -1, -1):
-            caps[i] = caps[i + 1] + 1 + level[slots[i][1]]
-        return 1 + self._assign(slots, 0, v2, depth, caps)
+        return 1 + self._assign(slots, 0, v2, depth, self.caps1[depth][v1])
 
-    def match_edge(
-        self, e1: int, far1: int, label1: Any, e2: int, far2: int, label2: Any, depth: int
-    ) -> int:
-        if label1 != label2:
-            return 0
-        if e1 in self.emap or e2 in self.einv:
-            return 0
+    def match_edge(self, e1: int, far1: int, e2: int, far2: int, depth: int) -> int:
+        """Pair two unbound edges of the same label and match their far ends."""
         self.bind_edge(e1, e2)
         return 1 + self.match_vertex(far1, far2, depth - 1)
 
-    def _assign(
-        self, slots, i: int, v2: int, depth: int, caps: list[int]
-    ) -> int:
+    def _assign(self, slots, i: int, v2: int, depth: int, caps: list[int]) -> int:
         """Best total over injective assignments of slots[i:] to v2's edges.
 
-        Each known edge either pairs with an unused background edge or is
-        left out; pairing recurses through the far endpoints.  Leaves the
-        bindings of the winning alternative applied.
+        Each known edge either pairs with an unused background edge of its
+        label or is left out; pairing recurses through the far endpoints.
+        Leaves the bindings of the winning alternative applied.
         """
         if i == len(slots):
             return 0
         e1, far1, label1 = slots[i]
-        bound_far1 = self.bound1[depth - 1][far1]
-        bound2_level = self.bound2[depth - 1]
         best = -1
         best_segment: list | None = None
-        for e2, far2, label2 in self.slots2[v2]:
-            if best >= caps[i]:
-                break  # nothing after this point can improve on best
-            if label2 != label1 or e2 in self.einv:
-                continue
-            if best >= 1 + min(bound_far1, bound2_level[far2]) + caps[i + 1]:
-                continue  # this pairing cannot improve on best
-            mark = len(self.journal)
-            score = self.match_edge(e1, far1, label1, e2, far2, label2, depth)
-            if score == 0:
-                continue  # nothing was bound; identical to leaving the slot out
-            total = score + self._assign(slots, i + 1, v2, depth, caps)
-            if total > best:
-                best = total
-                best_segment = self.journal[mark:]
-            self.rollback(mark)
+        if self.emap[e1] < 0:  # a bound edge (the way back, say) pairs with nothing
+            bound_far1 = self.bounds1[depth - 1][far1]
+            bound2_level = self.bounds2[depth - 1]
+            einv = self.einv
+            for e2, far2 in self.buckets2[v2].get(label1, ()):
+                if best >= caps[i]:
+                    break  # nothing after this point can improve on best
+                if einv[e2] >= 0:
+                    continue
+                if best >= 1 + min(bound_far1, bound2_level[far2]) + caps[i + 1]:
+                    continue  # this pairing cannot improve on best
+                mark = len(self.journal)
+                total = self.match_edge(e1, far1, e2, far2, depth)
+                total += self._assign(slots, i + 1, v2, depth, caps)
+                if total > best:
+                    best = total
+                    best_segment = self.journal[mark:]
+                self.rollback(mark)
         if best < caps[i + 1]:
             mark = len(self.journal)
             total = self._assign(slots, i + 1, v2, depth, caps)
@@ -338,16 +355,6 @@ class _Matcher:
 
 
 # -- public matching entry points -------------------------------------------------
-
-
-def _restricted_slots(g: Graph, known_edges: Iterable[int] | None) -> _Slots:
-    if known_edges is None:
-        return _graph_slots(g)
-    known = set(known_edges)
-    return tuple(
-        tuple((s.edge, s.head, s.label) for s in g.adjacency[v] if s.edge in known)
-        for v in range(g.vertex_count)
-    )
 
 
 def match_vertex(
@@ -368,7 +375,8 @@ def match_vertex(
     """
     if depth < 0:
         raise ContextError("depth must be non-negative")
-    matcher = _Matcher(g1.labels, _restricted_slots(g1, known_edges), g2.labels, _graph_slots(g2), depth)
+    known = None if known_edges is None else set(known_edges)
+    matcher = _Matcher(_Side(g1, depth, known), _Side(g2, depth))
     return matcher.match_vertex(v1, v2, depth)
 
 
@@ -391,15 +399,29 @@ def match_edge(
     """
     if depth < 0:
         raise ContextError("depth must be non-negative")
-    slots1 = _restricted_slots(g1, known_edges)
     s1 = next((s for s in g1.adjacency[tail1] if s.edge == edge1), None)
     s2 = next((s for s in g2.adjacency[tail2] if s.edge == edge2), None)
     if s1 is None or s2 is None:
         raise ContextError("edge is not incident to the given tail vertex")
-    if known_edges is not None and edge1 not in set(known_edges):
+    known = None if known_edges is None else set(known_edges)
+    if known is not None and edge1 not in known:
         return 0  # open edge: admissible against anything, but worthless
-    matcher = _Matcher(g1.labels, slots1, g2.labels, _graph_slots(g2), depth)
-    return matcher.match_edge(s1.edge, s1.head, s1.label, s2.edge, s2.head, s2.label, depth)
+    if s1.label != s2.label:
+        return 0
+    matcher = _Matcher(_Side(g1, depth, known), _Side(g2, depth))
+    return matcher.match_edge(s1.edge, s1.head, s2.edge, s2.head, depth)
+
+
+_Sides = tuple[_Side, list[_Side]]  # (the traversal's known part, the backgrounds)
+
+
+def _sides_from_state(
+    state: TraversalState, backgrounds: Sequence[Graph], depth: int
+) -> _Sides:
+    """The sides information_content keeps across steps, built for one call."""
+    g = state.graph
+    closed = {e for e in range(g.edge_count) if state.is_closed(e)}
+    return _Side(g, depth, closed), [_Side(bg, depth) for bg in backgrounds]
 
 
 def vertex_matches(
@@ -408,7 +430,7 @@ def vertex_matches(
     incoming,
     depth: int,
     *,
-    _bounds: Sequence[list[list[int]]] | None = None,
+    _sides: _Sides | None = None,
 ) -> list[ScoredMatch]:
     """Scored predictions for the vertex about to be revealed.
 
@@ -428,21 +450,18 @@ def vertex_matches(
         return matches
     if not backgrounds:
         return matches
-    labels1 = state.graph.labels
-    closed1 = _closed_slots(state)
-    for bi, bg in enumerate(backgrounds):
-        matcher = _Matcher(
-            labels1, closed1, bg.labels, _graph_slots(bg), depth,
-            bound2=_bounds[bi] if _bounds is not None else None,
-        )
-        for v2 in range(bg.vertex_count):
+    target, indexes = _sides if _sides is not None else _sides_from_state(state, backgrounds, depth)
+    e1, far1, label1 = incoming.edge, incoming.head, incoming.label
+    for bi, (bg, index) in enumerate(zip(backgrounds, indexes)):
+        matcher = _Matcher(target, index)
+        for v2, buckets in enumerate(index.buckets):
+            arrivals = buckets.get(label1)
+            if arrivals is None:
+                continue
             outcome = VertexOutcome(bg.labels[v2], bg.degree(v2))
-            for e2, far2, label2 in matcher.slots2[v2]:
-                score = matcher.match_edge(
-                    incoming.edge, incoming.head, incoming.label, e2, far2, label2, depth
-                )
-                if score > 0:
-                    matches.append(ScoredMatch((bi, v2, e2), score, outcome))
+            for e2, far2 in arrivals:
+                score = matcher.match_edge(e1, far1, e2, far2, depth)
+                matches.append(ScoredMatch((bi, v2, e2), score, outcome))
                 matcher.rollback(0)
     return matches
 
@@ -455,45 +474,40 @@ def edge_matches(
     depth: int,
     candidates: Sequence[int] | None = None,
     *,
-    _bounds: Sequence[list[list[int]]] | None = None,
+    _sides: _Sides | None = None,
 ) -> list[ScoredMatch]:
     """Scored predictions for the edge about to be revealed from source.
 
-    Every oriented background edge is a candidate analogue of the pending
-    edge; its source vertex is matched against ours (the pending pair is
-    pre-bound so the background edge cannot be recounted), and admissible
-    matches predict the background edge's label plus whether the step
-    stays fresh or closes a loop.  A match whose implied loop target is
-    not a legal candidate predicts nothing a decoder could act on and is
-    dropped.
+    Every oriented background edge leaving a vertex with the source's
+    label is a candidate analogue of the pending edge; its source vertex
+    is matched against ours (the pending pair is pre-bound so the
+    background edge cannot be recounted), and the match predicts the
+    background edge's label plus whether the step stays fresh or closes
+    a loop.  A match whose implied loop target is not a legal candidate
+    predicts nothing a decoder could act on and is dropped.
     """
     if candidates is None:
         candidates = loop_candidates(state, source)
     if not backgrounds:
         return []
     candidate_set = set(candidates)
-    labels1 = state.graph.labels
-    closed1 = _closed_slots(state)
+    target, indexes = _sides if _sides is not None else _sides_from_state(state, backgrounds, depth)
+    label = state.graph.labels[source]
     matches: list[ScoredMatch] = []
-    for bi, bg in enumerate(backgrounds):
-        matcher = _Matcher(
-            labels1, closed1, bg.labels, _graph_slots(bg), depth,
-            bound2=_bounds[bi] if _bounds is not None else None,
-        )
-        for v2 in range(bg.vertex_count):
-            for e2, far2, label2 in matcher.slots2[v2]:
+    for bi, (bg, index) in enumerate(zip(backgrounds, indexes)):
+        matcher = _Matcher(target, index)
+        vinv = matcher.vinv
+        for v2, slots in enumerate(index.slots):
+            if bg.labels[v2] != label:
+                continue
+            for e2, far2, label2 in slots:
                 matcher.bind_edge(pending_edge, e2)
                 score = matcher.match_vertex(source, v2, depth)
-                if score > 0:
-                    w = matcher.vinv.get(far2)
-                    if w is None:
-                        matches.append(
-                            ScoredMatch((bi, v2, e2), score, EdgeOutcome(label2, None))
-                        )
-                    elif w in candidate_set:
-                        matches.append(
-                            ScoredMatch((bi, v2, e2), score, EdgeOutcome(label2, w))
-                        )
+                w = vinv[far2]
+                if w < 0:
+                    matches.append(ScoredMatch((bi, v2, e2), score, EdgeOutcome(label2, None)))
+                elif w in candidate_set:
+                    matches.append(ScoredMatch((bi, v2, e2), score, EdgeOutcome(label2, w)))
                 matcher.rollback(0)
     return matches
 
@@ -589,6 +603,13 @@ def information_content(
     for bi, bg in enumerate(backgrounds):
         _check_degrees(bg, degrees, f"background {bi}")
 
+    if background_names is None:
+        names = tuple(f"background {i}" for i in range(len(backgrounds)))
+    else:
+        names = tuple(background_names)
+        if len(names) != len(backgrounds):
+            raise ContextError("background_names does not match the background list")
+
     if edge_alphabet is None:
         alphabet = _shared_edge_alphabet([g] + backgrounds)
     else:
@@ -603,11 +624,16 @@ def information_content(
 
     space_initial = vertex_outcome_space(degrees, initial=True)
     space_later = vertex_outcome_space(degrees, initial=False)
-    bounds = [_ball_bounds(_graph_slots(bg), depth) for bg in backgrounds]
+    # Each background is indexed once; the target side starts with no edge
+    # known and learns each edge as the traversal closes it.
+    target = sides = None
+    if backgrounds:
+        target = _Side(g, depth, ())
+        sides = (target, [_Side(bg, depth) for bg in backgrounds])
     steps: list[StepRecord] = []
 
     def on_vertex(state: TraversalState, event) -> None:
-        matches = vertex_matches(state, backgrounds, event.incoming, depth, _bounds=bounds)
+        matches = vertex_matches(state, backgrounds, event.incoming, depth, _sides=sides)
         space = space_initial if event.incoming is None else space_later
         model = scored_matches_to_model(matches, space)
         outcome = VertexOutcome(event.label, event.degree)
@@ -617,21 +643,17 @@ def information_content(
         candidates = loop_candidates(state, event.source)
         matches = edge_matches(
             state, backgrounds, event.source, event.edge, depth,
-            candidates=candidates, _bounds=bounds,
+            candidates=candidates, _sides=sides,
         )
         model = scored_matches_to_model(matches, edge_outcome_space(alphabet, candidates))
         resolution = event.resolution
-        target = None if isinstance(resolution, FreshVertex) else resolution.target
-        outcome = EdgeOutcome(event.label, target)
+        closes = None if isinstance(resolution, FreshVertex) else resolution.target
+        outcome = EdgeOutcome(event.label, closes)
         steps.append(StepRecord(len(steps), "E", outcome, model.nl_pr(outcome)))
+        if target is not None:
+            target.add(event.edge)  # traverse closes the edge as this returns
 
     traverse(g, 0, on_vertex, on_edge)
-    if background_names is None:
-        names = tuple(f"background {i}" for i in range(len(backgrounds)))
-    else:
-        names = tuple(background_names)
-        if len(names) != len(backgrounds):
-            raise ContextError("background_names does not match the background list")
     return InfoResult(
         total=sum(step.bits for step in steps),
         steps=tuple(steps),

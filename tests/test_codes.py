@@ -155,6 +155,24 @@ class TestTreeCodecs:
             with pytest.raises(TreeCodeError):
                 general_tree_decode(bad)
 
+    @pytest.mark.parametrize("decode, code", [
+        (strict_binary_tree_decode, "F" * 5000 + "L" * 5001),
+        (general_tree_decode, "d" * 5000 + "u" * 5001),
+    ], ids=["strict", "general"])
+    def test_deep_trees_compare_hash_and_repr(self, decode, code):
+        tree, twin = decode(code), decode(code)
+        assert tree == twin
+        assert hash(tree) == hash(twin)
+        assert repr(tree) == f"{decode.__name__}({code!r})"
+
+    def test_tree_equality_follows_the_shape(self):
+        assert Fork(Leaf(), Fork(Leaf(), Leaf())) != Fork(Fork(Leaf(), Leaf()), Leaf())
+        assert len({Fork(Leaf(), Leaf()), strict_binary_tree_decode("FLL")}) == 1
+        assert GeneralTree((GeneralTree(),)) != GeneralTree((GeneralTree(), GeneralTree()))
+        assert Fork(Leaf(), Leaf()).__eq__("FLL") is NotImplemented
+        assert GeneralTree().__eq__(Leaf()) is NotImplemented
+        assert Fork(Leaf(), Leaf()) != Leaf()
+
 
 def permutation_automorphisms(g):
     """Independent count: try every vertex permutation directly."""

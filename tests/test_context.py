@@ -4,7 +4,9 @@ The k33 fixture is small enough that everything here is hand-checkable:
 its traversal order, every match score, and several step costs were
 worked out by hand and are asserted exactly.  The optimized matcher is
 additionally compared against a shortcut-free reference implementation
-on random graphs.
+on random graphs, pair by pair and step by step through traversals, and
+the target data information_content keeps up to date against data
+rebuilt from the traversal state at every step.
 """
 
 import math
@@ -13,10 +15,12 @@ from collections import Counter, deque
 
 import pytest
 
+import graphmml.context
 from graphmml import (
     ContextError,
     EdgeOutcome,
     PredictiveModel,
+    ScoredMatch,
     VertexOutcome,
     build_graph,
     chain_information,
@@ -24,14 +28,16 @@ from graphmml import (
     edge_matches,
     edge_outcome_space,
     information_content,
+    loop_candidates,
     match_edge,
     match_vertex,
+    read_molecule,
     scored_matches_to_model,
     traverse,
     vertex_matches,
     vertex_outcome_space,
 )
-from conftest import make_k33, make_near_k33
+from conftest import DRUG_SMILES, make_k33, make_near_k33
 
 LOG2_3 = math.log2(3.0)
 
@@ -288,6 +294,143 @@ class TestMatcherAgainstPlainReference:
                 assert score <= ball_size(g2, 0, depth)
 
 
+class KnownPart:
+    """The decoder's view of a traversal, shaped as PlainMatcher's first
+    graph: every vertex label, but only the closed edges."""
+
+    def __init__(self, state):
+        self.labels = state.graph.labels
+        self.adjacency = [state.closed_edges(v) for v in range(state.graph.vertex_count)]
+
+
+def plain_vertex_matches(state, backgrounds, incoming, depth):
+    """vertex_matches rebuilt on PlainMatcher, one fresh matcher per candidate."""
+    if incoming is None:
+        return [ScoredMatch((bi, v2), 0, VertexOutcome(bg.labels[v2], bg.degree(v2)))
+                for bi, bg in enumerate(backgrounds) for v2 in range(bg.vertex_count)]
+    known = KnownPart(state)
+    matches = []
+    for bi, bg in enumerate(backgrounds):
+        for v2 in range(bg.vertex_count):
+            for s2 in bg.adjacency[v2]:
+                score = PlainMatcher(known, bg).match_edge(incoming, s2, depth)
+                if score > 0:
+                    outcome = VertexOutcome(bg.labels[v2], bg.degree(v2))
+                    matches.append(ScoredMatch((bi, v2, s2.edge), score, outcome))
+    return matches
+
+
+def plain_edge_matches(state, backgrounds, source, pending, depth):
+    """edge_matches rebuilt on PlainMatcher: the winning bindings decide
+    whether a match predicts a fresh vertex or a loop closure, and to where."""
+    candidates = set(loop_candidates(state, source))
+    known = KnownPart(state)
+    matches = []
+    for bi, bg in enumerate(backgrounds):
+        for v2 in range(bg.vertex_count):
+            for s2 in bg.adjacency[v2]:
+                plain = PlainMatcher(known, bg)
+                plain.emap[pending] = s2.edge
+                plain.einv[s2.edge] = pending
+                score = plain.match_vertex(source, v2, depth)
+                if score == 0:
+                    continue
+                w = plain.vinv.get(s2.head)
+                if w is None or w in candidates:
+                    matches.append(ScoredMatch((bi, v2, s2.edge), score, EdgeOutcome(s2.label, w)))
+    return matches
+
+
+def random_connected_graph(rng, n, vertex_labels, edge_labels):
+    """A random spanning tree plus extra edges, listed in shuffled order."""
+    edges = {(rng.randrange(v), v): rng.choice(edge_labels) for v in range(1, n)}
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) not in edges and rng.random() < 0.35:
+                edges[u, v] = rng.choice(edge_labels)
+    listed = [(u, v, label) for (u, v), label in edges.items()]
+    rng.shuffle(listed)
+    return build_graph(False, [rng.choice(vertex_labels) for _ in range(n)], listed)
+
+
+class TestStepMatchesAgainstPlainReference:
+    def test_random_traversals(self):
+        rng = random.Random(20261018)
+        steps = 0
+        for _ in range(40):
+            # One-letter alphabets give symmetric graphs, where tied matches
+            # differ in which vertex they put behind a loop closure.
+            labels = rng.choice(["a", "ab"]), rng.choice(["x", "xy"])
+            g = random_connected_graph(rng, rng.randint(2, 6), *labels)
+            backgrounds = [random_connected_graph(rng, rng.randint(2, 5), *labels)
+                           for _ in range(rng.randint(1, 3))]
+            depth = rng.randint(0, 3)
+
+            def on_vertex(state, event):
+                got = vertex_matches(state, backgrounds, event.incoming, depth)
+                assert got == plain_vertex_matches(state, backgrounds, event.incoming, depth)
+
+            def on_edge(state, event):
+                got = edge_matches(state, backgrounds, event.source, event.edge, depth)
+                assert got == plain_edge_matches(
+                    state, backgrounds, event.source, event.edge, depth)
+
+            steps += len(traverse(g, 0, on_vertex, on_edge))
+        assert steps > 200
+
+
+def rebuilt_every_step(matches, depth, calls):
+    """A vertex_matches or edge_matches that prices from the state alone,
+    after checking that information_content's kept sides agree with it."""
+
+    def call(state, *args, _sides, **kwargs):
+        rebuilt = matches(state, *args, **kwargs)
+        assert matches(state, *args, _sides=_sides, **kwargs) == rebuilt
+        g = state.graph
+        closed = {e for e in range(g.edge_count) if state.is_closed(e)}
+        fresh = graphmml.context._Side(g, depth, closed)
+        kept = _sides[0]
+        assert (kept.slots, kept.buckets, kept.bounds, kept.caps) == (
+            fresh.slots, fresh.buckets, fresh.bounds, fresh.caps)
+        calls.append(1)
+        return rebuilt
+
+    return call
+
+
+def molecule(smiles):
+    return read_molecule(smiles)[0]
+
+
+DRUGS = [molecule(smiles) for smiles in DRUG_SMILES.values()]
+CORONENE = "c1cc2ccc3ccc4ccc5ccc6ccc1c7c2c3c4c5c67"
+PYRENE = "c1cc2ccc3cccc4ccc(c1)c2c34"
+
+
+class TestIncrementalTargetSide:
+    @pytest.mark.parametrize("case", [
+        *[("k33 | near", make_k33(), [make_near_k33()], depth) for depth in range(5)],
+        *[(f"drug {i} | others", g, DRUGS[:i] + DRUGS[i + 1:], depth)
+          for i, g in enumerate(DRUGS) for depth in range(5)],
+        *[("coronene | coronene, pyrene", molecule(CORONENE),
+           [molecule(CORONENE), molecule(PYRENE)], depth) for depth in range(5)],
+    ], ids=lambda case: f"{case[0]} depth {case[3]}")
+    def test_bits_equal_pricing_from_the_state(self, monkeypatch, case):
+        _, g, backgrounds, depth = case
+        degrees = {}
+        for h in [g, *backgrounds]:
+            for v in range(h.vertex_count):
+                degrees[h.labels[v]] = max(degrees.get(h.labels[v], 1), h.degree(v))
+        kept = information_content(g, backgrounds, degrees, depth)
+        calls = []
+        for name in ("vertex_matches", "edge_matches"):
+            monkeypatch.setattr(graphmml.context, name, rebuilt_every_step(
+                getattr(graphmml.context, name), depth, calls))
+        from_state = information_content(g, backgrounds, degrees, depth)
+        assert len(calls) == len(kept.steps)
+        assert [s.bits for s in kept.steps] == [s.bits for s in from_state.steps]
+
+
 def capture_step(g, backgrounds, depth, *, vertex=None, edge=None):
     """Run the traversal and evaluate the matches at one chosen event."""
     hit = []
@@ -454,6 +597,16 @@ class TestInformationContent:
         result = information_content(
             k33, [near_k33], utility_degrees, 3, background_names=("twin",))
         assert result.backgrounds == ("twin",)
+
+    def test_mismatched_background_names_fail_before_pricing(
+            self, monkeypatch, k33, near_k33, utility_degrees):
+        def no_traversal(*args, **kwargs):
+            raise AssertionError("traverse was called")
+
+        monkeypatch.setattr(graphmml.context, "traverse", no_traversal)
+        with pytest.raises(ContextError, match="background_names"):
+            information_content(
+                k33, [near_k33], utility_degrees, 3, background_names=("a", "b"))
 
     def test_explicit_edge_alphabet_changes_the_spaces(self, k33, utility_degrees):
         wider = information_content(
