@@ -5,9 +5,14 @@ predicting what comes next from a set of fully known background graphs.
 The prediction works by matching the already traversed part of the graph
 (the decoder's knowledge) against every place in the backgrounds it could
 correspond to; each match is scored by the number of vertices plus edges
-the correspondence covers within a depth-limited radius.  Scored matches
-become a probability distribution over the step's possible outcomes, and
-the actual outcome's negative log probability is the step's cost.
+the correspondence covers within a depth-limited radius.  Every outcome
+the step could reveal gets an escape weight of ESCAPE, each match adds
+its score plus one to the outcome it predicts, and the actual outcome's
+negative log2 share of the total weight is the step's cost.
+information_content computes that share with one division, from the
+match list and the number of possible outcomes, without listing the
+outcomes; scored_matches_to_model builds the full distribution under the
+same rule.
 
 With no backgrounds every step falls back to a uniform distribution, so
 the unconditional cost is still well defined.
@@ -103,6 +108,11 @@ def edge_outcome_space(
     return tuple(space)
 
 
+# The weight rule: every outcome a step could reveal starts with ESCAPE, and
+# each match adds its score plus one to the outcome it predicts.
+ESCAPE = 0.5
+
+
 @dataclass(frozen=True)
 class PredictiveModel:
     """Finite distribution over an outcome space; prices outcomes in bits."""
@@ -131,35 +141,43 @@ class PredictiveModel:
 
 
 def scored_matches_to_model(
-    matches: Iterable[ScoredMatch],
-    outcome_space: Sequence,
-    *,
-    match_smoothing: float = 1.0,
-    escape_per_outcome: float = 0.5,
+    matches: Iterable[ScoredMatch], outcome_space: Sequence
 ) -> PredictiveModel:
     """Turn scored matches into a distribution over the outcome space.
 
-    Each match adds (score + match_smoothing) weight to the outcome it
-    predicts, so zero-score matches still count; every outcome also gets
-    a fixed escape weight so anything remains encodable.  No matches at
-    all therefore yields the uniform distribution.
+    Each match adds (score + 1) weight to the outcome it predicts, so
+    zero-score matches still count; every outcome also gets ESCAPE weight
+    so anything remains encodable.  No matches at all therefore yields
+    the uniform distribution.  information_content prices each step under
+    the same rule without building this distribution.
     """
     space = tuple(outcome_space)
     if not space:
         raise ContextError("outcome space is empty")
-    if escape_per_outcome <= 0.0:
-        raise ContextError("escape weight must be positive")
-    if match_smoothing < 0.0:
-        raise ContextError("match smoothing must be non-negative")
-    weights = {outcome: escape_per_outcome for outcome in space}
+    weights = {outcome: ESCAPE for outcome in space}
     for match in matches:
         if match.outcome not in weights:
             raise ContextError(
                 f"match predicts {match.outcome!r}, which is outside the outcome space"
             )
-        weights[match.outcome] += match.score + match_smoothing
+        weights[match.outcome] += match.score + 1
     total = sum(weights.values())
     return PredictiveModel({o: w / total for o, w in weights.items()})
+
+
+def _step_bits(matches: Iterable[ScoredMatch], outcome, size: int) -> float:
+    """Bits for outcome, one of size possible outcomes, under the weight rule.
+
+    The same number scored_matches_to_model(...).nl_pr(outcome) gives, bit
+    for bit: every weight is a multiple of 1/2, so both sums are exact and
+    the one division rounds as the distribution's does.
+    """
+    hit = total = 0
+    for m in matches:
+        total += m.score + 1
+        if m.outcome == outcome:
+            hit += m.score + 1
+    return -math.log2((ESCAPE + hit) / (ESCAPE * size + total))
 
 
 # -- the correspondence matcher --------------------------------------------------
@@ -375,6 +393,7 @@ def match_vertex(
     """
     if depth < 0:
         raise ContextError("depth must be non-negative")
+    depth = min(depth, g1.vertex_count)  # see information_content
     known = None if known_edges is None else set(known_edges)
     matcher = _Matcher(_Side(g1, depth, known), _Side(g2, depth))
     return matcher.match_vertex(v1, v2, depth)
@@ -408,6 +427,9 @@ def match_edge(
         return 0  # open edge: admissible against anything, but worthless
     if s1.label != s2.label:
         return 0
+    # As in information_content, but the tail is not bound first: it can be
+    # bound below the far end, which starts at depth - 1, so one more level.
+    depth = min(depth, g1.vertex_count + 1)
     matcher = _Matcher(_Side(g1, depth, known), _Side(g2, depth))
     return matcher.match_edge(s1.edge, s1.head, s2.edge, s2.head, depth)
 
@@ -450,6 +472,7 @@ def vertex_matches(
         return matches
     if not backgrounds:
         return matches
+    depth = min(depth, state.graph.vertex_count)  # see information_content
     target, indexes = _sides if _sides is not None else _sides_from_state(state, backgrounds, depth)
     e1, far1, label1 = incoming.edge, incoming.head, incoming.label
     for bi, (bg, index) in enumerate(zip(backgrounds, indexes)):
@@ -490,6 +513,7 @@ def edge_matches(
         candidates = loop_candidates(state, source)
     if not backgrounds:
         return []
+    depth = min(depth, state.graph.vertex_count)  # see information_content
     candidate_set = set(candidates)
     target, indexes = _sides if _sides is not None else _sides_from_state(state, backgrounds, depth)
     label = state.graph.labels[source]
@@ -622,8 +646,16 @@ def information_content(
                 "is not in the edge alphabet"
             )
 
-    space_initial = vertex_outcome_space(degrees, initial=True)
-    space_later = vertex_outcome_space(degrees, initial=False)
+    # Outcome counts: a later vertex has degree 1..limit, the root 0..limit.
+    size_later = sum(degrees.values())
+    size_initial = size_later + len(degrees)
+    edge_labels = len(set(alphabet))
+    # Each level of a match's recursion binds a vertex of g that no outer
+    # level has bound, and a vertex step never binds the vertex it reveals.
+    # Capped at g's vertex count, the depth still leaves every vertex a match
+    # binds at depth >= 1, where it looks at all its edges: no score or
+    # binding changes, and the sides' per-depth tables stay small.
+    depth = min(depth, g.vertex_count)
     # Each background is indexed once; the target side starts with no edge
     # known and learns each edge as the traversal closes it.
     target = sides = None
@@ -634,10 +666,9 @@ def information_content(
 
     def on_vertex(state: TraversalState, event) -> None:
         matches = vertex_matches(state, backgrounds, event.incoming, depth, _sides=sides)
-        space = space_initial if event.incoming is None else space_later
-        model = scored_matches_to_model(matches, space)
+        size = size_initial if event.incoming is None else size_later
         outcome = VertexOutcome(event.label, event.degree)
-        steps.append(StepRecord(len(steps), "V", outcome, model.nl_pr(outcome)))
+        steps.append(StepRecord(len(steps), "V", outcome, _step_bits(matches, outcome, size)))
 
     def on_edge(state: TraversalState, event) -> None:
         candidates = loop_candidates(state, event.source)
@@ -645,11 +676,11 @@ def information_content(
             state, backgrounds, event.source, event.edge, depth,
             candidates=candidates, _sides=sides,
         )
-        model = scored_matches_to_model(matches, edge_outcome_space(alphabet, candidates))
         resolution = event.resolution
         closes = None if isinstance(resolution, FreshVertex) else resolution.target
         outcome = EdgeOutcome(event.label, closes)
-        steps.append(StepRecord(len(steps), "E", outcome, model.nl_pr(outcome)))
+        size = edge_labels * (1 + len(candidates))
+        steps.append(StepRecord(len(steps), "E", outcome, _step_bits(matches, outcome, size)))
         if target is not None:
             target.add(event.edge)  # traverse closes the edge as this returns
 

@@ -13,9 +13,12 @@ from collections import Counter
 import pytest
 
 from graphmml import (
+    EdgeOutcome,
     Fork,
+    FreshVertex,
     GeneralTree,
     Leaf,
+    VertexOutcome,
     adaptive_binomial_bits,
     automorphism_count,
     build_graph,
@@ -201,7 +204,9 @@ def test_criterion_5_reference_molecules_parse():
 
 
 def assert_every_step_model_is_sound(g, backgrounds, degrees, depth):
-    """Rebuild the per-step distributions and check they normalize."""
+    """Rebuild the per-step distributions, check they normalize, and check
+    that each prices its step's actual outcome exactly as
+    information_content does."""
     alphabet = tuple(sorted({e.label for h in [g] + backgrounds for e in h.edges},
                             key=lambda l: getattr(l, "value", str(l))))
     checked = []
@@ -209,20 +214,26 @@ def assert_every_step_model_is_sound(g, backgrounds, degrees, depth):
     def on_vertex(state, event):
         space = vertex_outcome_space(degrees, initial=event.incoming is None)
         matches = vertex_matches(state, backgrounds, event.incoming, depth)
-        checked.append(scored_matches_to_model(matches, space))
+        checked.append((scored_matches_to_model(matches, space),
+                        VertexOutcome(event.label, event.degree)))
 
     def on_edge(state, event):
         candidates = loop_candidates(state, event.source)
         matches = edge_matches(state, backgrounds, event.source, event.edge,
                                depth, candidates)
-        checked.append(
-            scored_matches_to_model(matches, edge_outcome_space(alphabet, candidates)))
+        resolution = event.resolution
+        closes = None if isinstance(resolution, FreshVertex) else resolution.target
+        checked.append((scored_matches_to_model(matches, edge_outcome_space(alphabet, candidates)),
+                        EdgeOutcome(event.label, closes)))
 
     traverse(g, 0, on_vertex, on_edge)
-    assert len(checked) == g.vertex_count + g.edge_count
-    for model in checked:
+    steps = information_content(g, backgrounds, degrees, depth).steps
+    assert len(checked) == len(steps) == g.vertex_count + g.edge_count
+    for (model, outcome), step in zip(checked, steps):
         assert abs(sum(model.probabilities.values()) - 1.0) <= TOL
         assert all(p > 0.0 for p in model.probabilities.values())
+        assert step.outcome == outcome
+        assert model.nl_pr(outcome) == step.bits
 
 
 @criterion("criterion 6 (conditional information)")

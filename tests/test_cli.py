@@ -123,6 +123,16 @@ class TestInfo:
         first = steps[0].split("\t")
         assert first == ["#step", "k33", "0", "V", "vertex Utility degree 3", "1.585"]
 
+    def test_huge_depth_prices_like_the_vertex_count(self, capsys, tmp_path):
+        benzene = tmp_path / "benzene.txt"
+        benzene.write_text("benzene c1ccccc1\n")
+        argv = ["info", benzene, "--given", benzene, "--format", "tsv", "--steps"]
+        code, capped, _ = run([*argv, "--depth", "6"], capsys)
+        assert code == 0
+        code, huge, _ = run([*argv, "--depth", str(10**9)], capsys)
+        assert code == 0
+        assert huge == capped
+
     def test_long_chain(self, capsys, tmp_path):
         chain = tmp_path / "chain.txt"
         chain.write_text("chain " + "C" * 2000 + "\n")

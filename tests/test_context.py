@@ -6,7 +6,9 @@ worked out by hand and are asserted exactly.  The optimized matcher is
 additionally compared against a shortcut-free reference implementation
 on random graphs, pair by pair and step by step through traversals, and
 the target data information_content keeps up to date against data
-rebuilt from the traversal state at every step.
+rebuilt from the traversal state at every step.  Its one-division step
+prices are compared, bit for bit, with the full distributions that
+scored_matches_to_model builds.
 """
 
 import math
@@ -19,6 +21,7 @@ import graphmml.context
 from graphmml import (
     ContextError,
     EdgeOutcome,
+    FreshVertex,
     PredictiveModel,
     ScoredMatch,
     VertexOutcome,
@@ -28,6 +31,7 @@ from graphmml import (
     edge_matches,
     edge_outcome_space,
     information_content,
+    label_text,
     loop_candidates,
     match_edge,
     match_vertex,
@@ -37,7 +41,7 @@ from graphmml import (
     vertex_matches,
     vertex_outcome_space,
 )
-from conftest import DRUG_SMILES, make_k33, make_near_k33
+from conftest import DRUG_SMILES, UTILITY_DEGREES, make_k33, make_near_k33
 
 LOG2_3 = math.log2(3.0)
 
@@ -106,11 +110,6 @@ class TestScoredMatchesToModel:
             scored_matches_to_model([bad], space)
 
     def test_bad_parameters_rejected(self):
-        space = vertex_outcome_space({"a": 1})
-        with pytest.raises(ContextError):
-            scored_matches_to_model([], space, escape_per_outcome=0.0)
-        with pytest.raises(ContextError):
-            scored_matches_to_model([], space, match_smoothing=-1.0)
         with pytest.raises(ContextError):
             scored_matches_to_model([], ())
 
@@ -283,6 +282,21 @@ class TestMatcherAgainstPlainReference:
                     expected = PlainMatcher(k33, near_k33).match_vertex(v1, v2, depth)
                     assert match_vertex(k33, v1, near_k33, v2, depth) == expected
 
+    def test_huge_depth_equals_the_plain_reference(self):
+        # The library caps the depth at what a match can use; the plain
+        # reference keeps no per-depth tables and takes the depth as given.
+        rng = random.Random(314)
+        for _ in range(300):
+            g1 = random_graph(rng, rng.randint(3, 5))
+            g2 = random_graph(rng, rng.randint(3, 6))
+            v1, v2 = rng.randrange(g1.vertex_count), rng.randrange(g2.vertex_count)
+            expected = PlainMatcher(g1, g2).match_vertex(v1, v2, 10**9)
+            assert match_vertex(g1, v1, g2, v2, 10**9) == expected
+            for s1 in g1.adjacency[v1]:
+                for s2 in g2.adjacency[v2]:
+                    expected = PlainMatcher(g1, g2).match_edge(s1, s2, 10**9)
+                    assert match_edge(g1, v1, s1.edge, g2, v2, s2.edge, 10**9) == expected
+
     def test_score_stays_inside_both_balls(self):
         rng = random.Random(7)
         for _ in range(40):
@@ -378,6 +392,33 @@ class TestStepMatchesAgainstPlainReference:
             steps += len(traverse(g, 0, on_vertex, on_edge))
         assert steps > 200
 
+    def test_huge_depth_from_the_state(self):
+        # Priced from the state alone, the depth is capped where the sides
+        # are built and where the matcher is entered alike.
+        rng = random.Random(42)
+        huge = 10**9
+        steps = 0
+        for _ in range(20):
+            labels = rng.choice(["a", "ab"]), rng.choice(["x", "xy"])
+            g = random_connected_graph(rng, rng.randint(1, 5), *labels)
+            backgrounds = [random_connected_graph(rng, rng.randint(2, 5), *labels)
+                           for _ in range(rng.randint(1, 2))]
+            n = g.vertex_count
+
+            def on_vertex(state, event):
+                got = vertex_matches(state, backgrounds, event.incoming, huge)
+                assert got == vertex_matches(state, backgrounds, event.incoming, n)
+                assert got == plain_vertex_matches(state, backgrounds, event.incoming, huge)
+
+            def on_edge(state, event):
+                got = edge_matches(state, backgrounds, event.source, event.edge, huge)
+                assert got == edge_matches(state, backgrounds, event.source, event.edge, n)
+                assert got == plain_edge_matches(
+                    state, backgrounds, event.source, event.edge, huge)
+
+            steps += len(traverse(g, 0, on_vertex, on_edge))
+        assert steps > 50
+
 
 def rebuilt_every_step(matches, depth, calls):
     """A vertex_matches or edge_matches that prices from the state alone,
@@ -407,20 +448,30 @@ CORONENE = "c1cc2ccc3ccc4ccc5ccc6ccc1c7c2c3c4c5c67"
 PYRENE = "c1cc2ccc3cccc4ccc(c1)c2c34"
 
 
+def tight_degrees(graphs):
+    """Each label's largest degree in the graphs (at least 1)."""
+    degrees = {}
+    for h in graphs:
+        for v in range(h.vertex_count):
+            degrees[h.labels[v]] = max(degrees.get(h.labels[v], 1), h.degree(v))
+    return degrees
+
+
+INCREMENTAL_CASES = [
+    *[("k33 | near", make_k33(), [make_near_k33()], depth) for depth in range(5)],
+    *[(f"drug {i} | others", g, DRUGS[:i] + DRUGS[i + 1:], depth)
+      for i, g in enumerate(DRUGS) for depth in range(5)],
+    *[("coronene | coronene, pyrene", molecule(CORONENE),
+       [molecule(CORONENE), molecule(PYRENE)], depth) for depth in range(5)],
+]
+
+
 class TestIncrementalTargetSide:
-    @pytest.mark.parametrize("case", [
-        *[("k33 | near", make_k33(), [make_near_k33()], depth) for depth in range(5)],
-        *[(f"drug {i} | others", g, DRUGS[:i] + DRUGS[i + 1:], depth)
-          for i, g in enumerate(DRUGS) for depth in range(5)],
-        *[("coronene | coronene, pyrene", molecule(CORONENE),
-           [molecule(CORONENE), molecule(PYRENE)], depth) for depth in range(5)],
-    ], ids=lambda case: f"{case[0]} depth {case[3]}")
+    @pytest.mark.parametrize("case", INCREMENTAL_CASES,
+                             ids=lambda case: f"{case[0]} depth {case[3]}")
     def test_bits_equal_pricing_from_the_state(self, monkeypatch, case):
         _, g, backgrounds, depth = case
-        degrees = {}
-        for h in [g, *backgrounds]:
-            for v in range(h.vertex_count):
-                degrees[h.labels[v]] = max(degrees.get(h.labels[v], 1), h.degree(v))
+        degrees = tight_degrees([g, *backgrounds])
         kept = information_content(g, backgrounds, degrees, depth)
         calls = []
         for name in ("vertex_matches", "edge_matches"):
@@ -429,6 +480,58 @@ class TestIncrementalTargetSide:
         from_state = information_content(g, backgrounds, degrees, depth)
         assert len(calls) == len(kept.steps)
         assert [s.bits for s in kept.steps] == [s.bits for s in from_state.steps]
+
+
+def distribution_bits(g, backgrounds, degrees, depth, edge_alphabet):
+    """Every step's bits read off the full distribution that
+    scored_matches_to_model builds from the state's matches."""
+
+    def on_vertex(state, event):
+        space = vertex_outcome_space(degrees, initial=event.incoming is None)
+        matches = vertex_matches(state, backgrounds, event.incoming, depth)
+        outcome = VertexOutcome(event.label, event.degree)
+        return scored_matches_to_model(matches, space).nl_pr(outcome)
+
+    def on_edge(state, event):
+        candidates = loop_candidates(state, event.source)
+        space = edge_outcome_space(edge_alphabet, candidates)
+        matches = edge_matches(state, backgrounds, event.source, event.edge, depth, candidates)
+        resolution = event.resolution
+        closes = None if isinstance(resolution, FreshVertex) else resolution.target
+        outcome = EdgeOutcome(event.label, closes)
+        return scored_matches_to_model(matches, space).nl_pr(outcome)
+
+    return traverse(g, 0, on_vertex, on_edge)
+
+
+LONE_HOUSE = build_graph(False, ["House"], [])
+ISOLATED_HOUSE = build_graph(False, ["Utility", "House", "House"], [(0, 1, "Gas")])
+K33_ALPHABET = ("Elec", "Gas", "H2O")
+
+
+class TestClosedFormPricing:
+    @pytest.mark.parametrize("case", [
+        ("lone house | k33", LONE_HOUSE, [make_k33()], UTILITY_DEGREES, 3, K33_ALPHABET),
+        ("lone house | nothing", LONE_HOUSE, [], UTILITY_DEGREES, 3, K33_ALPHABET),
+        ("k33 | isolated house", make_k33(), [ISOLATED_HOUSE], UTILITY_DEGREES, 3,
+         K33_ALPHABET),
+        ("k33 | near, unused label", make_k33(), [make_near_k33()],
+         {**UTILITY_DEGREES, "Shed": 2}, 2, K33_ALPHABET),
+        ("k33 | k33, repeated and unused labels", make_k33(), [make_k33()], UTILITY_DEGREES, 3,
+         ("Gas", "Elec", "Gas", "Cable", "H2O")),
+        *[(name, g, backgrounds, None, depth, None)
+          for name, g, backgrounds, depth in INCREMENTAL_CASES],
+    ], ids=lambda case: f"{case[0]} depth {case[4]}")
+    def test_bits_equal_the_full_distribution(self, case):
+        _, g, backgrounds, degrees, depth, alphabet = case
+        if degrees is None:
+            degrees = tight_degrees([g, *backgrounds])
+        if alphabet is None:
+            alphabet = sorted({e.label for h in [g, *backgrounds] for e in h.edges},
+                              key=label_text)
+        result = information_content(g, backgrounds, degrees, depth, edge_alphabet=alphabet)
+        expected = distribution_bits(g, backgrounds, degrees, depth, alphabet)
+        assert [s.bits for s in result.steps] == expected
 
 
 def capture_step(g, backgrounds, depth, *, vertex=None, edge=None):
@@ -634,6 +737,13 @@ class TestInformationContent:
             information_content(k33, [], utility_degrees, -1)
         with pytest.raises(ContextError):
             information_content(k33, [], utility_degrees, 3, edge_alphabet=("Elec",))
+
+    def test_huge_depth_prices_like_the_vertex_count(self):
+        benzene = molecule("c1ccccc1")
+        degrees = tight_degrees([benzene])
+        capped = information_content(benzene, [benzene], degrees, 6)
+        huge = information_content(benzene, [benzene], degrees, 10**9)
+        assert [s.bits for s in huge.steps] == [s.bits for s in capped.steps]
 
     def test_single_vertex_graph(self):
         lone = build_graph(False, ["Utility"], [])
