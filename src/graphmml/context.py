@@ -495,7 +495,6 @@ def edge_matches(
     source: int,
     pending_edge: int,
     depth: int,
-    candidates: Sequence[int] | None = None,
     *,
     _sides: _Sides | None = None,
 ) -> list[ScoredMatch]:
@@ -509,12 +508,10 @@ def edge_matches(
     a loop.  A match whose implied loop target is not a legal candidate
     predicts nothing a decoder could act on and is dropped.
     """
-    if candidates is None:
-        candidates = loop_candidates(state, source)
     if not backgrounds:
         return []
     depth = min(depth, state.graph.vertex_count)  # see information_content
-    candidate_set = set(candidates)
+    candidate_set = set(loop_candidates(state, source))
     target, indexes = _sides if _sides is not None else _sides_from_state(state, backgrounds, depth)
     label = state.graph.labels[source]
     matches: list[ScoredMatch] = []
@@ -671,15 +668,11 @@ def information_content(
         steps.append(StepRecord(len(steps), "V", outcome, _step_bits(matches, outcome, size)))
 
     def on_edge(state: TraversalState, event) -> None:
-        candidates = loop_candidates(state, event.source)
-        matches = edge_matches(
-            state, backgrounds, event.source, event.edge, depth,
-            candidates=candidates, _sides=sides,
-        )
+        matches = edge_matches(state, backgrounds, event.source, event.edge, depth, _sides=sides)
         resolution = event.resolution
         closes = None if isinstance(resolution, FreshVertex) else resolution.target
         outcome = EdgeOutcome(event.label, closes)
-        size = edge_labels * (1 + len(candidates))
+        size = edge_labels * (1 + len(loop_candidates(state, event.source)))
         steps.append(StepRecord(len(steps), "E", outcome, _step_bits(matches, outcome, size)))
         if target is not None:
             target.add(event.edge)  # traverse closes the edge as this returns

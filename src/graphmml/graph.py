@@ -135,36 +135,39 @@ class Component:
 def connected_components(g: Graph) -> list[Component]:
     """Partition into connected components (weak connectivity if directed)."""
     n = g.vertex_count
-    assigned = [False] * n
     # Undirected view for reachability even when g is directed.
     neigh: list[list[int]] = [[] for _ in range(n)]
     for u, v, _ in g.edges:
         neigh[u].append(v)
         neigh[v].append(u)
-    components: list[Component] = []
+    component = [-1] * n
+    groups: list[list[int]] = []
     for start in range(n):
-        if assigned[start]:
+        if component[start] >= 0:
             continue
+        component[start] = len(groups)
         members = [start]
-        assigned[start] = True
-        queue = [start]
-        while queue:
-            x = queue.pop()
+        for x in members:  # the list grows as the search reaches new vertices
             for y in neigh[x]:
-                if not assigned[y]:
-                    assigned[y] = True
+                if component[y] < 0:
+                    component[y] = component[start]
                     members.append(y)
-                    queue.append(y)
-        members.sort()
-        remap = {old: new for new, old in enumerate(members)}
-        sub_edges = [
-            (remap[u], remap[v], label)
-            for u, v, label in g.edges
-            if u in remap
-        ]
-        sub = build_graph(g.directed, [g.labels[m] for m in members], sub_edges)
-        components.append(Component(graph=sub, original_ids=tuple(members)))
-    return components
+        groups.append(sorted(members))
+    new_id = [0] * n
+    for members in groups:
+        for new, old in enumerate(members):
+            new_id[old] = new
+    # One pass puts every edge, in input order, into its component's list.
+    sub_edges: list[list[tuple]] = [[] for _ in groups]
+    for u, v, label in g.edges:
+        sub_edges[component[u]].append((new_id[u], new_id[v], label))
+    return [
+        Component(
+            graph=build_graph(g.directed, [g.labels[m] for m in members], edges),
+            original_ids=tuple(members),
+        )
+        for members, edges in zip(groups, sub_edges)
+    ]
 
 
 # -- traversal ---------------------------------------------------------------
@@ -193,7 +196,6 @@ class LoopClosure:
     """The edge returned to a vertex already on the visiting stack."""
 
     target: int
-    candidates: tuple[int, ...]
 
 
 @dataclass(frozen=True)
@@ -220,18 +222,22 @@ TraversalStep = VertexEvent | EdgeEvent
 class TraversalState:
     """Live, read-only view of a traversal in progress.
 
-    Exposes only decoder-visible information: the visiting stack, the
-    visited list, and which edges have been traversed (closed) so far.
-    Callbacks must not mutate it.
+    Exposes only decoder-visible information: the visiting stack and
+    which edges have been traversed (closed) so far.  Callbacks must not
+    mutate it.
     """
 
     def __init__(self, g: Graph):
         self.graph = g
         self.visiting: list[int] = []
-        self.visited: list[int] = []
         self._status = [VertexStatus.UNVISITED] * g.vertex_count
         self._closed = [False] * g.edge_count
-        self._closed_count = [0] * g.vertex_count
+        # Kept current as edges close: each vertex's neighbours over closed
+        # edges, the index of its first slot that may still be open, and the
+        # visiting vertices whose degree is not yet filled, in stack order.
+        self._neighbours: list[set[int]] = [set() for _ in range(g.vertex_count)]
+        self._cursor = [0] * g.vertex_count
+        self._open: dict[int, None] = {}
 
     def status_of(self, v: int) -> VertexStatus:
         return self._status[v]
@@ -240,7 +246,8 @@ class TraversalState:
         return self._closed[edge]
 
     def closed_count(self, v: int) -> int:
-        return self._closed_count[v]
+        # No parallel edges: one closed neighbour per closed edge.
+        return len(self._neighbours[v])
 
     def closed_edges(self, v: int) -> tuple[OrientedEdge, ...]:
         """Traversed edges at v, in adjacency-list order."""
@@ -251,23 +258,27 @@ class TraversalState:
     def _push(self, v: int) -> None:
         self._status[v] = VertexStatus.VISITING
         self.visiting.append(v)
+        if len(self._neighbours[v]) < self.graph.degree(v):
+            self._open[v] = None
 
     def _pop(self) -> None:
-        v = self.visiting.pop()
-        self._status[v] = VertexStatus.VISITED
-        self.visited.append(v)
+        self._status[self.visiting.pop()] = VertexStatus.VISITED
 
     def _close(self, slot: OrientedEdge) -> None:
         self._closed[slot.edge] = True
-        self._closed_count[slot.tail] += 1
-        if not self.graph.directed:
-            self._closed_count[slot.head] += 1
+        for v, w in ((slot.tail, slot.head), (slot.head, slot.tail)):
+            neighbours = self._neighbours[v]
+            neighbours.add(w)
+            if len(neighbours) == self.graph.degree(v):
+                self._open.pop(v, None)
 
     def _first_open(self, v: int) -> OrientedEdge | None:
-        for slot in self.graph.adjacency[v]:
-            if not self._closed[slot.edge]:
-                return slot
-        return None
+        slots = self.graph.adjacency[v]
+        i = self._cursor[v]
+        while i < len(slots) and self._closed[slots[i].edge]:
+            i += 1
+        self._cursor[v] = i
+        return slots[i] if i < len(slots) else None
 
 
 def loop_candidates(state: TraversalState, source: int) -> tuple[int, ...]:
@@ -278,15 +289,8 @@ def loop_candidates(state: TraversalState, source: int) -> tuple[int, ...]:
     with the source (parallel edges are impossible).  Listed in stack
     order, bottom first.
     """
-    g = state.graph
-    adjacent = {s.head for s in g.adjacency[source] if state.is_closed(s.edge)}
-    return tuple(
-        w
-        for w in state.visiting
-        if w != source
-        and state.closed_count(w) < g.degree(w)
-        and w not in adjacent
-    )
+    adjacent = state._neighbours[source]
+    return tuple(w for w in state._open if w != source and w not in adjacent)
 
 
 def traverse(
@@ -329,7 +333,7 @@ def traverse(
         if state.status_of(w) is VertexStatus.UNVISITED:
             resolution: FreshVertex | LoopClosure = FreshVertex(w)
         else:
-            resolution = LoopClosure(w, loop_candidates(state, u))
+            resolution = LoopClosure(w)
         event = EdgeEvent(slot.edge, u, slot.label, resolution)
         results.append(on_edge(state, event) if on_edge else event)
         state._close(slot)

@@ -1,5 +1,5 @@
 """Shared fixtures: two small utility-network graphs whose structure the
-tests know by heart, and four reference molecules."""
+tests know by heart, four reference molecules, and seeded random graphs."""
 
 import pytest
 
@@ -31,6 +31,18 @@ DRUG_SMILES = {
     "valium": "CN1C(=O)CN=C(c2ccccc2)c3cc(Cl)ccc13",
     "xanax": "Cc1nnc2CN=C(c3ccccc3)c4cc(Cl)ccc4-n12",
 }
+
+
+def random_connected_graph(rng, n, vertex_labels, edge_labels):
+    """A random spanning tree plus extra edges, listed in shuffled order."""
+    edges = {(rng.randrange(v), v): rng.choice(edge_labels) for v in range(1, n)}
+    for u in range(n):
+        for v in range(u + 1, n):
+            if (u, v) not in edges and rng.random() < 0.35:
+                edges[u, v] = rng.choice(edge_labels)
+    listed = [(u, v, label) for (u, v), label in edges.items()]
+    rng.shuffle(listed)
+    return build_graph(False, [rng.choice(vertex_labels) for _ in range(n)], listed)
 
 
 def make_k33():

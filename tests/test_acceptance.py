@@ -219,8 +219,7 @@ def assert_every_step_model_is_sound(g, backgrounds, degrees, depth):
 
     def on_edge(state, event):
         candidates = loop_candidates(state, event.source)
-        matches = edge_matches(state, backgrounds, event.source, event.edge,
-                               depth, candidates)
+        matches = edge_matches(state, backgrounds, event.source, event.edge, depth)
         resolution = event.resolution
         closes = None if isinstance(resolution, FreshVertex) else resolution.target
         checked.append((scored_matches_to_model(matches, edge_outcome_space(alphabet, candidates)),

@@ -1,6 +1,7 @@
 """The command-line interface: formats, exit codes, and agreement with
 the library."""
 
+import math
 import os
 import shutil
 import subprocess
@@ -139,6 +140,26 @@ class TestInfo:
         code, out, _ = run(["info", chain, "--format", "tsv"], capsys)
         assert code == 0
         assert out.splitlines()[1] == "chain\t4000.322\t2000\t1999"
+
+        # Neither graph has a loop candidate, so every edge step costs 0
+        # bits and every vertex step log2 of its outcome count.
+        star = tmp_path / "star.graph"
+        star.write_text(edge_list_text(
+            ["hub"] + ["leaf"] * 20000, [(0, i, "x") for i in range(1, 20001)]))
+        code, out, _ = run(["info", star, "--format", "tsv"], capsys)
+        assert code == 0
+        # Degree limits hub 20000, leaf 1: the root hub has 20003 possible
+        # outcomes (degree 0 counts there), each leaf 20001.
+        bits = math.log2(20003) + 20000 * math.log2(20001)
+        assert out.splitlines()[1] == f"star\t{bits:.3f}\t20001\t20000"
+
+        pairs = tmp_path / "pairs.graph"
+        pairs.write_text(edge_list_text(
+            ["a", "b"] * 10000, [(2 * i, 2 * i + 1, "x") for i in range(10000)]))
+        code, out, _ = run(["info", pairs, "--format", "tsv"], capsys)
+        assert code == 0
+        # Each of the 10,000 components costs log2(4) + 0 + log2(2).
+        assert out.splitlines()[1] == "pairs\t30000.000\t20000\t10000"
 
     def test_disconnected_target_sums_components(self, files, capsys, tmp_path):
         two = tmp_path / "two.graph"

@@ -1,8 +1,10 @@
-"""Random SMILES-like molecule files through the command line: every run
-ends in a documented exit code, never an uncaught exception."""
+"""Random SMILES-like molecule files and edge-list files through the
+command line: every run ends in a documented exit code, never an uncaught
+exception."""
 
 import contextlib
 import io
+from pathlib import Path
 
 import pytest
 
@@ -46,3 +48,44 @@ def test_cli_exits_with_a_documented_code(tmp_path_factory, molecules):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main([command, str(path)])
         assert code in (EXIT_OK, EXIT_FORMAT, EXIT_VALENCE, EXIT_SIZE), (command, molecules)
+
+
+@st.composite
+def edge_list(draw):
+    """An edge-list file, in one case in four with a flaw: bad, negative
+    or repeated vertex ids, an edge to a bad id, a self-loop or a repeated
+    edge.  Sparse edges leave several components, and a hub may join
+    vertex 0 to many others."""
+    n = draw(st.integers(0, 10))
+    ids = list(range(n))
+    end = st.integers(0, max(n - 1, 0))
+    pairs = sorted(draw(st.sets(st.tuples(end, end).filter(lambda p: p[0] < p[1]), max_size=12)))
+    if n > 1 and draw(st.booleans()):
+        pairs += [(0, v) for v in draw(st.sets(st.integers(1, n - 1), min_size=1))
+                  if (0, v) not in pairs]
+    flaw = draw(st.sampled_from(["none"] * 3 + ["ids", "end", "self-loop", "repeat"]))
+    if flaw == "ids":
+        ids = draw(st.lists(st.integers(-2, n + 1), max_size=n + 2))
+    elif flaw == "end":
+        pairs.append((draw(end), draw(st.sampled_from([-1, n, n + 1]))))
+    elif flaw == "self-loop":
+        pairs.append((draw(end),) * 2)
+    elif flaw == "repeat" and pairs:
+        u, v = draw(st.sampled_from(pairs))
+        pairs.append(draw(st.sampled_from([(u, v), (v, u)])))
+    lines = [draw(st.sampled_from(["undirected"] * 3 + ["directed"]))]
+    lines += [f"v {i} {draw(st.sampled_from('abc'))}" for i in ids]
+    lines += [f"e {u} {v} {draw(st.sampled_from('xy'))}" for u, v in pairs]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(text=edge_list())
+def test_cli_exits_with_a_documented_code_on_edge_lists(tmp_path_factory, text):
+    path = str(tmp_path_factory.mktemp("fuzz") / "graph.graph")
+    Path(path).write_text(text)
+    for args in (["info", path], ["info", path, "--given", path], ["table", path],
+                 ["chain", path]):
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(args)
+        assert code in (EXIT_OK, EXIT_FORMAT, EXIT_VALENCE, EXIT_SIZE), (args, text)

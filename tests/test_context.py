@@ -41,7 +41,9 @@ from graphmml import (
     vertex_matches,
     vertex_outcome_space,
 )
-from conftest import DRUG_SMILES, UTILITY_DEGREES, make_k33, make_near_k33
+from conftest import (
+    DRUG_SMILES, UTILITY_DEGREES, make_k33, make_near_k33, random_connected_graph,
+)
 
 LOG2_3 = math.log2(3.0)
 
@@ -355,18 +357,6 @@ def plain_edge_matches(state, backgrounds, source, pending, depth):
     return matches
 
 
-def random_connected_graph(rng, n, vertex_labels, edge_labels):
-    """A random spanning tree plus extra edges, listed in shuffled order."""
-    edges = {(rng.randrange(v), v): rng.choice(edge_labels) for v in range(1, n)}
-    for u in range(n):
-        for v in range(u + 1, n):
-            if (u, v) not in edges and rng.random() < 0.35:
-                edges[u, v] = rng.choice(edge_labels)
-    listed = [(u, v, label) for (u, v), label in edges.items()]
-    rng.shuffle(listed)
-    return build_graph(False, [rng.choice(vertex_labels) for _ in range(n)], listed)
-
-
 class TestStepMatchesAgainstPlainReference:
     def test_random_traversals(self):
         rng = random.Random(20261018)
@@ -495,7 +485,7 @@ def distribution_bits(g, backgrounds, degrees, depth, edge_alphabet):
     def on_edge(state, event):
         candidates = loop_candidates(state, event.source)
         space = edge_outcome_space(edge_alphabet, candidates)
-        matches = edge_matches(state, backgrounds, event.source, event.edge, depth, candidates)
+        matches = edge_matches(state, backgrounds, event.source, event.edge, depth)
         resolution = event.resolution
         closes = None if isinstance(resolution, FreshVertex) else resolution.target
         outcome = EdgeOutcome(event.label, closes)

@@ -1,5 +1,7 @@
 """Graph construction, components, and the traversal event stream."""
 
+import random
+
 import pytest
 
 from graphmml import (
@@ -20,6 +22,7 @@ from graphmml import (
     max_edges,
     traverse,
 )
+from conftest import random_connected_graph
 
 
 class TestBuildGraph:
@@ -100,6 +103,29 @@ class TestComponents:
         assert list(comps[0].graph.labels) == ["a", "b", "c"]
         assert {e.label for e in comps[1].graph.edges} == {"y"}
 
+    def test_many_components_keep_ids_and_edge_order(self):
+        # 40 vertices in 9 interleaved groups (vertex v in group 5v mod 9),
+        # each group a shuffled path plus a chord, all edges shuffled.
+        rng = random.Random(3)
+        n = 40
+        groups = [[v for v in range(n) if 5 * v % 9 == k] for k in range(9)]
+        edges = []
+        for k, members in enumerate(groups):
+            order = rng.sample(members, len(members))
+            edges += [(a, b, f"e{k}") for a, b in zip(order, order[1:])]
+            if len(order) > 2:
+                edges.append((order[0], order[2], f"c{k}"))
+        rng.shuffle(edges)
+        g = build_graph(False, [f"l{v % 4}" for v in range(n)], edges)
+        comps = connected_components(g)
+        assert [c.original_ids for c in comps] == sorted(tuple(m) for m in groups)
+        for comp in comps:
+            ids = comp.original_ids
+            new = {old: i for i, old in enumerate(ids)}
+            assert comp.graph.labels == tuple(g.labels[m] for m in ids)
+            assert comp.graph.edges == tuple(
+                Edge(new[u], new[v], label) for u, v, label in g.edges if u in new)
+
     def test_isolated_vertex(self):
         comps = connected_components(build_graph(False, ["a", "a"], []))
         assert len(comps) == 2
@@ -121,9 +147,12 @@ class TestTraversal:
                          "E1", "E7", "V2", "E6", "E8", "V5", "E2", "E5"]
 
     def test_k33_loop_closures(self, k33):
-        closures = [e for e in events_of(k33) if isinstance(e, EdgeEvent)
-                    and isinstance(e.resolution, LoopClosure)]
-        got = [(e.edge, e.resolution.target, e.resolution.candidates) for e in closures]
+        def on_edge(state, event):
+            if isinstance(event.resolution, LoopClosure):
+                return event.edge, event.resolution.target, loop_candidates(state, event.source)
+            return None
+
+        got = [r for r in traverse(k33, 0, on_edge=on_edge) if isinstance(r, tuple)]
         assert got == [
             (1, 0, (0, 3)),
             (6, 3, (0, 3, 1)),
@@ -213,5 +242,60 @@ class TestTraversal:
         ]
 
 
-def events_of(g):
-    return traverse(g, 0)
+def reference_loop_candidates(state, source):
+    """loop_candidates as a plain scan of the visiting stack, with slot
+    counts read off the closed edges: the reference that the traversal's
+    incremental state must agree with."""
+    g = state.graph
+    adjacent = {s.head for s in g.adjacency[source] if state.is_closed(s.edge)}
+    return tuple(
+        w for w in state.visiting
+        if w != source
+        and sum(state.is_closed(s.edge) for s in g.adjacency[w]) < g.degree(w)
+        and w not in adjacent
+    )
+
+
+def star(leaves):
+    return build_graph(False, ["h"] + ["l"] * leaves, [(0, i, "x") for i in range(1, leaves + 1)])
+
+
+def ladder(rungs):
+    # Both rails first, then the rungs: the walk along the second rail
+    # keeps every vertex of the first one open.
+    edges = [(i, i + 1, "x") for i in range(rungs - 1)]
+    edges += [(rungs + i, rungs + i + 1, "x") for i in range(rungs - 1)]
+    edges += [(i, rungs + i, "y") for i in range(rungs)]
+    return build_graph(False, ["a"] * (2 * rungs), edges)
+
+
+def grid(rows, cols):
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    edges = [(r * cols + c, r * cols + c + 1, "x") for r, c in cells if c + 1 < cols]
+    edges += [(r * cols + c, (r + 1) * cols + c, "x") for r, c in cells if r + 1 < rows]
+    return build_graph(False, ["a"] * (rows * cols), edges)
+
+
+def state_check_graphs():
+    rng = random.Random(6)
+    graphs = [random_connected_graph(rng, rng.randint(2, 9), "ab", "xy") for _ in range(60)]
+    return graphs + [star(7), ladder(6), grid(4, 5)]
+
+
+class TestIncrementalStateAgainstRescan:
+    @pytest.mark.parametrize("g", state_check_graphs())
+    def test_every_edge_event_matches_the_rescan(self, g):
+        events = []
+
+        def on_edge(state, event):
+            for source in state.visiting:
+                assert loop_candidates(state, source) == reference_loop_candidates(state, source)
+            for v in range(g.vertex_count):
+                closed = sum(state.is_closed(s.edge) for s in g.adjacency[v])
+                assert state.closed_count(v) == closed
+            first = next(s for s in g.adjacency[event.source] if not state.is_closed(s.edge))
+            assert event.edge == first.edge
+            events.append(event)
+
+        traverse(g, 0, on_edge=on_edge)
+        assert sorted(e.edge for e in events) == list(range(g.edge_count))
