@@ -18,13 +18,11 @@ diagonal.
 from __future__ import annotations
 
 import argparse
-import os
 import sys
 from pathlib import Path
 from typing import Any, Sequence
 
 from .codes import (
-    Fork,
     GeneralTree,
     Leaf,
     SizeLimitError,
@@ -35,7 +33,6 @@ from .codes import (
     general_tree_encode,
     ordering_surplus_bits,
     strict_binary_tree_decode,
-    strict_binary_tree_encode,
 )
 from .context import (
     ContextError,
@@ -51,7 +48,7 @@ from .smiles import DEFAULT_VALENCES, Element, SmilesError, ValenceError, read_m
 EXIT_OK = 0
 EXIT_FORMAT = 2  # unreadable files, malformed input, bad usage
 EXIT_VALENCE = 3  # valence or degree violations
-EXIT_SIZE = 4  # brute-force size limits
+EXIT_SIZE = 4  # brute-force size limits, searches too deep for the stack
 
 
 class FileFormatError(ValueError):
@@ -138,23 +135,21 @@ def _observed_degrees(g: Graph) -> dict[Any, int]:
     return limits
 
 
-def load_graph_file(path: str, valences) -> tuple[list[tuple[str, Graph]], dict[Any, int]]:
-    """Read one input file into named graphs plus their degree limits."""
+def _read_input(path: str) -> tuple[str, bool]:
+    """An input file's text, and whether it is an edge list (else molecules)."""
     text = Path(path).read_text()
     first = next((line for _, line in _meaningful_lines(text)), "")
-    if first in ("undirected", "directed"):
+    return text, first in ("undirected", "directed")
+
+
+def load_graph_file(path: str, valences) -> tuple[list[tuple[str, Graph]], dict[Any, int]]:
+    """Read one input file into named graphs plus their degree limits."""
+    text, edge_list = _read_input(path)
+    if edge_list:
         g = _load_edge_list(text, path)
         return [(Path(path).stem, g)], _observed_degrees(g)
     records = _load_molecules(text, path, valences)
-    degrees: dict[Any, int] = {}
-    for element in {label for _, g in records for label in g.labels}:
-        degrees[element] = valences[element]
-    return records, degrees
-
-
-def _merge_degrees(into: dict, new: dict) -> None:
-    for label, limit in new.items():
-        into[label] = max(into.get(label, limit), limit)
+    return records, {element: valences[element] for _, g in records for element in g.labels}
 
 
 # -- valence configuration ---------------------------------------------------------
@@ -210,43 +205,50 @@ def _apply_label_overrides(degrees: dict, overrides: dict[str, int]) -> None:
         degrees[key] = limit
 
 
-# -- shared option plumbing ---------------------------------------------------------
+# -- shared input loader --------------------------------------------------------------
 
 
-def _resolve_depth(args) -> int:
-    if args.depth is not None:
-        depth = args.depth
-    else:
-        raw = os.environ.get("GRAPHMML_DEPTH", "3")
-        try:
-            depth = int(raw)
-        except ValueError as exc:
-            raise FileFormatError(f"GRAPHMML_DEPTH={raw!r} is not an integer") from exc
-    if depth < 0:
-        raise FileFormatError("depth must be non-negative")
-    return depth
+def _merge_degrees(into: dict, new: dict) -> None:
+    for label, limit in new.items():
+        into[label] = max(into.get(label, limit), limit)
 
 
-def _resolve_jobs(args) -> int:
-    jobs = getattr(args, "jobs", 1)
-    if jobs < 1:
-        raise FileFormatError("--jobs must be at least 1")
-    return jobs
+def _load_inputs(args):
+    """The FILE graphs, the --given backgrounds and the degree limits of one
+    command, read with --valence/--valence-file applied.
 
-
-def _load_inputs(paths: Sequence[str], valences):
-    named: list[tuple[str, Graph]] = []
+    Element limits apply while molecules are read; the other overrides then
+    replace edge-list labels' observed limits, and one for a label that is
+    neither an element nor in any input is an error.  `ordering` prices
+    nothing, so it skips the label overrides and the --depth and --jobs
+    checks.
+    """
+    overrides = _valence_overrides(args)
+    valences = _configure_valences(overrides)
+    targets: list[tuple[str, Graph]] = []
+    givens: list[tuple[str, Graph]] = []
     degrees: dict[Any, int] = {}
     seen: set[str] = set()
-    for path in paths:
+    for path in args.files:
         records, limits = load_graph_file(path, valences)
-        for name, g in records:
+        for name, _ in records:
             if name in seen:
                 raise FileFormatError(f"duplicate graph name {name!r} across inputs")
             seen.add(name)
-            named.append((name, g))
+        targets += records
         _merge_degrees(degrees, limits)
-    return named, degrees
+    for path in getattr(args, "given", None) or []:
+        records, limits = load_graph_file(path, valences)
+        givens += records
+        _merge_degrees(degrees, limits)
+    if args.command == "ordering":
+        return targets, givens, degrees
+    _apply_label_overrides(degrees, overrides)
+    if args.depth < 0:
+        raise FileFormatError("depth must be non-negative")
+    if getattr(args, "jobs", 1) < 1:
+        raise FileFormatError("--jobs must be at least 1")
+    return targets, givens, degrees
 
 
 def _bits(x: float) -> str:
@@ -269,16 +271,7 @@ def _print_rows(rows: list[list[str]], tsv: bool) -> None:
 
 
 def cmd_info(args) -> int:
-    overrides = _valence_overrides(args)
-    valences = _configure_valences(overrides)
-    targets, degrees = _load_inputs(args.files, valences)
-    givens: list[tuple[str, Graph]] = []
-    for path in args.given or []:
-        records, limits = load_graph_file(path, valences)
-        givens.extend(records)
-        _merge_degrees(degrees, limits)
-    _apply_label_overrides(degrees, overrides)
-    depth = _resolve_depth(args)
+    targets, givens, degrees = _load_inputs(args)
     given_graphs = [g for _, g in givens]
     given_names = tuple(name for name, _ in givens)
     # One shared edge alphabet keeps rows comparable across targets.
@@ -293,7 +286,7 @@ def cmd_info(args) -> int:
         steps: list = []
         for component in connected_components(g):
             result = information_content(
-                component.graph, given_graphs, degrees, depth,
+                component.graph, given_graphs, degrees, args.depth,
                 edge_alphabet=alphabet, background_names=given_names,
             )
             total += result.total
@@ -318,11 +311,8 @@ def cmd_info(args) -> int:
 
 
 def cmd_table(args) -> int:
-    overrides = _valence_overrides(args)
-    valences = _configure_valences(overrides)
-    named, degrees = _load_inputs(args.files, valences)
-    _apply_label_overrides(degrees, overrides)
-    result = conditional_table(named, degrees, _resolve_depth(args), jobs=_resolve_jobs(args))
+    named, _, degrees = _load_inputs(args)
+    result = conditional_table(named, degrees, args.depth, jobs=args.jobs)
     tsv = args.format == "tsv"
     rows = [["name", *result.names]]
     for i, name in enumerate(result.names):
@@ -338,11 +328,8 @@ def cmd_table(args) -> int:
 
 
 def cmd_chain(args) -> int:
-    overrides = _valence_overrides(args)
-    valences = _configure_valences(overrides)
-    named, degrees = _load_inputs(args.files, valences)
-    _apply_label_overrides(degrees, overrides)
-    result = chain_information(named, degrees, _resolve_depth(args), jobs=_resolve_jobs(args))
+    named, _, degrees = _load_inputs(args)
+    result = chain_information(named, degrees, args.depth, jobs=args.jobs)
     rows = [["name", "given", "bits"]]
     names = [name for name, _ in result.items]
     for i, (name, bits) in enumerate(result.items):
@@ -354,46 +341,26 @@ def cmd_chain(args) -> int:
 
 # Tree text format: a strict binary tree is "(L)" or "(F <left> <right>)";
 # a general tree is "(" followed by its children ")".  Whitespace between
-# tokens is free on input.
+# tokens is free on input.  Text is read through the codecs: strict text
+# lists its codeword's letters in order, and general text is "(" followed
+# by its codeword with d written "(" and u written ")".
 
 
-def _tree_tokens(text: str) -> list[str]:
-    tokens = []
-    for raw in text.replace("(", " ( ").replace(")", " ) ").split():
+def _tree_tokens(text: str) -> str:
+    """The text's tokens, each one character, with the whitespace dropped."""
+    tokens = text.replace("(", " ( ").replace(")", " ) ").split()
+    for raw in tokens:
         if raw not in ("(", ")", "L", "F"):
             raise FileFormatError(f"unexpected token {raw!r} in tree text")
-        tokens.append(raw)
-    return tokens
+    return "".join(tokens)
 
 
-def _parse_strict_tree(text: str) -> StrictBinaryTree:
+def _strict_codeword(text: str) -> str:
     tokens = _tree_tokens(text)
-    forks: list[list[StrictBinaryTree]] = []  # open forks: subtrees read so far
-    pos = 0
-    while True:
-        if pos + 1 >= len(tokens) or tokens[pos] != "(":
-            raise FileFormatError("expected '(' starting a tree node")
-        kind = tokens[pos + 1]
-        pos += 2
-        if kind == "F":
-            forks.append([])
-            continue
-        if kind != "L":
-            raise FileFormatError("expected 'L' or 'F' after '('")
-        tree: StrictBinaryTree = Leaf()
-        # Close the node; a fork's second subtree closing closes the fork too.
-        while True:
-            if pos >= len(tokens) or tokens[pos] != ")":
-                raise FileFormatError("expected ')' closing a tree node")
-            pos += 1
-            if not forks:
-                if pos != len(tokens):
-                    raise FileFormatError("trailing tokens after the tree")
-                return tree
-            forks[-1].append(tree)
-            if len(forks[-1]) == 1:
-                break
-            tree = Fork(*forks.pop())
+    code = tokens.replace("(", "").replace(")", "")
+    if _render_strict(strict_binary_tree_decode(code)).replace(" ", "") != tokens:
+        raise FileFormatError("strict tree text must be (L) or (F <left> <right>)")
+    return code
 
 
 def _render_strict(tree: StrictBinaryTree) -> str:
@@ -411,29 +378,13 @@ def _render_strict(tree: StrictBinaryTree) -> str:
     return "".join(out)
 
 
-def _parse_general_tree(text: str) -> GeneralTree:
+def _general_codeword(text: str) -> str:
     tokens = _tree_tokens(text)
-    if any(t in ("L", "F") for t in tokens):
-        raise FileFormatError("general tree text uses only parentheses")
-    if not tokens or tokens[0] != "(":
-        raise FileFormatError("expected '(' starting a tree node")
-    stack: list[list[GeneralTree]] = [[]]  # open nodes: children read so far
-    pos = 1
-    while True:
-        if pos < len(tokens) and tokens[pos] == "(":
-            stack.append([])
-            pos += 1
-            continue
-        if pos >= len(tokens) or tokens[pos] != ")":
-            raise FileFormatError("expected ')' closing a tree node")
-        pos += 1
-        tree = GeneralTree(tuple(stack.pop()))
-        if not stack:
-            break
-        stack[-1].append(tree)
-    if pos != len(tokens):
-        raise FileFormatError("trailing tokens after the tree")
-    return tree
+    if not tokens.startswith("("):
+        raise FileFormatError("general tree text must start with '('")
+    code = tokens[1:].replace("(", "d").replace(")", "u")
+    general_tree_decode(code)  # refuses letters, unbalanced and trailing text
+    return code
 
 
 def _render_general(tree: GeneralTree) -> str:
@@ -443,23 +394,18 @@ def _render_general(tree: GeneralTree) -> str:
 
 
 def cmd_tree(args) -> int:
-    if args.kind == "strict":
-        if args.action == "encode":
-            print(strict_binary_tree_encode(_parse_strict_tree(args.text)))
-        else:
-            print(_render_strict(strict_binary_tree_decode(args.text)))
+    strict = args.kind == "strict"
+    if args.action == "encode":
+        print(_strict_codeword(args.text) if strict else _general_codeword(args.text))
+    elif strict:
+        print(_render_strict(strict_binary_tree_decode(args.text)))
     else:
-        if args.action == "encode":
-            print(general_tree_encode(_parse_general_tree(args.text)))
-        else:
-            print(_render_general(general_tree_decode(args.text)))
+        print(_render_general(general_tree_decode(args.text)))
     return EXIT_OK
 
 
 def cmd_ordering(args) -> int:
-    overrides = _valence_overrides(args)
-    valences = _configure_valences(overrides)
-    named, _ = _load_inputs(args.files, valences)
+    named, _, _ = _load_inputs(args)
     rows = [["name", "automorphisms", "surplus_bits"]]
     for name, g in named:
         count = automorphism_count(g)
@@ -469,12 +415,10 @@ def cmd_ordering(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    overrides = _valence_overrides(args)
-    valences = _configure_valences(overrides)
+    valences = _configure_valences(_valence_overrides(args))
     for path in args.files:
-        text = Path(path).read_text()
-        first = next((line for _, line in _meaningful_lines(text)), "")
-        if first in ("undirected", "directed"):
+        text, edge_list = _read_input(path)
+        if edge_list:
             raise FileFormatError(f"{path}: already an edge-list file")
         for name, g in _load_molecules(text, path, valences):
             print(f"# {name}")
@@ -496,8 +440,8 @@ def _add_common(sub, *, given=False, steps=False, jobs=False) -> None:
     if given:
         sub.add_argument("--given", action="append", metavar="FILE",
                          help="background graphs the receiver already knows (repeatable)")
-    sub.add_argument("--depth", type=int, default=None,
-                     help="context match radius (default: $GRAPHMML_DEPTH or 3)")
+    sub.add_argument("--depth", type=int, default=3,
+                     help="context match radius (default: 3)")
     if jobs:
         sub.add_argument("--jobs", type=int, default=1,
                          help="worker processes for independent cells")
@@ -557,6 +501,10 @@ def main(argv: Sequence[str] | None = None) -> int:
         return args.func(args)
     except SizeLimitError as exc:
         print(f"graphmml: {exc}", file=sys.stderr)
+        return EXIT_SIZE
+    except RecursionError:
+        print("graphmml: the context match search ran out of stack; try a smaller --depth",
+              file=sys.stderr)
         return EXIT_SIZE
     except (ValenceError, ContextError) as exc:
         print(f"graphmml: {exc}", file=sys.stderr)

@@ -30,7 +30,6 @@ from .graph import (
     FreshVertex,
     Graph,
     TraversalState,
-    connected_components,
     loop_candidates,
     traverse,
 )
@@ -568,7 +567,14 @@ def _require_model_graph(g: Graph, what: str, connected: bool) -> None:
     if connected:
         if g.vertex_count == 0:
             raise ContextError(f"{what} has no vertices")
-        if len(connected_components(g)) != 1:
+        reached = {0}  # g is undirected, so its adjacency reaches both ways
+        stack = [0]
+        while stack:
+            for slot in g.adjacency[stack.pop()]:
+                if slot.head not in reached:
+                    reached.add(slot.head)
+                    stack.append(slot.head)
+        if len(reached) != g.vertex_count:
             raise ContextError(f"{what} must be connected; split components first")
 
 

@@ -100,14 +100,16 @@ class TestInfo:
             assert cells == [name, f"{expected:.3f}",
                              str(g.vertex_count), str(g.edge_count)]
 
-    def test_depth_flag_and_environment_agree(self, files, capsys, monkeypatch):
-        _, by_flag, _ = run(["info", files.k33, *K33_FLAGS, "--depth", "1"], capsys)
-        monkeypatch.setenv("GRAPHMML_DEPTH", "1")
-        _, by_env, _ = run(["info", files.k33, *K33_FLAGS], capsys)
-        assert by_flag == by_env
-        monkeypatch.setenv("GRAPHMML_DEPTH", "not-a-number")
-        code, _, err = run(["info", files.k33, *K33_FLAGS], capsys)
-        assert code == 2 and "GRAPHMML_DEPTH" in err
+    def test_depth_comes_only_from_the_flag(self, files, capsys, monkeypatch):
+        argv = ["info", files.k33, "--given", files.near, *K33_FLAGS, "--format", "tsv"]
+        _, by_default, _ = run(argv, capsys)
+        _, by_flag, _ = run([*argv, "--depth", "3"], capsys)
+        _, shallow, _ = run([*argv, "--depth", "1"], capsys)
+        assert by_default == by_flag != shallow
+        monkeypatch.setenv("GRAPHMML_DEPTH", "1")  # a removed setting, now ignored
+        assert run(argv, capsys)[1] == by_default
+        code, out, err = run([*argv, "--depth", "-1"], capsys)
+        assert code == 2 and out == "" and "depth" in err
 
     def test_steps_listing(self, files, capsys):
         plain_code, plain, _ = run(
@@ -353,6 +355,32 @@ class TestExitCodes:
             main(["info"])
         assert exc.value.code == 2
         capsys.readouterr()
+
+    def test_search_too_deep_for_the_stack_is_a_size_error(self, capsys, tmp_path):
+        # A chain of distinct labels given itself matches along its whole
+        # length, so the matcher recurses as deep as --depth allows.
+        n = 60
+        chain = tmp_path / "chain.graph"
+        chain.write_text(edge_list_text([f"a{i}" for i in range(n)],
+                                        [(i, i + 1, "x") for i in range(n - 1)]))
+        argv = ["info", str(chain), "--given", str(chain), "--depth", str(n)]
+        assert run(argv, capsys)[0] == 0
+        frame, depth = sys._getframe(), 0
+        while frame:
+            frame, depth = frame.f_back, depth + 1
+        limit = sys.getrecursionlimit()
+        sys.setrecursionlimit(depth + 100)
+        try:
+            shallow = main([*argv, "--depth", "2"])  # the stack is short only for deep searches
+            capsys.readouterr()
+            code = main(argv)
+        finally:
+            sys.setrecursionlimit(limit)
+        captured = capsys.readouterr()
+        assert shallow == 0
+        assert code == 4 and captured.out == ""
+        assert captured.err.count("\n") == 1 and captured.err.startswith("graphmml: ")
+        assert "--depth" in captured.err and "Traceback" not in captured.err
 
 
 class TestValenceConfiguration:

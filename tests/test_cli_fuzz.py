@@ -1,6 +1,6 @@
-"""Random SMILES-like molecule files and edge-list files through the
-command line: every run ends in a documented exit code, never an uncaught
-exception."""
+"""Random SMILES-like molecule files, edge-list files and tree texts through
+the command line: every run ends in a documented exit code, never an
+uncaught exception, and valid tree text survives a round trip."""
 
 import contextlib
 import io
@@ -89,3 +89,44 @@ def test_cli_exits_with_a_documented_code_on_edge_lists(tmp_path_factory, text):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(args)
         assert code in (EXIT_OK, EXIT_FORMAT, EXIT_VALENCE, EXIT_SIZE), (args, text)
+
+
+def _tree_command(argv):
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+        code = main(argv)
+    return code, out.getvalue()
+
+
+tree_tokens = st.lists(st.sampled_from(["(", ")", "L", "F", " ", "(L)", "(F", "x", "d"]),
+                       max_size=16).map("".join)
+
+
+@settings(max_examples=300, deadline=None, derandomize=True)
+@given(kind=st.sampled_from(["strict", "general"]), text=tree_tokens)
+def test_tree_text_exits_with_a_documented_code(kind, text):
+    code, out = _tree_command(["tree", "encode", kind, text])
+    assert code in (EXIT_OK, EXIT_FORMAT), (kind, text)
+    if code == EXIT_OK:  # accepted text decodes back to itself, up to spacing
+        decoded = _tree_command(["tree", "decode", kind, out.strip()])[1]
+        assert "".join(decoded.split()) == "".join(text.split())
+
+
+strict_text = st.recursive(
+    st.just("(L)"), lambda sub: st.builds("(F {} {})".format, sub, sub), max_leaves=40)
+general_text = st.recursive(
+    st.just("()"), lambda sub: st.lists(sub, max_size=4).map(lambda kids: f"({''.join(kids)})"),
+    max_leaves=40)
+
+
+@settings(max_examples=200, deadline=None, derandomize=True)
+@given(kind_and_text=st.one_of(st.tuples(st.just("strict"), strict_text),
+                               st.tuples(st.just("general"), general_text)))
+def test_valid_tree_text_round_trips(kind_and_text):
+    kind, text = kind_and_text
+    code, word = _tree_command(["tree", "encode", kind, text])
+    assert code == EXIT_OK, text
+    word = word.strip()
+    if kind == "strict":  # strict text lists its codeword's letters in order
+        assert word == "".join(c for c in text if c in "LF")
+    assert _tree_command(["tree", "decode", kind, word]) == (EXIT_OK, text + "\n")
