@@ -219,9 +219,7 @@ def _load_inputs(args):
 
     Element limits apply while molecules are read; the other overrides then
     replace edge-list labels' observed limits, and one for a label that is
-    neither an element nor in any input is an error.  `ordering` prices
-    nothing, so it skips the label overrides and the --depth and --jobs
-    checks.
+    neither an element nor in any input is an error.
     """
     overrides = _valence_overrides(args)
     valences = _configure_valences(overrides)
@@ -241,10 +239,8 @@ def _load_inputs(args):
         records, limits = load_graph_file(path, valences)
         givens += records
         _merge_degrees(degrees, limits)
-    if args.command == "ordering":
-        return targets, givens, degrees
     _apply_label_overrides(degrees, overrides)
-    if args.depth < 0:
+    if getattr(args, "depth", 0) < 0:
         raise FileFormatError("depth must be non-negative")
     if getattr(args, "jobs", 1) < 1:
         raise FileFormatError("--jobs must be at least 1")
@@ -273,7 +269,6 @@ def _print_rows(rows: list[list[str]], tsv: bool) -> None:
 def cmd_info(args) -> int:
     targets, givens, degrees = _load_inputs(args)
     given_graphs = [g for _, g in givens]
-    given_names = tuple(name for name, _ in givens)
     # One shared edge alphabet keeps rows comparable across targets.
     alphabet = tuple(
         sorted({e.label for _, g in targets + givens for e in g.edges}, key=label_text)
@@ -286,8 +281,7 @@ def cmd_info(args) -> int:
         steps: list = []
         for component in connected_components(g):
             result = information_content(
-                component.graph, given_graphs, degrees, args.depth,
-                edge_alphabet=alphabet, background_names=given_names,
+                component, given_graphs, degrees, args.depth, edge_alphabet=alphabet
             )
             total += result.total
             steps.extend(result.steps)
@@ -434,14 +428,15 @@ def cmd_parse(args) -> int:
 # -- parser and entry point -----------------------------------------------------------
 
 
-def _add_common(sub, *, given=False, steps=False, jobs=False) -> None:
+def _add_common(sub, *, depth=True, given=False, steps=False, jobs=False) -> None:
     sub.add_argument("files", nargs="+", metavar="FILE",
                      help="molecule or edge-list input files")
     if given:
         sub.add_argument("--given", action="append", metavar="FILE",
                          help="background graphs the receiver already knows (repeatable)")
-    sub.add_argument("--depth", type=int, default=3,
-                     help="context match radius (default: 3)")
+    if depth:
+        sub.add_argument("--depth", type=int, default=3,
+                         help="context match radius (default: 3)")
     if jobs:
         sub.add_argument("--jobs", type=int, default=1,
                          help="worker processes for independent cells")
@@ -483,7 +478,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_tree)
 
     p = sub.add_parser("ordering", help="automorphism count and vertex-ordering surplus")
-    _add_common(p)
+    _add_common(p, depth=False)
     p.set_defaults(func=cmd_ordering)
 
     p = sub.add_parser("parse", help="dump molecule files as edge-list text")

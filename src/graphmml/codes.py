@@ -216,16 +216,20 @@ def general_tree_decode(code: str) -> GeneralTree:
 # -- vertex-ordering surplus ---------------------------------------------------
 
 
-def automorphism_count(g: Graph, limit: int = 9) -> int:
+# The exhaustive search can try all n! vertex permutations.
+AUTOMORPHISM_LIMIT = 9
+
+
+def automorphism_count(g: Graph) -> int:
     """Exact size of the automorphism group, by exhaustive search.
 
     A permutation must preserve vertex labels and map each (non-)edge to
     a (non-)edge with the same label, respecting direction.  Refuses
-    graphs above `limit` vertices rather than approximating.
+    graphs above AUTOMORPHISM_LIMIT vertices rather than approximating.
     """
     n = g.vertex_count
-    if n > limit:
-        raise SizeLimitError(f"{n} vertices exceeds the brute-force limit of {limit}")
+    if n > AUTOMORPHISM_LIMIT:
+        raise SizeLimitError(f"{n} vertices exceeds the brute-force limit of {AUTOMORPHISM_LIMIT}")
     if n <= 1:
         return 1
 
@@ -277,12 +281,12 @@ def automorphism_count(g: Graph, limit: int = 9) -> int:
     return count
 
 
-def ordering_surplus_bits(g: Graph, limit: int = 9) -> float:
+def ordering_surplus_bits(g: Graph) -> float:
     """Bits wasted by fixing one vertex numbering: log2(|V|! / |A|).
 
     The |A| automorphic renumberings of a numbering are indistinguishable
     once vertex identities are forgotten, so only |V|!/|A| orderings are
     distinct.  Zero for fully symmetric graphs.
     """
-    aut = automorphism_count(g, limit=limit)
+    aut = automorphism_count(g)
     return math.log2(math.factorial(g.vertex_count) // aut)

@@ -26,13 +26,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Container, Iterable, Mapping, NamedTuple, Sequence
 
-from .graph import (
-    FreshVertex,
-    Graph,
-    TraversalState,
-    loop_candidates,
-    traverse,
-)
+from .graph import Graph, TraversalState, loop_candidates, traverse
 
 
 class ContextError(ValueError):
@@ -374,65 +368,6 @@ class _Matcher:
 # -- public matching entry points -------------------------------------------------
 
 
-def match_vertex(
-    g1: Graph,
-    v1: int,
-    g2: Graph,
-    v2: int,
-    depth: int,
-    *,
-    known_edges: Iterable[int] | None = None,
-) -> int:
-    """Score the best correspondence rooted at (v1, v2).
-
-    0 when the labels differ; otherwise 1 plus the best total over
-    injective assignments of v1's known edges to g2 edges, each followed
-    through its far endpoint with one less depth.  known_edges restricts
-    which of g1's edges count as known (default: all of them).
-    """
-    if depth < 0:
-        raise ContextError("depth must be non-negative")
-    depth = min(depth, g1.vertex_count)  # see information_content
-    known = None if known_edges is None else set(known_edges)
-    matcher = _Matcher(_Side(g1, depth, known), _Side(g2, depth))
-    return matcher.match_vertex(v1, v2, depth)
-
-
-def match_edge(
-    g1: Graph,
-    tail1: int,
-    edge1: int,
-    g2: Graph,
-    tail2: int,
-    edge2: int,
-    depth: int,
-    *,
-    known_edges: Iterable[int] | None = None,
-) -> int:
-    """Score edge1 (seen from tail1) against edge2 (seen from tail2).
-
-    0 when the labels differ; otherwise 1 plus the far endpoints' match
-    at depth−1.  An edge not in known_edges is open: it can pair with
-    anything but scores 0 and is never followed.
-    """
-    if depth < 0:
-        raise ContextError("depth must be non-negative")
-    s1 = next((s for s in g1.adjacency[tail1] if s.edge == edge1), None)
-    s2 = next((s for s in g2.adjacency[tail2] if s.edge == edge2), None)
-    if s1 is None or s2 is None:
-        raise ContextError("edge is not incident to the given tail vertex")
-    known = None if known_edges is None else set(known_edges)
-    if known is not None and edge1 not in known:
-        return 0  # open edge: admissible against anything, but worthless
-    if s1.label != s2.label:
-        return 0
-    # As in information_content, but the tail is not bound first: it can be
-    # bound below the far end, which starts at depth - 1, so one more level.
-    depth = min(depth, g1.vertex_count + 1)
-    matcher = _Matcher(_Side(g1, depth, known), _Side(g2, depth))
-    return matcher.match_edge(s1.edge, s1.head, s2.edge, s2.head, depth)
-
-
 _Sides = tuple[_Side, list[_Side]]  # (the traversal's known part, the backgrounds)
 
 
@@ -549,7 +484,6 @@ class StepRecord:
 class InfoResult:
     total: float
     steps: tuple[StepRecord, ...]
-    backgrounds: tuple[str, ...]
 
 
 def outcome_text(outcome: VertexOutcome | EdgeOutcome) -> str:
@@ -604,7 +538,6 @@ def information_content(
     depth: int = 3,
     *,
     edge_alphabet: Sequence | None = None,
-    background_names: Sequence[str] | None = None,
 ) -> InfoResult:
     """Bits to transmit g to a receiver who already knows the backgrounds.
 
@@ -629,13 +562,6 @@ def information_content(
     _check_degrees(g, degrees, "graph")
     for bi, bg in enumerate(backgrounds):
         _check_degrees(bg, degrees, f"background {bi}")
-
-    if background_names is None:
-        names = tuple(f"background {i}" for i in range(len(backgrounds)))
-    else:
-        names = tuple(background_names)
-        if len(names) != len(backgrounds):
-            raise ContextError("background_names does not match the background list")
 
     if edge_alphabet is None:
         alphabet = _shared_edge_alphabet([g] + backgrounds)
@@ -675,20 +601,14 @@ def information_content(
 
     def on_edge(state: TraversalState, event) -> None:
         matches = edge_matches(state, backgrounds, event.source, event.edge, depth, _sides=sides)
-        resolution = event.resolution
-        closes = None if isinstance(resolution, FreshVertex) else resolution.target
-        outcome = EdgeOutcome(event.label, closes)
+        outcome = EdgeOutcome(event.label, event.target)
         size = edge_labels * (1 + len(loop_candidates(state, event.source)))
         steps.append(StepRecord(len(steps), "E", outcome, _step_bits(matches, outcome, size)))
         if target is not None:
             target.add(event.edge)  # traverse closes the edge as this returns
 
     traverse(g, 0, on_vertex, on_edge)
-    return InfoResult(
-        total=sum(step.bits for step in steps),
-        steps=tuple(steps),
-        backgrounds=names,
-    )
+    return InfoResult(total=sum(step.bits for step in steps), steps=tuple(steps))
 
 
 # -- batched computations ----------------------------------------------------------
@@ -711,10 +631,8 @@ class ChainResult:
 
 
 def _info_task(args) -> tuple[int, int, float]:
-    (key, target, bgs, degrees, depth, alphabet, names) = args
-    result = information_content(
-        target, bgs, degrees, depth, edge_alphabet=alphabet, background_names=names
-    )
+    (key, target, bgs, degrees, depth, alphabet) = args
+    result = information_content(target, bgs, degrees, depth, edge_alphabet=alphabet)
     return (*key, result.total)
 
 
@@ -745,7 +663,7 @@ def conditional_table(
     graphs = [g for _, g in named]
     alphabet = _shared_edge_alphabet(graphs)
     tasks = [
-        ((i, j), graphs[i], [graphs[j]], dict(degrees), depth, alphabet, (names[j],))
+        ((i, j), graphs[i], [graphs[j]], dict(degrees), depth, alphabet)
         for i in range(len(named))
         for j in range(len(named))
     ]
@@ -778,7 +696,7 @@ def chain_information(
     graphs = [g for _, g in named]
     alphabet = _shared_edge_alphabet(graphs)
     tasks = [
-        ((i, 0), graphs[i], graphs[:i], dict(degrees), depth, alphabet, names[:i])
+        ((i, 0), graphs[i], graphs[:i], dict(degrees), depth, alphabet)
         for i in range(len(named))
     ]
     totals = {}

@@ -10,7 +10,6 @@ exactly what a decoder replaying the stream would know at that point.
 
 from __future__ import annotations
 
-import enum
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
@@ -121,19 +120,12 @@ def max_edges(n: int, directed: bool, self_loops: bool) -> int:
 # -- connected components ----------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Component:
-    """One connected component, re-densified to ids 0..k-1.
+def connected_components(g: Graph) -> list[Graph]:
+    """Partition into connected components (weak connectivity if directed).
 
-    `original_ids[new_id]` maps back to the vertex id in the parent graph.
+    Each component is re-densified to ids 0..k-1, keeping its vertices'
+    order and its edges' input order; a connected g is returned as is.
     """
-
-    graph: Graph
-    original_ids: tuple[int, ...]
-
-
-def connected_components(g: Graph) -> list[Component]:
-    """Partition into connected components (weak connectivity if directed)."""
     n = g.vertex_count
     # Undirected view for reachability even when g is directed.
     neigh: list[list[int]] = [[] for _ in range(n)]
@@ -152,9 +144,12 @@ def connected_components(g: Graph) -> list[Component]:
                 if component[y] < 0:
                     component[y] = component[start]
                     members.append(y)
-        groups.append(sorted(members))
+        groups.append(members)
+    if len(groups) == 1:
+        return [g]  # sorted, its members are 0..n-1: the copy would equal g
     new_id = [0] * n
     for members in groups:
+        members.sort()
         for new, old in enumerate(members):
             new_id[old] = new
     # One pass puts every edge, in input order, into its component's list.
@@ -162,40 +157,12 @@ def connected_components(g: Graph) -> list[Component]:
     for u, v, label in g.edges:
         sub_edges[component[u]].append((new_id[u], new_id[v], label))
     return [
-        Component(
-            graph=build_graph(g.directed, [g.labels[m] for m in members], edges),
-            original_ids=tuple(members),
-        )
+        build_graph(g.directed, [g.labels[m] for m in members], edges)
         for members, edges in zip(groups, sub_edges)
     ]
 
 
 # -- traversal ---------------------------------------------------------------
-
-
-class VertexStatus(enum.Enum):
-    UNVISITED = "unvisited"
-    VISITING = "visiting"
-    VISITED = "visited"
-
-
-@dataclass(frozen=True)
-class FreshVertex:
-    """The edge led to a vertex not seen before.
-
-    The arriving vertex id is carried for bookkeeping only; predictive
-    models must not condition on it (a decoder would simply assign the
-    next id itself).
-    """
-
-    vertex: int
-
-
-@dataclass(frozen=True)
-class LoopClosure:
-    """The edge returned to a vertex already on the visiting stack."""
-
-    target: int
 
 
 @dataclass(frozen=True)
@@ -213,10 +180,9 @@ class EdgeEvent:
     edge: int
     source: int
     label: Any
-    resolution: FreshVertex | LoopClosure
-
-
-TraversalStep = VertexEvent | EdgeEvent
+    # The visiting vertex the edge loops back to; None when it leads to a
+    # vertex not seen before, whose id the decoder assigns itself.
+    target: int | None
 
 
 class TraversalState:
@@ -230,7 +196,6 @@ class TraversalState:
     def __init__(self, g: Graph):
         self.graph = g
         self.visiting: list[int] = []
-        self._status = [VertexStatus.UNVISITED] * g.vertex_count
         self._closed = [False] * g.edge_count
         # Kept current as edges close: each vertex's neighbours over closed
         # edges, the index of its first slot that may still be open, and the
@@ -239,30 +204,15 @@ class TraversalState:
         self._cursor = [0] * g.vertex_count
         self._open: dict[int, None] = {}
 
-    def status_of(self, v: int) -> VertexStatus:
-        return self._status[v]
-
     def is_closed(self, edge: int) -> bool:
         return self._closed[edge]
-
-    def closed_count(self, v: int) -> int:
-        # No parallel edges: one closed neighbour per closed edge.
-        return len(self._neighbours[v])
-
-    def closed_edges(self, v: int) -> tuple[OrientedEdge, ...]:
-        """Traversed edges at v, in adjacency-list order."""
-        return tuple(s for s in self.graph.adjacency[v] if self._closed[s.edge])
 
     # internal transitions -----------------------------------------------
 
     def _push(self, v: int) -> None:
-        self._status[v] = VertexStatus.VISITING
         self.visiting.append(v)
         if len(self._neighbours[v]) < self.graph.degree(v):
             self._open[v] = None
-
-    def _pop(self) -> None:
-        self._status[self.visiting.pop()] = VertexStatus.VISITED
 
     def _close(self, slot: OrientedEdge) -> None:
         self._closed[slot.edge] = True
@@ -304,8 +254,8 @@ def traverse(
     Every vertex of the component yields one VertexEvent and every edge
     one EdgeEvent.  The visiting list behaves as a stack: the top vertex's
     first untraversed edge (in adjacency order) is taken next; a vertex is
-    popped, becoming VISITED, when none remain.  Edges already traversed
-    from the other side are skipped, so no edge fires twice.
+    popped when none remain.  Edges already traversed from the other side
+    are skipped, so no edge fires twice.
 
     Returns the list of callback results in event order (the events
     themselves when a callback is omitted).
@@ -315,11 +265,13 @@ def traverse(
     if not (0 <= root < g.vertex_count):
         raise VertexRangeError(f"root {root} outside 0..{g.vertex_count - 1}")
     state = TraversalState(g)
+    reached = [False] * g.vertex_count
     results: list = []
 
     def emit_vertex(v: int, incoming: OrientedEdge | None) -> None:
         event = VertexEvent(v, g.labels[v], g.degree(v), incoming)
         results.append(on_vertex(state, event) if on_vertex else event)
+        reached[v] = True
         state._push(v)
 
     emit_vertex(root, None)
@@ -327,16 +279,13 @@ def traverse(
         u = state.visiting[-1]
         slot = state._first_open(u)
         if slot is None:
-            state._pop()
+            state.visiting.pop()
             continue
         w = slot.head
-        if state.status_of(w) is VertexStatus.UNVISITED:
-            resolution: FreshVertex | LoopClosure = FreshVertex(w)
-        else:
-            resolution = LoopClosure(w)
-        event = EdgeEvent(slot.edge, u, slot.label, resolution)
+        fresh = not reached[w]
+        event = EdgeEvent(slot.edge, u, slot.label, None if fresh else w)
         results.append(on_edge(state, event) if on_edge else event)
         state._close(slot)
-        if isinstance(resolution, FreshVertex):
+        if fresh:
             emit_vertex(w, OrientedEdge(slot.edge, w, u, slot.label))
     return results

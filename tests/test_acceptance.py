@@ -15,7 +15,6 @@ import pytest
 from graphmml import (
     EdgeOutcome,
     Fork,
-    FreshVertex,
     GeneralTree,
     Leaf,
     VertexOutcome,
@@ -220,10 +219,8 @@ def assert_every_step_model_is_sound(g, backgrounds, degrees, depth):
     def on_edge(state, event):
         candidates = loop_candidates(state, event.source)
         matches = edge_matches(state, backgrounds, event.source, event.edge, depth)
-        resolution = event.resolution
-        closes = None if isinstance(resolution, FreshVertex) else resolution.target
         checked.append((scored_matches_to_model(matches, edge_outcome_space(alphabet, candidates)),
-                        EdgeOutcome(event.label, closes)))
+                        EdgeOutcome(event.label, event.target)))
 
     traverse(g, 0, on_vertex, on_edge)
     steps = information_content(g, backgrounds, degrees, depth).steps

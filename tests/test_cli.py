@@ -269,6 +269,18 @@ class TestOrderingCommand:
         assert code == 4
         assert "limit" in err
 
+    def test_label_overrides_apply_as_in_pricing_commands(self, files, capsys):
+        code, out, _ = run(["ordering", files.k33, *K33_FLAGS, "--format", "tsv"], capsys)
+        assert code == 0 and out.splitlines()[1] == "k33\t6\t6.907"
+        code, out, err = run(["ordering", files.k33, "--valence", "Zz=1"], capsys)
+        assert code == 2 and out == "" and "'Zz'" in err
+
+    def test_depth_is_not_an_option(self, files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["ordering", str(files.k33), "--depth", "2"])
+        assert exc.value.code == 2
+        assert "--depth" in capsys.readouterr().err
+
 
 class TestParseCommand:
     def test_dump_matches_the_reader(self, files, capsys):

@@ -8,14 +8,11 @@ from graphmml import (
     DuplicateEdgeError,
     Edge,
     EdgeEvent,
-    FreshVertex,
     GraphError,
-    LoopClosure,
     OrientedEdge,
     SelfLoopError,
     VertexEvent,
     VertexRangeError,
-    VertexStatus,
     build_graph,
     connected_components,
     loop_candidates,
@@ -88,8 +85,7 @@ class TestComponents:
     def test_connected_graph_is_one_component(self, k33):
         comps = connected_components(k33)
         assert len(comps) == 1
-        assert comps[0].graph.vertex_count == 6
-        assert comps[0].graph.edge_count == 9
+        assert comps[0] is k33  # no copy: the copy would equal k33
 
     def test_two_triangles(self):
         labels = ["a", "b", "c", "a", "b", "c"]
@@ -98,10 +94,10 @@ class TestComponents:
         comps = connected_components(build_graph(False, labels, edges))
         assert len(comps) == 2
         for comp in comps:
-            assert comp.graph.vertex_count == 3
-            assert comp.graph.edge_count == 3
-        assert list(comps[0].graph.labels) == ["a", "b", "c"]
-        assert {e.label for e in comps[1].graph.edges} == {"y"}
+            assert comp.vertex_count == 3
+            assert comp.edge_count == 3
+        assert list(comps[0].labels) == ["a", "b", "c"]
+        assert {e.label for e in comps[1].edges} == {"y"}
 
     def test_many_components_keep_ids_and_edge_order(self):
         # 40 vertices in 9 interleaved groups (vertex v in group 5v mod 9),
@@ -118,18 +114,17 @@ class TestComponents:
         rng.shuffle(edges)
         g = build_graph(False, [f"l{v % 4}" for v in range(n)], edges)
         comps = connected_components(g)
-        assert [c.original_ids for c in comps] == sorted(tuple(m) for m in groups)
-        for comp in comps:
-            ids = comp.original_ids
+        assert len(comps) == len(groups)
+        for comp, ids in zip(comps, sorted(groups)):
             new = {old: i for i, old in enumerate(ids)}
-            assert comp.graph.labels == tuple(g.labels[m] for m in ids)
-            assert comp.graph.edges == tuple(
+            assert comp.labels == tuple(g.labels[m] for m in ids)
+            assert comp.edges == tuple(
                 Edge(new[u], new[v], label) for u, v, label in g.edges if u in new)
 
     def test_isolated_vertex(self):
         comps = connected_components(build_graph(False, ["a", "a"], []))
         assert len(comps) == 2
-        assert all(c.graph.vertex_count == 1 and c.graph.edge_count == 0 for c in comps)
+        assert all(c.vertex_count == 1 and c.edge_count == 0 for c in comps)
 
 
 class TestTraversal:
@@ -148,8 +143,8 @@ class TestTraversal:
 
     def test_k33_loop_closures(self, k33):
         def on_edge(state, event):
-            if isinstance(event.resolution, LoopClosure):
-                return event.edge, event.resolution.target, loop_candidates(state, event.source)
+            if event.target is not None:
+                return event.edge, event.target, loop_candidates(state, event.source)
             return None
 
         got = [r for r in traverse(k33, 0, on_edge=on_edge) if isinstance(r, tuple)]
@@ -176,7 +171,10 @@ class TestTraversal:
         seen = []
 
         def on_vertex(state, event):
-            seen.append(state.status_of(event.vertex) is VertexStatus.UNVISITED)
+            # Not yet pushed: the stack still ends at the vertex it came from.
+            top = event.incoming.head if event.incoming else None
+            seen.append(event.vertex not in state.visiting
+                        and (state.visiting[-1] if state.visiting else None) == top)
 
         def on_edge(state, event):
             seen.append(not state.is_closed(event.edge))
@@ -193,8 +191,10 @@ class TestTraversal:
 
     def test_fresh_and_loop_resolutions(self, k33):
         events = [e for e in traverse(k33, 0) if isinstance(e, EdgeEvent)]
-        fresh = [e.edge for e in events if isinstance(e.resolution, FreshVertex)]
+        fresh = [e.edge for e in events if e.target is None]
         assert fresh == [0, 3, 4, 7, 8]
+        assert [(e.edge, e.target) for e in events if e.target is not None] == [
+            (1, 0), (6, 3), (2, 0), (5, 1)]
 
     def test_covers_root_component_only(self):
         g = build_graph(False, ["a", "a", "a"], [(0, 1, "x")])
@@ -291,8 +291,8 @@ class TestIncrementalStateAgainstRescan:
             for source in state.visiting:
                 assert loop_candidates(state, source) == reference_loop_candidates(state, source)
             for v in range(g.vertex_count):
-                closed = sum(state.is_closed(s.edge) for s in g.adjacency[v])
-                assert state.closed_count(v) == closed
+                closed = {s.head for s in g.adjacency[v] if state.is_closed(s.edge)}
+                assert state._neighbours[v] == closed
             first = next(s for s in g.adjacency[event.source] if not state.is_closed(s.edge))
             assert event.edge == first.edge
             events.append(event)
