@@ -42,7 +42,7 @@ from .context import (
     label_text,
     outcome_text,
 )
-from .graph import Graph, GraphError, build_graph, connected_components
+from .graph import Graph, GraphError, build_graph
 from .smiles import DEFAULT_VALENCES, Element, SmilesError, ValenceError, read_molecule
 
 EXIT_OK = 0
@@ -248,7 +248,7 @@ def _load_inputs(args):
 
 
 def _bits(x: float) -> str:
-    return f"{x:.3f}"
+    return f"{x + 0.0:.3f}"  # a 0-bit step is -log2(1.0), which is -0.0
 
 
 def _print_rows(rows: list[list[str]], tsv: bool) -> None:
@@ -275,31 +275,24 @@ def cmd_info(args) -> int:
     )
 
     rows = [["name", "bits", "vertices", "edges"]]
-    step_blocks: list[tuple[str, list]] = []
+    step_blocks: list[tuple[str, tuple]] = []
     for name, g in targets:
-        total = 0.0
-        steps: list = []
-        for component in connected_components(g):
-            result = information_content(
-                component, given_graphs, degrees, args.depth, edge_alphabet=alphabet
-            )
-            total += result.total
-            steps.extend(result.steps)
-        rows.append([name, _bits(total), str(g.vertex_count), str(g.edge_count)])
-        step_blocks.append((name, steps))
+        result = information_content(g, given_graphs, degrees, args.depth, edge_alphabet=alphabet)
+        rows.append([name, _bits(result.total), str(g.vertex_count), str(g.edge_count)])
+        step_blocks.append((name, result.steps))
 
     tsv = args.format == "tsv"
     _print_rows(rows, tsv)
     if args.steps:
         for name, steps in step_blocks:
-            for index, step in enumerate(steps):
+            for step in steps:
                 if tsv:
                     print("\t".join([
-                        "#step", name, str(index), step.kind,
+                        "#step", name, str(step.index), step.kind,
                         outcome_text(step.outcome), _bits(step.bits),
                     ]))
                 else:
-                    print(f"  {name} step {index:>3} {step.kind} "
+                    print(f"  {name} step {step.index:>3} {step.kind} "
                           f"{outcome_text(step.outcome):<28} {_bits(step.bits)}")
     return EXIT_OK
 

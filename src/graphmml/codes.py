@@ -34,7 +34,7 @@ class CodeReport:
 
 def naive_bits(g: Graph) -> float:
     """One bit per adjacency-matrix cell, loops excluded: the flat baseline."""
-    return float(max_edges(g.vertex_count, g.directed, False))
+    return float(max_edges(g.vertex_count, g.directed))
 
 
 def adaptive_binomial_bits(n: int, k: int) -> float:
@@ -56,7 +56,7 @@ def undirected_matrix_bits(g: Graph) -> CodeReport:
     """Adaptive binomial code over the upper triangle of the adjacency matrix."""
     if g.directed:
         raise ValueError("expected an undirected graph")
-    n = max_edges(g.vertex_count, False, False)
+    n = max_edges(g.vertex_count, False)
     k = g.edge_count
     item = (f"upper triangle: {k} edges in {n} cells", adaptive_binomial_bits(n, k))
     return CodeReport(model_name="adaptive binomial over the edge set", per_item=(item,))

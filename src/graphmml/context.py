@@ -15,7 +15,9 @@ outcomes; scored_matches_to_model builds the full distribution under the
 same rule.
 
 With no backgrounds every step falls back to a uniform distribution, so
-the unconditional cost is still well defined.
+the unconditional cost is still well defined.  The traversal covers every
+component, so a disconnected or empty graph is priced like any other, as
+one stream of steps.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Container, Iterable, Mapping, NamedTuple, Sequence
 
-from .graph import Graph, TraversalState, loop_candidates, traverse
+from .graph import Graph, TraversalState, connected_components, loop_candidates, traverse
 
 
 class ContextError(ValueError):
@@ -78,9 +80,9 @@ def vertex_outcome_space(
 ) -> tuple[VertexOutcome, ...]:
     """All (label, degree) pairs a vertex step could reveal.
 
-    A vertex reached over an edge has degree at least 1; only the first
-    vertex of a traversal may turn out isolated, so only there is degree
-    0 part of the space.
+    A vertex reached over an edge has degree at least 1; only a root, the
+    first vertex of a component, may turn out isolated, so only there is
+    degree 0 part of the space.
     """
     space = []
     for label in sorted(degrees, key=label_text):
@@ -250,11 +252,13 @@ class _Matcher:
     edges.  The maps are lists indexed by id, -1 where unbound.  Bindings
     are journaled, (v1, v2) for a vertex pair and (~e1, e2) for an edge
     pair, so alternatives can be rolled back, and every call leaves the
-    bindings of its best alternative in place.
+    bindings of its best alternative in place.  The sides' tables are
+    shared, not copied, so a matcher rolled back to an empty journal
+    serves the next step as the target side learns edges.
     """
 
     __slots__ = (
-        "labels1", "slots1", "bounds1", "caps1", "labels2", "buckets2", "bounds2",
+        "labels1", "slots1", "bounds1", "caps1", "labels2", "slots2", "buckets2", "bounds2",
         "vmap", "vinv", "emap", "einv", "journal",
     )
 
@@ -264,6 +268,7 @@ class _Matcher:
         self.bounds1 = side1.bounds
         self.caps1 = side1.caps
         self.labels2 = side2.graph.labels
+        self.slots2 = side2.slots
         self.buckets2 = side2.buckets
         self.bounds2 = side2.bounds
         self.vmap = [-1] * side1.graph.vertex_count
@@ -368,16 +373,19 @@ class _Matcher:
 # -- public matching entry points -------------------------------------------------
 
 
-_Sides = tuple[_Side, list[_Side]]  # (the traversal's known part, the backgrounds)
+# One matcher per background, each between the traversal's known part (one
+# side shared by all of them) and that background.
+_Sides = list[_Matcher]
 
 
 def _sides_from_state(
     state: TraversalState, backgrounds: Sequence[Graph], depth: int
 ) -> _Sides:
-    """The sides information_content keeps across steps, built for one call."""
+    """The matchers information_content keeps across steps, built for one call."""
     g = state.graph
     closed = {e for e in range(g.edge_count) if state.is_closed(e)}
-    return _Side(g, depth, closed), [_Side(bg, depth) for bg in backgrounds]
+    target = _Side(g, depth, closed)
+    return [_Matcher(target, _Side(bg, depth)) for bg in backgrounds]
 
 
 def vertex_matches(
@@ -391,11 +399,12 @@ def vertex_matches(
     """Scored predictions for the vertex about to be revealed.
 
     incoming is the reversed arrival edge (unknown vertex -> source), or
-    None for the traversal root.  Every oriented background edge whose
-    label matches the arrival edge is a candidate arrival, predicting its
-    own source vertex's label and full degree; with no arrival edge every
-    background vertex is a candidate at score 0.  The unknown vertex
-    itself contributes nothing: matching starts behind it.
+    None for a root (each component's first vertex).  Every oriented
+    background edge whose label matches the arrival edge is a candidate
+    arrival, predicting its own source vertex's label and full degree;
+    with no arrival edge every background vertex is a candidate at score
+    0.  The unknown vertex itself contributes nothing: matching starts
+    behind it.
     """
     matches: list[ScoredMatch] = []
     if incoming is None:
@@ -407,11 +416,10 @@ def vertex_matches(
     if not backgrounds:
         return matches
     depth = min(depth, state.graph.vertex_count)  # see information_content
-    target, indexes = _sides if _sides is not None else _sides_from_state(state, backgrounds, depth)
+    matchers = _sides if _sides is not None else _sides_from_state(state, backgrounds, depth)
     e1, far1, label1 = incoming.edge, incoming.head, incoming.label
-    for bi, (bg, index) in enumerate(zip(backgrounds, indexes)):
-        matcher = _Matcher(target, index)
-        for v2, buckets in enumerate(index.buckets):
+    for bi, (bg, matcher) in enumerate(zip(backgrounds, matchers)):
+        for v2, buckets in enumerate(matcher.buckets2):
             arrivals = buckets.get(label1)
             if arrivals is None:
                 continue
@@ -446,13 +454,12 @@ def edge_matches(
         return []
     depth = min(depth, state.graph.vertex_count)  # see information_content
     candidate_set = set(loop_candidates(state, source))
-    target, indexes = _sides if _sides is not None else _sides_from_state(state, backgrounds, depth)
+    matchers = _sides if _sides is not None else _sides_from_state(state, backgrounds, depth)
     label = state.graph.labels[source]
     matches: list[ScoredMatch] = []
-    for bi, (bg, index) in enumerate(zip(backgrounds, indexes)):
-        matcher = _Matcher(target, index)
+    for bi, (bg, matcher) in enumerate(zip(backgrounds, matchers)):
         vinv = matcher.vinv
-        for v2, slots in enumerate(index.slots):
+        for v2, slots in enumerate(matcher.slots2):
             if bg.labels[v2] != label:
                 continue
             for e2, far2, label2 in slots:
@@ -495,21 +502,9 @@ def outcome_text(outcome: VertexOutcome | EdgeOutcome) -> str:
     return f"edge {label_text(outcome.label)} closes {outcome.target}"
 
 
-def _require_model_graph(g: Graph, what: str, connected: bool) -> None:
+def _require_model_graph(g: Graph, what: str) -> None:
     if g.directed:
         raise ContextError(f"{what} must be undirected")
-    if connected:
-        if g.vertex_count == 0:
-            raise ContextError(f"{what} has no vertices")
-        reached = {0}  # g is undirected, so its adjacency reaches both ways
-        stack = [0]
-        while stack:
-            for slot in g.adjacency[stack.pop()]:
-                if slot.head not in reached:
-                    reached.add(slot.head)
-                    stack.append(slot.head)
-        if len(reached) != g.vertex_count:
-            raise ContextError(f"{what} must be connected; split components first")
 
 
 def _check_degrees(g: Graph, degrees: Mapping[Any, int], what: str) -> None:
@@ -541,17 +536,16 @@ def information_content(
 ) -> InfoResult:
     """Bits to transmit g to a receiver who already knows the backgrounds.
 
-    Replays g's traversal from vertex 0 and sums the negative log
-    probability of every step's actual outcome under models built from
-    the backgrounds.  An empty background list gives the unconditional
-    estimate.  The step log accounts for the total exactly.
+    Replays g's traversal, which starts at vertex 0 and covers every
+    component, and sums the negative log probability of every step's
+    actual outcome under models built from the backgrounds.  An empty
+    background list gives the unconditional estimate, and an empty g costs
+    0 bits.  The step log accounts for the total exactly.
     """
     backgrounds = list(backgrounds)
-    _require_model_graph(g, "the graph", connected=True)
+    _require_model_graph(g, "the graph")
     for bi, bg in enumerate(backgrounds):
-        _require_model_graph(bg, f"background {bi}", connected=False)
-    if not degrees:
-        raise ContextError("the degree map is empty")
+        _require_model_graph(bg, f"background {bi}")
     for label, limit in degrees.items():
         if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
             raise ContextError(
@@ -575,22 +569,24 @@ def information_content(
                 "is not in the edge alphabet"
             )
 
-    # Outcome counts: a later vertex has degree 1..limit, the root 0..limit.
+    # Outcome counts: a later vertex has degree 1..limit, a root 0..limit.
     size_later = sum(degrees.values())
     size_initial = size_later + len(degrees)
     edge_labels = len(set(alphabet))
     # Each level of a match's recursion binds a vertex of g that no outer
-    # level has bound, and a vertex step never binds the vertex it reveals.
-    # Capped at g's vertex count, the depth still leaves every vertex a match
+    # level has bound, and a vertex step never binds the vertex it reveals;
+    # a match stays inside one component of g.  Capped at the largest
+    # component's vertex count, the depth still leaves every vertex a match
     # binds at depth >= 1, where it looks at all its edges: no score or
     # binding changes, and the sides' per-depth tables stay small.
-    depth = min(depth, g.vertex_count)
-    # Each background is indexed once; the target side starts with no edge
-    # known and learns each edge as the traversal closes it.
+    # Each background is indexed once and gets one matcher for the call; the
+    # target side they share starts with no edge known and learns each edge
+    # as the traversal closes it.
     target = sides = None
     if backgrounds:
+        depth = min(depth, max((c.vertex_count for c in connected_components(g)), default=0))
         target = _Side(g, depth, ())
-        sides = (target, [_Side(bg, depth) for bg in backgrounds])
+        sides = [_Matcher(target, _Side(bg, depth)) for bg in backgrounds]
     steps: list[StepRecord] = []
 
     def on_vertex(state: TraversalState, event) -> None:
@@ -607,8 +603,8 @@ def information_content(
         if target is not None:
             target.add(event.edge)  # traverse closes the edge as this returns
 
-    traverse(g, 0, on_vertex, on_edge)
-    return InfoResult(total=sum(step.bits for step in steps), steps=tuple(steps))
+    traverse(g, on_vertex, on_edge)
+    return InfoResult(total=sum((step.bits for step in steps), 0.0), steps=tuple(steps))
 
 
 # -- batched computations ----------------------------------------------------------
@@ -630,13 +626,13 @@ class ChainResult:
     total: float
 
 
-def _info_task(args) -> tuple[int, int, float]:
-    (key, target, bgs, degrees, depth, alphabet) = args
-    result = information_content(target, bgs, degrees, depth, edge_alphabet=alphabet)
-    return (*key, result.total)
+def _info_task(args) -> float:
+    target, bgs, degrees, depth, alphabet = args
+    return information_content(target, bgs, degrees, depth, edge_alphabet=alphabet).total
 
 
-def _run_tasks(tasks: list, jobs: int) -> list[tuple[int, int, float]]:
+def _run_tasks(tasks: list, jobs: int) -> list[float]:
+    """Each task's total, in task order."""
     if jobs <= 1 or len(tasks) <= 1:
         return [_info_task(t) for t in tasks]
     with ProcessPoolExecutor(max_workers=jobs) as pool:
@@ -662,17 +658,12 @@ def conditional_table(
     names = tuple(name for name, _ in named)
     graphs = [g for _, g in named]
     alphabet = _shared_edge_alphabet(graphs)
-    tasks = [
-        ((i, j), graphs[i], [graphs[j]], dict(degrees), depth, alphabet)
-        for i in range(len(named))
-        for j in range(len(named))
-    ]
-    cells = {}
-    for i, j, total in _run_tasks(tasks, jobs):
-        cells[i, j] = total
-    bits = tuple(
-        tuple(cells[i, j] for j in range(len(named))) for i in range(len(named))
-    )
+    degrees = dict(degrees)
+    n = len(graphs)
+    tasks = [(graphs[i], [graphs[j]], degrees, depth, alphabet)
+             for i in range(n) for j in range(n)]
+    totals = _run_tasks(tasks, jobs)
+    bits = tuple(tuple(totals[i * n:(i + 1) * n]) for i in range(n))
     return TableResult(names=names, bits=bits)
 
 
@@ -695,12 +686,7 @@ def chain_information(
     names = tuple(name for name, _ in named)
     graphs = [g for _, g in named]
     alphabet = _shared_edge_alphabet(graphs)
-    tasks = [
-        ((i, 0), graphs[i], graphs[:i], dict(degrees), depth, alphabet)
-        for i in range(len(named))
-    ]
-    totals = {}
-    for i, _j, total in _run_tasks(tasks, jobs):
-        totals[i] = total
-    items = tuple((names[i], totals[i]) for i in range(len(named)))
-    return ChainResult(items=items, total=sum(totals.values()))
+    degrees = dict(degrees)
+    tasks = [(graphs[i], graphs[:i], degrees, depth, alphabet) for i in range(len(graphs))]
+    totals = _run_tasks(tasks, jobs)
+    return ChainResult(items=tuple(zip(names, totals)), total=sum(totals))

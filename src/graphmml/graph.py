@@ -2,10 +2,11 @@
 
 A Graph is immutable once built: vertices are dense ids 0..n-1 with labels,
 edges carry labels, and per-vertex adjacency lists preserve the order in
-which edges were supplied.  `traverse` walks one connected component
-depth-first and emits a stream of vertex and edge events; callbacks are
-invoked *before* the state change their event causes, so a callback sees
-exactly what a decoder replaying the stream would know at that point.
+which edges were supplied.  `traverse` walks the whole graph depth-first,
+one component after another, and emits a stream of vertex and edge events;
+callbacks are invoked *before* the state change their event causes, so a
+callback sees exactly what a decoder replaying the stream would know at
+that point.
 """
 
 from __future__ import annotations
@@ -108,13 +109,12 @@ def build_graph(directed: bool, labels: Sequence, edges: Iterable[tuple]) -> Gra
     )
 
 
-def max_edges(n: int, directed: bool, self_loops: bool) -> int:
-    """Number of distinct edges an n-vertex graph of this kind can hold."""
+def max_edges(n: int, directed: bool) -> int:
+    """Number of distinct edges an n-vertex graph of this kind can hold
+    (no self-loops, which build_graph rejects)."""
     if n < 0:
         raise ValueError("vertex count must be non-negative")
-    if directed:
-        return n * n if self_loops else n * (n - 1)
-    return n * (n + 1) // 2 if self_loops else n * (n - 1) // 2
+    return n * (n - 1) if directed else n * (n - 1) // 2
 
 
 # -- connected components ----------------------------------------------------
@@ -171,7 +171,7 @@ class VertexEvent:
     label: Any
     degree: int
     # Reversed incoming edge (this vertex -> the vertex we came from);
-    # None for the traversal root.
+    # None for a root, the first vertex of each component.
     incoming: OrientedEdge | None
 
 
@@ -245,25 +245,25 @@ def loop_candidates(state: TraversalState, source: int) -> tuple[int, ...]:
 
 def traverse(
     g: Graph,
-    root: int,
     on_vertex: Callable[[TraversalState, VertexEvent], Any] | None = None,
     on_edge: Callable[[TraversalState, EdgeEvent], Any] | None = None,
 ) -> list:
-    """Depth-first traversal of root's component, one event per element.
+    """Depth-first traversal of g, one event per element.
 
-    Every vertex of the component yields one VertexEvent and every edge
-    one EdgeEvent.  The visiting list behaves as a stack: the top vertex's
-    first untraversed edge (in adjacency order) is taken next; a vertex is
-    popped when none remain.  Edges already traversed from the other side
-    are skipped, so no edge fires twice.
+    Every vertex yields one VertexEvent and every edge one EdgeEvent.  The
+    walk starts at vertex 0, and whenever the visiting list empties it
+    restarts at the lowest vertex not yet reached, with a root event
+    (incoming None); an empty graph yields nothing.  The visiting list
+    behaves as a stack: the top vertex's first untraversed edge (in
+    adjacency order) is taken next; a vertex is popped when none remain.
+    Edges already traversed from the other side are skipped, so no edge
+    fires twice.
 
     Returns the list of callback results in event order (the events
     themselves when a callback is omitted).
     """
     if g.directed:
         raise GraphError("traversal is defined for undirected graphs")
-    if not (0 <= root < g.vertex_count):
-        raise VertexRangeError(f"root {root} outside 0..{g.vertex_count - 1}")
     state = TraversalState(g)
     reached = [False] * g.vertex_count
     results: list = []
@@ -274,18 +274,21 @@ def traverse(
         reached[v] = True
         state._push(v)
 
-    emit_vertex(root, None)
-    while state.visiting:
-        u = state.visiting[-1]
-        slot = state._first_open(u)
-        if slot is None:
-            state.visiting.pop()
+    for root in range(g.vertex_count):
+        if reached[root]:
             continue
-        w = slot.head
-        fresh = not reached[w]
-        event = EdgeEvent(slot.edge, u, slot.label, None if fresh else w)
-        results.append(on_edge(state, event) if on_edge else event)
-        state._close(slot)
-        if fresh:
-            emit_vertex(w, OrientedEdge(slot.edge, w, u, slot.label))
+        emit_vertex(root, None)
+        while state.visiting:
+            u = state.visiting[-1]
+            slot = state._first_open(u)
+            if slot is None:
+                state.visiting.pop()
+                continue
+            w = slot.head
+            fresh = not reached[w]
+            event = EdgeEvent(slot.edge, u, slot.label, None if fresh else w)
+            results.append(on_edge(state, event) if on_edge else event)
+            state._close(slot)
+            if fresh:
+                emit_vertex(w, OrientedEdge(slot.edge, w, u, slot.label))
     return results

@@ -171,11 +171,8 @@ def test_criterion_3_automorphisms_and_surplus():
 def test_criterion_4_max_edges_against_pair_enumeration():
     for n in range(7):
         ordered = [(u, v) for u in range(n) for v in range(n) if u != v]
-        loops = [(v, v) for v in range(n)]
-        assert max_edges(n, True, False) == len(ordered)
-        assert max_edges(n, True, True) == len(ordered) + len(loops)
-        assert max_edges(n, False, False) == len(ordered) // 2
-        assert max_edges(n, False, True) == len(ordered) // 2 + len(loops)
+        assert max_edges(n, True) == len(ordered)
+        assert max_edges(n, False) == len(ordered) // 2
 
 
 DRUG_SHAPES = {
@@ -222,7 +219,7 @@ def assert_every_step_model_is_sound(g, backgrounds, degrees, depth):
         checked.append((scored_matches_to_model(matches, edge_outcome_space(alphabet, candidates)),
                         EdgeOutcome(event.label, event.target)))
 
-    traverse(g, 0, on_vertex, on_edge)
+    traverse(g, on_vertex, on_edge)
     steps = information_content(g, backgrounds, degrees, depth).steps
     assert len(checked) == len(steps) == g.vertex_count + g.edge_count
     for (model, outcome), step in zip(checked, steps):

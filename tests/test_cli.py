@@ -173,6 +173,19 @@ class TestInfo:
         # Observed degrees are 1; each half costs log2(4) + 0 + log2(2).
         assert out.splitlines()[1] == "two\t6.000\t4\t2"
 
+    def test_steps_of_a_disconnected_target_use_input_ids(self, capsys, tmp_path):
+        # An edge 0-1, a triangle 2-3-4 and an isolated vertex 5.
+        six = tmp_path / "six.graph"
+        six.write_text(edge_list_text(
+            ["a"] * 6, [(0, 1, "x"), (2, 3, "x"), (3, 4, "x"), (4, 2, "x")]))
+        code, out, _ = run(["info", six, "--steps", "--format", "tsv"], capsys)
+        assert code == 0
+        closing = [line for line in out.splitlines() if "closes" in line]
+        assert [line.split("\t")[4] for line in closing] == ["edge x closes 2"]
+        # Edge steps with one possible outcome cost 0 bits, printed unsigned.
+        assert "\t0.000" in out
+        assert not any("-0.000" in line for line in out.splitlines())
+
 
 class TestTableAndChainCommands:
     def test_table_matches_library_and_is_deterministic(
@@ -210,6 +223,24 @@ class TestTableAndChainCommands:
         for i, (name, bits) in enumerate(chain.items):
             assert lines[1 + i] == f"{name}\t{','.join(names[:i])}\t{bits:.3f}"
         assert lines[-1] == f"total\t\t{chain.total:.3f}"
+
+    @pytest.mark.parametrize("command", ["table", "chain"])
+    def test_disconnected_target(self, files, command, capsys, tmp_path):
+        two = tmp_path / "two.graph"
+        two.write_text(edge_list_text(
+            ["Utility", "House", "Utility", "House"], [(0, 1, "Elec"), (2, 3, "Elec")]))
+        code, out, err = run([command, files.k33, two, "--format", "tsv"], capsys)
+        assert code == 0 and err == ""
+        assert out.splitlines()[2].startswith("two\t")
+
+    @pytest.mark.parametrize("command", ["table", "chain"])
+    def test_readme_quick_start(self, files, command, capsys):
+        # The README's quick-start outputs for the four drugs, human format.
+        readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        block = readme.split(f"$ graphmml {command} drugs.txt\n", 1)[1].split("```", 1)[0]
+        code, out, _ = run([command, files.drugs], capsys)
+        assert code == 0
+        assert out == block
 
 
 class TestTreeCommand:

@@ -275,7 +275,5 @@ class TestMaxEdgesAgainstEnumeration:
     def test_all_small_sizes(self):
         for n in range(7):
             pairs = list(itertools.permutations(range(n), 2))
-            assert max_edges(n, True, False) == len(pairs)
-            assert max_edges(n, False, False) == len(pairs) // 2
-            assert max_edges(n, True, True) == len(pairs) + n
-            assert max_edges(n, False, True) == len(pairs) // 2 + n
+            assert max_edges(n, True) == len(pairs)
+            assert max_edges(n, False) == len(pairs) // 2

@@ -396,7 +396,7 @@ class TestStepMatchesAgainstPlainReference:
                 assert got == plain_edge_matches(
                     state, backgrounds, event.source, event.edge, depth)
 
-            steps += len(traverse(g, 0, on_vertex, on_edge))
+            steps += len(traverse(g, on_vertex, on_edge))
         assert steps > 200
 
     def test_huge_depth_from_the_state(self):
@@ -423,13 +423,14 @@ class TestStepMatchesAgainstPlainReference:
                 assert got == plain_edge_matches(
                     state, backgrounds, event.source, event.edge, huge)
 
-            steps += len(traverse(g, 0, on_vertex, on_edge))
+            steps += len(traverse(g, on_vertex, on_edge))
         assert steps > 50
 
 
 def rebuilt_every_step(matches, depth, calls):
     """A vertex_matches or edge_matches that prices from the state alone,
-    after checking that information_content's kept sides agree with it."""
+    after checking that information_content's kept matchers agree with it
+    and that each reads target data as current as rebuilt data."""
 
     def call(state, *args, _sides, **kwargs):
         rebuilt = matches(state, *args, **kwargs)
@@ -437,9 +438,9 @@ def rebuilt_every_step(matches, depth, calls):
         g = state.graph
         closed = {e for e in range(g.edge_count) if state.is_closed(e)}
         fresh = graphmml.context._Side(g, depth, closed)
-        kept = _sides[0]
-        assert (kept.slots, kept.buckets, kept.bounds, kept.caps) == (
-            fresh.slots, fresh.buckets, fresh.bounds, fresh.caps)
+        for kept in _sides:
+            assert (kept.slots1, kept.bounds1, kept.caps1) == (
+                fresh.slots, fresh.bounds, fresh.caps)
         calls.append(1)
         return rebuilt
 
@@ -464,12 +465,24 @@ def tight_degrees(graphs):
     return degrees
 
 
+def disjoint_union(*graphs):
+    """The graphs side by side, each one's ids shifted past the previous ones."""
+    labels, edges, offset = [], [], 0
+    for h in graphs:
+        labels += h.labels
+        edges += [(u + offset, v + offset, label) for u, v, label in h.edges]
+        offset += h.vertex_count
+    return build_graph(False, labels, edges)
+
+
 INCREMENTAL_CASES = [
     *[("k33 | near", make_k33(), [make_near_k33()], depth) for depth in range(5)],
     *[(f"drug {i} | others", g, DRUGS[:i] + DRUGS[i + 1:], depth)
       for i, g in enumerate(DRUGS) for depth in range(5)],
     *[("coronene | coronene, pyrene", molecule(CORONENE),
        [molecule(CORONENE), molecule(PYRENE)], depth) for depth in range(5)],
+    *[("valium and xanax as one graph | viagra, cialis", disjoint_union(*DRUGS[2:]),
+       DRUGS[:2], depth) for depth in range(5)],
 ]
 
 
@@ -506,7 +519,7 @@ def distribution_bits(g, backgrounds, degrees, depth, edge_alphabet):
         outcome = EdgeOutcome(event.label, event.target)
         return scored_matches_to_model(matches, space).nl_pr(outcome)
 
-    return traverse(g, 0, on_vertex, on_edge)
+    return traverse(g, on_vertex, on_edge)
 
 
 LONE_HOUSE = build_graph(False, ["House"], [])
@@ -551,7 +564,7 @@ def capture_step(g, backgrounds, depth, *, vertex=None, edge=None):
         if edge is not None and event.edge == edge:
             hit.append(edge_matches(state, backgrounds, event.source, event.edge, depth))
 
-    traverse(g, 0, on_vertex, on_edge)
+    traverse(g, on_vertex, on_edge)
     assert len(hit) == 1
     return hit[0]
 
@@ -706,10 +719,56 @@ class TestInformationContent:
         derived = information_content(k33, [], utility_degrees, 3)
         assert wider.total > derived.total
 
+    @pytest.mark.parametrize("depth", [0, 1, 2, 3, 10**9])
+    def test_disconnected_graph_costs_the_sum_of_its_components(
+            self, depth, k33, near_k33, utility_degrees):
+        # A near-k33, a k33 and a lone house, their vertices interleaved
+        # but each part's kept in order, so connected_components gives the
+        # parts back as they are.
+        parts = [near_k33, k33, LONE_HOUSE]
+        owner = [0] * 7 + [1] * 6 + [2]
+        random.Random(5).shuffle(owner)
+        ids = [[v for v, o in enumerate(owner) if o == i] for i in range(3)]
+        labels = [parts[o].labels[ids[o].index(v)] for v, o in enumerate(owner)]
+        edges = [(ids[i][u], ids[i][v], label)
+                 for i, part in enumerate(parts) for u, v, label in part.edges]
+        g = build_graph(False, labels, edges)
+        backgrounds = [near_k33, ISOLATED_HOUSE]
+        whole = information_content(g, backgrounds, utility_degrees, depth,
+                                    edge_alphabet=K33_ALPHABET)
+        expected = []
+        for i in sorted(range(3), key=lambda i: ids[i][0]):  # the order traverse starts them
+            for step in information_content(parts[i], backgrounds, utility_degrees, depth,
+                                            edge_alphabet=K33_ALPHABET).steps:
+                outcome = step.outcome
+                if step.kind == "E" and outcome.target is not None:
+                    outcome = EdgeOutcome(outcome.label, ids[i][outcome.target])
+                expected.append((step.kind, outcome, step.bits))
+        assert [(s.kind, s.outcome, s.bits) for s in whole.steps] == expected
+        assert [s.index for s in whole.steps] == list(range(len(expected)))
+        assert whole.total == pytest.approx(sum(bits for _, _, bits in expected), abs=1e-9)
+
+    def test_huge_depth_is_capped_at_the_largest_component(self, monkeypatch):
+        pairs = build_graph(False, ["a", "b"] * 500, [(2 * i, 2 * i + 1, "x") for i in range(500)])
+        bond = build_graph(False, ["a", "b"], [(0, 1, "x")])
+        capped = information_content(pairs, [bond], {"a": 1, "b": 1}, 2)
+        side = graphmml.context._Side
+
+        def small_side(g, depth, known=None):
+            assert depth <= 2  # not the vertex count: the search never leaves a pair
+            return side(g, depth, known)
+
+        monkeypatch.setattr(graphmml.context, "_Side", small_side)
+        huge = information_content(pairs, [bond], {"a": 1, "b": 1}, 10**9)
+        assert [s.bits for s in huge.steps] == [s.bits for s in capped.steps]
+
+    def test_empty_graph_costs_nothing(self, k33):
+        empty = build_graph(False, [], [])
+        for backgrounds, degrees in (([], {}), ([k33], dict(UTILITY_DEGREES))):
+            result = information_content(empty, backgrounds, degrees, 3)
+            assert result.total == 0.0 and result.steps == ()
+
     def test_validation_errors(self, k33, near_k33, utility_degrees):
-        two_parts = build_graph(False, ["Utility", "House"], [])
-        with pytest.raises(ContextError):
-            information_content(two_parts, [], utility_degrees, 3)
         with pytest.raises(ContextError):
             information_content(build_graph(True, ["Utility"], []), [], utility_degrees)
         with pytest.raises(ContextError):

@@ -72,13 +72,10 @@ class TestBuildGraph:
 
 class TestMaxEdges:
     def test_known_values(self):
-        assert max_edges(4, False, False) == 6
-        assert max_edges(4, True, False) == 12
-        assert max_edges(4, False, True) == 10
-        assert max_edges(4, True, True) == 16
-        assert max_edges(0, False, False) == 0
-        assert max_edges(1, False, False) == 0
-        assert max_edges(1, False, True) == 1
+        assert max_edges(4, False) == 6
+        assert max_edges(4, True) == 12
+        assert max_edges(0, False) == 0
+        assert max_edges(1, False) == 0
 
 
 class TestComponents:
@@ -129,7 +126,7 @@ class TestComponents:
 
 class TestTraversal:
     def test_k33_event_sequence(self, k33):
-        events = traverse(k33, 0)
+        events = traverse(k33)
         vertex_order = [e.vertex for e in events if isinstance(e, VertexEvent)]
         edge_order = [e.edge for e in events if isinstance(e, EdgeEvent)]
         assert vertex_order == [0, 3, 1, 4, 2, 5]
@@ -147,7 +144,7 @@ class TestTraversal:
                 return event.edge, event.target, loop_candidates(state, event.source)
             return None
 
-        got = [r for r in traverse(k33, 0, on_edge=on_edge) if isinstance(r, tuple)]
+        got = [r for r in traverse(k33, on_edge=on_edge) if isinstance(r, tuple)]
         assert got == [
             (1, 0, (0, 3)),
             (6, 3, (0, 3, 1)),
@@ -156,7 +153,7 @@ class TestTraversal:
         ]
 
     def test_k33_incoming_edges_point_back(self, k33):
-        vertex_events = [e for e in traverse(k33, 0) if isinstance(e, VertexEvent)]
+        vertex_events = [e for e in traverse(k33) if isinstance(e, VertexEvent)]
         assert vertex_events[0].incoming is None
         # Each later vertex arrives over a reversed edge: fresh vertex -> source.
         assert vertex_events[1].incoming == OrientedEdge(0, 3, 0, "Elec")
@@ -179,55 +176,57 @@ class TestTraversal:
         def on_edge(state, event):
             seen.append(not state.is_closed(event.edge))
 
-        traverse(k33, 0, on_vertex, on_edge)
+        traverse(k33, on_vertex, on_edge)
         assert all(seen) and len(seen) == 15
 
     def test_each_element_fires_once(self, k33):
-        events = traverse(k33, 0)
+        events = traverse(k33)
         vertices = [e.vertex for e in events if isinstance(e, VertexEvent)]
         edges = [e.edge for e in events if isinstance(e, EdgeEvent)]
         assert sorted(vertices) == list(range(6))
         assert sorted(edges) == list(range(9))
 
     def test_fresh_and_loop_resolutions(self, k33):
-        events = [e for e in traverse(k33, 0) if isinstance(e, EdgeEvent)]
+        events = [e for e in traverse(k33) if isinstance(e, EdgeEvent)]
         fresh = [e.edge for e in events if e.target is None]
         assert fresh == [0, 3, 4, 7, 8]
         assert [(e.edge, e.target) for e in events if e.target is not None] == [
             (1, 0), (6, 3), (2, 0), (5, 1)]
 
-    def test_covers_root_component_only(self):
-        g = build_graph(False, ["a", "a", "a"], [(0, 1, "x")])
-        events = traverse(g, 0)
-        assert [e.vertex for e in events if isinstance(e, VertexEvent)] == [0, 1]
-        events = traverse(g, 2)
-        assert [e.vertex for e in events if isinstance(e, VertexEvent)] == [2]
+    def test_covers_every_component(self):
+        # Components {0, 3}, {1, 4, 5} and {2}: the walk restarts at the
+        # lowest vertex not yet reached, each time with a root event.
+        g = build_graph(False, ["a"] * 6, [(3, 0, "x"), (4, 5, "y"), (5, 1, "y")])
+        events = traverse(g)
+        vertices = [e for e in events if isinstance(e, VertexEvent)]
+        assert [e.vertex for e in vertices] == [0, 3, 1, 5, 4, 2]
+        assert [e.vertex for e in vertices if e.incoming is None] == [0, 1, 2]
+        assert sorted(e.edge for e in events if isinstance(e, EdgeEvent)) == [0, 1, 2]
+        kinds = [type(e).__name__[0] for e in events]
+        assert kinds == ["V", "E", "V", "V", "E", "V", "E", "V", "V"]
+        assert traverse(build_graph(False, [], [])) == []
 
     def test_path_graph_order(self):
         g = build_graph(False, ["a", "a", "a"], [(0, 1, "x"), (1, 2, "x")])
-        kinds = [type(e).__name__[0] for e in traverse(g, 0)]
+        kinds = [type(e).__name__[0] for e in traverse(g)]
         assert kinds == ["V", "E", "V", "E", "V"]
 
     def test_callback_results_are_returned(self, k33):
-        results = traverse(k33, 0, on_vertex=lambda s, e: ("v", e.vertex))
+        results = traverse(k33, on_vertex=lambda s, e: ("v", e.vertex))
         assert results[0] == ("v", 0)
         assert isinstance(results[1], EdgeEvent)
 
     def test_directed_graph_rejected(self):
         g = build_graph(True, ["a", "b"], [(0, 1, "x")])
         with pytest.raises(GraphError):
-            traverse(g, 0)
-
-    def test_root_out_of_range(self, k33):
-        with pytest.raises(VertexRangeError):
-            traverse(k33, 6)
+            traverse(g)
 
     def test_loop_candidates_exclude_full_and_adjacent(self, k33):
         # Checked against the hand-derived trace during the closure events.
         def on_edge(state, event):
             return loop_candidates(state, event.source)
 
-        results = traverse(k33, 0, on_edge=on_edge)
+        results = traverse(k33, on_edge=on_edge)
         candidate_lists = [r for r in results if isinstance(r, tuple)]
         assert candidate_lists == [
             (),        # edge 0 from the root: nothing else on the stack
@@ -297,5 +296,5 @@ class TestIncrementalStateAgainstRescan:
             assert event.edge == first.edge
             events.append(event)
 
-        traverse(g, 0, on_edge=on_edge)
+        traverse(g, on_edge=on_edge)
         assert sorted(e.edge for e in events) == list(range(g.edge_count))
