@@ -28,7 +28,7 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Container, Iterable, Mapping, NamedTuple, Sequence
 
-from .graph import Graph, TraversalState, connected_components, loop_candidates, traverse
+from .graph import Graph, TraversalState, connected_components, traverse
 
 
 class ContextError(ValueError):
@@ -182,10 +182,12 @@ class _Side:
     """Matcher data for one graph, over all its edges or only the known ones.
 
     slots[v] lists v's known edges in adjacency order as (edge, far end,
-    label), and buckets[v] groups them by label as (edge, far end) pairs
-    in the same order.  bounds[d][v] is an upper bound on a depth-d match
-    score rooted at v, and caps[d][v][i] one on what slots[v][i:] can
-    still add to it.  add() keeps all four current as edges become known.
+    label).  bounds[d][v] is an upper bound on a depth-d match score
+    rooted at v, and caps[d][v][i] one on what slots[v][i:] can still add
+    to it.  add() keeps all three current as edges become known.  A side
+    over all its edges is a background, which the matcher also looks up
+    by label: buckets[v] groups slots[v] by label as (edge, far end)
+    pairs in the same order.  A side over known edges has no buckets.
     """
 
     __slots__ = ("graph", "depth", "known", "slots", "buckets", "bounds", "caps")
@@ -196,9 +198,16 @@ class _Side:
         self.depth = depth
         self.known = [known is None or e in known for e in range(g.edge_count)]
         self.slots: list[tuple[tuple[int, int, Any], ...]] = [()] * n
-        self.buckets: list[dict[Any, list[tuple[int, int]]]] = [{}] * n
         for v in range(n):
             self._reslot(v)
+        self.buckets: list[dict[Any, list[tuple[int, int]]]] | None = None
+        if known is None:
+            self.buckets = []
+            for here in self.slots:
+                buckets: dict[Any, list[tuple[int, int]]] = {}
+                for e, far, label in here:
+                    buckets.setdefault(label, []).append((e, far))
+                self.buckets.append(buckets)
         self.bounds = [[1] * n for _ in range(depth + 1)]
         # caps[0] is never read: a depth-0 match follows no edges.
         self.caps: list = [None] + [[None] * n for _ in range(depth)]
@@ -206,12 +215,8 @@ class _Side:
 
     def _reslot(self, v: int) -> None:
         known = self.known
-        slots = tuple((s.edge, s.head, s.label) for s in self.graph.adjacency[v] if known[s.edge])
-        buckets: dict[Any, list[tuple[int, int]]] = {}
-        for e, far, label in slots:
-            buckets.setdefault(label, []).append((e, far))
-        self.slots[v] = slots
-        self.buckets[v] = buckets
+        self.slots[v] = tuple(
+            (s.edge, s.head, s.label) for s in self.graph.adjacency[v] if known[s.edge])
 
     def _refresh(self, vertices: Iterable[int]) -> None:
         slots = self.slots
@@ -255,6 +260,16 @@ class _Matcher:
     bindings of its best alternative in place.  The sides' tables are
     shared, not copied, so a matcher rolled back to an empty journal
     serves the next step as the target side learns edges.
+
+    The search prunes with upper bounds only, and the bounds account for
+    the bindings made so far: a far end that cannot pair adds only its
+    edge, and a vertex reached over an edge gets nothing back from that
+    edge.  A winning value is the size of a real correspondence, the
+    number of bindings it makes, so an alternative whose bound is at most
+    the best value so far, or below the least value the caller can still
+    use, cannot be the strictly better one and is never tried.  The
+    winner is still the first alternative to reach the best value, so its
+    bindings and every score are those of the unpruned search.
     """
 
     __slots__ = (
@@ -285,15 +300,15 @@ class _Matcher:
         self.journal.append((~e1, e2))
 
     def rollback(self, mark: int) -> None:
-        journal = self.journal
-        while len(journal) > mark:
-            a, b = journal.pop()
+        journal, vmap, vinv, emap, einv = self.journal, self.vmap, self.vinv, self.emap, self.einv
+        for a, b in journal[mark:]:
             if a < 0:
-                self.emap[~a] = -1
-                self.einv[b] = -1
+                emap[~a] = -1
+                einv[b] = -1
             else:
-                self.vmap[a] = -1
-                self.vinv[b] = -1
+                vmap[a] = -1
+                vinv[b] = -1
+        del journal[mark:]
 
     def _apply(self, segment: list[tuple[int, int]]) -> None:
         for a, b in segment:
@@ -307,7 +322,9 @@ class _Matcher:
 
     # scoring --------------------------------------------------------------
 
-    def match_vertex(self, v1: int, v2: int, depth: int) -> int:
+    def match_vertex(self, v1: int, v2: int, depth: int, back: int = -1) -> int:
+        """Pair two vertices and match their edges; back is a bound edge
+        the search arrived by, or -1."""
         if self.labels1[v1] != self.labels2[v2]:
             return 0
         # Already-corresponded vertices were counted when first bound; a
@@ -320,53 +337,119 @@ class _Matcher:
         slots = self.slots1[v1]
         if depth < 1 or not slots:
             return 1
-        return 1 + self._assign(slots, 0, v2, depth, self.caps1[depth][v1])
+        share = 0  # back's part of v1's caps, if back is one of v1's known edges
+        if back >= 0:
+            share = next((1 + self.bounds1[depth - 1][far] for e, far, _ in slots if e == back), 0)
+        return 1 + self._assign(v1, 0, v2, depth, self.caps1[depth][v1], share, back, 0)
 
     def match_edge(self, e1: int, far1: int, e2: int, far2: int, depth: int) -> int:
         """Pair two unbound edges of the same label and match their far ends."""
         self.bind_edge(e1, e2)
-        return 1 + self.match_vertex(far1, far2, depth - 1)
+        return 1 + self.match_vertex(far1, far2, depth - 1, e1)
 
-    def _assign(self, slots, i: int, v2: int, depth: int, caps: list[int]) -> int:
-        """Best total over injective assignments of slots[i:] to v2's edges.
+    def _assign(self, v1: int, i: int, v2: int, depth: int, caps: list[int],
+                share: int, back: int, need: int) -> int:
+        """Best total over injective assignments of v1's slots[i:] to v2's edges.
 
         Each known edge either pairs with an unused background edge of its
         label or is left out; pairing recurses through the far endpoints.
-        Leaves the bindings of the winning alternative applied.
+        A best of at least need is returned with the bindings of the first
+        alternative to reach it applied.  A smaller best is of no use to
+        the caller: some number below need comes back instead, with nothing
+        applied.  i is below the slot count.  When share is not 0, the bound
+        edge back is one of slots[i:], the way back to the vertex the search
+        came from, and can add nothing: share, its part of caps, comes off
+        every cap up to its slot.
         """
-        if i == len(slots):
-            return 0
+        slots = self.slots1[v1]
+        emap = self.emap
         e1, far1, label1 = slots[i]
-        best = -1
-        best_segment: list | None = None
-        if self.emap[e1] < 0:  # a bound edge (the way back, say) pairs with nothing
-            bound_far1 = self.bounds1[depth - 1][far1]
-            bound2_level = self.bounds2[depth - 1]
-            einv = self.einv
-            for e2, far2 in self.buckets2[v2].get(label1, ()):
-                if best >= caps[i]:
+        while emap[e1] >= 0:  # a bound edge pairs with nothing: leave it out
+            if e1 == back:
+                share = 0
+            i += 1
+            if i == len(slots):
+                return 0
+            e1, far1, label1 = slots[i]
+        # Slot i is unbound, so back, if share still counts, lies beyond it.
+        cap = caps[i] - share
+        rest = caps[i + 1] - share
+        last = i + 1 == len(slots)
+        journal = self.journal
+        mark = len(journal)
+        best = need - 1
+        live = False  # whether best's bindings are the ones applied
+        segment: list = []
+        arrivals = self.buckets2[v2].get(label1, ())
+        if arrivals:
+            labels2, vmap, vinv, einv = self.labels2, self.vmap, self.vinv, self.einv
+            label_far1 = self.labels1[far1]
+            bounds2 = self.bounds2[depth - 1]
+            # Paired, far1 and its match each have their slot for the pair
+            # bound, the way back, so neither bound counts it.
+            if depth > 1:
+                back1 = 1 + self.bounds1[depth - 2][v1]
+                back2 = 1 + self.bounds2[depth - 2][v2]
+                reach1 = self.bounds1[depth - 1][far1] - back1
+                far_caps = self.caps1[depth - 1][far1]
+            for e2, far2 in arrivals:
+                if best >= cap:
                     break  # nothing after this point can improve on best
+                if live:
+                    segment = journal[mark:]
+                    self.rollback(mark)
+                    live = False
                 if einv[e2] >= 0:
                     continue
-                if best >= 1 + min(bound_far1, bound2_level[far2]) + caps[i + 1]:
+                # A far end that cannot pair adds nothing beyond the edge.
+                dead = label_far1 != labels2[far2] or vmap[far1] >= 0 or vinv[far2] >= 0
+                if dead:
+                    reach = 0
+                elif depth > 1:
+                    reach = bounds2[far2] - back2
+                    if reach > reach1:
+                        reach = reach1
+                else:
+                    reach = 1
+                if best >= 1 + reach + rest:
                     continue  # this pairing cannot improve on best
-                mark = len(self.journal)
-                total = self.match_edge(e1, far1, e2, far2, depth)
-                total += self._assign(slots, i + 1, v2, depth, caps)
+                emap[e1] = e2
+                einv[e2] = e1
+                journal.append((~e1, e2))
+                total = 1
+                if not dead:
+                    vmap[far1] = far2
+                    vinv[far2] = far1
+                    journal.append((far1, far2))
+                    total = 2
+                    if reach > 1:
+                        total += self._assign(far1, 0, far2, depth - 1, far_caps, back1, e1,
+                                              best + 1 - total - rest)
+                        if total + rest <= best:  # the rest cannot make up the shortfall
+                            self.rollback(mark)
+                            continue
+                if not last:
+                    total += self._assign(v1, i + 1, v2, depth, caps, share, back, best + 1 - total)
                 if total > best:
                     best = total
-                    best_segment = self.journal[mark:]
+                    live = True
+                else:
+                    self.rollback(mark)
+        if best < rest:  # leaving the slot out can still win; rest is 0 at the last slot
+            if best < need:
+                return 0 if last else self._assign(v1, i + 1, v2, depth, caps, share, back, need)
+            if live:
+                segment = journal[mark:]
                 self.rollback(mark)
-        if best < caps[i + 1]:
-            mark = len(self.journal)
-            total = self._assign(slots, i + 1, v2, depth, caps)
+            total = self._assign(v1, i + 1, v2, depth, caps, share, back, best + 1)
             if total > best:
-                best = total
-                best_segment = self.journal[mark:]
+                return total
             self.rollback(mark)
-        if best <= 0:
-            return 0
-        self._apply(best_segment)
+            live = False
+        if best < need:
+            return best
+        if not live:
+            self._apply(segment)
         return best
 
 
@@ -378,14 +461,29 @@ class _Matcher:
 _Sides = list[_Matcher]
 
 
+def _capped_depth(g: Graph, depth: int) -> int:
+    """depth, capped at g's largest component's vertex count.
+
+    Each level of a match's recursion binds a vertex of g that no outer
+    level has bound, and a vertex step never binds the vertex it reveals;
+    a match stays inside one component of g.  Capped there, the depth
+    still leaves every vertex a match binds at depth >= 1, where it looks
+    at all its edges: no score or binding changes, and the sides'
+    per-depth tables stay small.
+    """
+    return min(depth, max((c.vertex_count for c in connected_components(g)), default=0))
+
+
 def _sides_from_state(
     state: TraversalState, backgrounds: Sequence[Graph], depth: int
-) -> _Sides:
-    """The matchers information_content keeps across steps, built for one call."""
+) -> tuple[int, _Sides]:
+    """The capped depth and the matchers information_content keeps across
+    steps, built for one call."""
     g = state.graph
+    depth = _capped_depth(g, depth)
     closed = {e for e in range(g.edge_count) if state.is_closed(e)}
     target = _Side(g, depth, closed)
-    return [_Matcher(target, _Side(bg, depth)) for bg in backgrounds]
+    return depth, [_Matcher(target, _Side(bg, depth)) for bg in backgrounds]
 
 
 def vertex_matches(
@@ -415,10 +513,10 @@ def vertex_matches(
         return matches
     if not backgrounds:
         return matches
-    depth = min(depth, state.graph.vertex_count)  # see information_content
-    matchers = _sides if _sides is not None else _sides_from_state(state, backgrounds, depth)
+    if _sides is None:
+        depth, _sides = _sides_from_state(state, backgrounds, depth)
     e1, far1, label1 = incoming.edge, incoming.head, incoming.label
-    for bi, (bg, matcher) in enumerate(zip(backgrounds, matchers)):
+    for bi, (bg, matcher) in enumerate(zip(backgrounds, _sides)):
         for v2, buckets in enumerate(matcher.buckets2):
             arrivals = buckets.get(label1)
             if arrivals is None:
@@ -452,12 +550,11 @@ def edge_matches(
     """
     if not backgrounds:
         return []
-    depth = min(depth, state.graph.vertex_count)  # see information_content
-    candidate_set = set(loop_candidates(state, source))
-    matchers = _sides if _sides is not None else _sides_from_state(state, backgrounds, depth)
+    if _sides is None:
+        depth, _sides = _sides_from_state(state, backgrounds, depth)
     label = state.graph.labels[source]
     matches: list[ScoredMatch] = []
-    for bi, (bg, matcher) in enumerate(zip(backgrounds, matchers)):
+    for bi, (bg, matcher) in enumerate(zip(backgrounds, _sides)):
         vinv = matcher.vinv
         for v2, slots in enumerate(matcher.slots2):
             if bg.labels[v2] != label:
@@ -468,7 +565,7 @@ def edge_matches(
                 w = vinv[far2]
                 if w < 0:
                     matches.append(ScoredMatch((bi, v2, e2), score, EdgeOutcome(label2, None)))
-                elif w in candidate_set:
+                elif state.is_loop_candidate(source, w):
                     matches.append(ScoredMatch((bi, v2, e2), score, EdgeOutcome(label2, w)))
                 matcher.rollback(0)
     return matches
@@ -573,18 +670,12 @@ def information_content(
     size_later = sum(degrees.values())
     size_initial = size_later + len(degrees)
     edge_labels = len(set(alphabet))
-    # Each level of a match's recursion binds a vertex of g that no outer
-    # level has bound, and a vertex step never binds the vertex it reveals;
-    # a match stays inside one component of g.  Capped at the largest
-    # component's vertex count, the depth still leaves every vertex a match
-    # binds at depth >= 1, where it looks at all its edges: no score or
-    # binding changes, and the sides' per-depth tables stay small.
     # Each background is indexed once and gets one matcher for the call; the
     # target side they share starts with no edge known and learns each edge
     # as the traversal closes it.
     target = sides = None
     if backgrounds:
-        depth = min(depth, max((c.vertex_count for c in connected_components(g)), default=0))
+        depth = _capped_depth(g, depth)
         target = _Side(g, depth, ())
         sides = [_Matcher(target, _Side(bg, depth)) for bg in backgrounds]
     steps: list[StepRecord] = []
@@ -598,7 +689,7 @@ def information_content(
     def on_edge(state: TraversalState, event) -> None:
         matches = edge_matches(state, backgrounds, event.source, event.edge, depth, _sides=sides)
         outcome = EdgeOutcome(event.label, event.target)
-        size = edge_labels * (1 + len(loop_candidates(state, event.source)))
+        size = edge_labels * (1 + state.loop_candidate_count(event.source))
         steps.append(StepRecord(len(steps), "E", outcome, _step_bits(matches, outcome, size)))
         if target is not None:
             target.add(event.edge)  # traverse closes the edge as this returns

@@ -207,6 +207,16 @@ class TraversalState:
     def is_closed(self, edge: int) -> bool:
         return self._closed[edge]
 
+    def loop_candidate_count(self, source: int) -> int:
+        """len(loop_candidates(self, source)), in O(source's degree)."""
+        open_ = self._open
+        adjacent = sum(1 for w in self._neighbours[source] if w in open_)
+        return len(open_) - (source in open_) - adjacent
+
+    def is_loop_candidate(self, source: int, w: int) -> bool:
+        """Whether w is in loop_candidates(self, source), in O(1)."""
+        return w in self._open and w != source and w not in self._neighbours[source]
+
     # internal transitions -----------------------------------------------
 
     def _push(self, v: int) -> None:

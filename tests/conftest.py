@@ -1,6 +1,8 @@
 """Shared fixtures: two small utility-network graphs whose structure the
 tests know by heart, four reference molecules, and seeded random graphs."""
 
+import random
+
 import pytest
 
 from graphmml import build_graph, read_molecule
@@ -43,6 +45,57 @@ def random_connected_graph(rng, n, vertex_labels, edge_labels):
     listed = [(u, v, label) for (u, v), label in edges.items()]
     rng.shuffle(listed)
     return build_graph(False, [rng.choice(vertex_labels) for _ in range(n)], listed)
+
+
+def star(leaves):
+    return build_graph(False, ["h"] + ["l"] * leaves, [(0, i, "x") for i in range(1, leaves + 1)])
+
+
+def rails_first_ladder(rungs):
+    """Both rails first, then the rungs: the walk along the second rail
+    keeps every vertex of the first one open."""
+    edges = [(i, i + 1, "x") for i in range(rungs - 1)]
+    edges += [(rungs + i, rungs + i + 1, "x") for i in range(rungs - 1)]
+    edges += [(i, rungs + i, "y") for i in range(rungs)]
+    return build_graph(False, ["a"] * (2 * rungs), edges)
+
+
+def grid(rows, cols):
+    cells = [(r, c) for r in range(rows) for c in range(cols)]
+    edges = [(r * cols + c, r * cols + c + 1, "x") for r, c in cells if c + 1 < cols]
+    edges += [(r * cols + c, (r + 1) * cols + c, "x") for r, c in cells if r + 1 < rows]
+    return build_graph(False, ["a"] * (rows * cols), edges)
+
+
+def hex_sheet(rows, cols):
+    """rows x cols fused hexagons in brick-wall form: rows + 1 lines of
+    vertices, neighbouring lines joined at alternate vertices, and the
+    pendant corners this leaves removed."""
+    width = 2 * cols + 2
+    edges = [(i * width + j, i * width + j + 1) for i in range(rows + 1) for j in range(width - 1)]
+    edges += [(i * width + j, (i + 1) * width + j)
+              for i in range(rows) for j in range(width) if (i + j) % 2 == 0]
+    vertices = range((rows + 1) * width)
+    while True:
+        degree = {v: 0 for v in vertices}
+        for u, v in edges:
+            degree[u] += 1
+            degree[v] += 1
+        kept = [v for v in vertices if degree[v] > 1]
+        if len(kept) == len(vertices):
+            break
+        vertices = kept
+        edges = [(u, v) for u, v in edges if degree[u] > 1 and degree[v] > 1]
+    new = {v: i for i, v in enumerate(vertices)}
+    return build_graph(False, ["a"] * len(new), [(new[u], new[v], "x") for u, v in edges])
+
+
+def relabelled(g, share, seed):
+    """g with a seeded share of its vertices relabelled "b"."""
+    n = g.vertex_count
+    chosen = set(random.Random(seed).sample(range(n), round(share * n)))
+    labels = ["b" if v in chosen else label for v, label in enumerate(g.labels)]
+    return build_graph(False, labels, g.edges)
 
 
 def make_k33():

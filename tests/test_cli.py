@@ -401,8 +401,9 @@ class TestExitCodes:
 
     def test_search_too_deep_for_the_stack_is_a_size_error(self, capsys, tmp_path):
         # A chain of distinct labels given itself matches along its whole
-        # length, so the matcher recurses as deep as --depth allows.
-        n = 60
+        # length, so the matcher recurses as deep as --depth allows: about
+        # one frame per level, so 150 levels overflow 100 spare frames.
+        n = 150
         chain = tmp_path / "chain.graph"
         chain.write_text(edge_list_text([f"a{i}" for i in range(n)],
                                         [(i, i + 1, "x") for i in range(n - 1)]))

@@ -39,7 +39,8 @@ from graphmml import (
     vertex_outcome_space,
 )
 from conftest import (
-    DRUG_SMILES, UTILITY_DEGREES, make_k33, make_near_k33, random_connected_graph,
+    DRUG_SMILES, UTILITY_DEGREES, grid, hex_sheet, make_k33, make_near_k33,
+    rails_first_ladder, random_connected_graph, relabelled,
 )
 
 LOG2_3 = math.log2(3.0)
@@ -326,6 +327,29 @@ class TestMatcherAgainstPlainReference:
                 assert score <= ball_size(g2, 0, depth)
 
 
+class TestMatcherPruning:
+    def test_bounds_halve_the_pairings_tried_on_a_symmetric_grid(self, monkeypatch):
+        # Every edge pairing the search tries is journaled as (~e1, e2).
+        tried = [0]
+
+        class Journal(list):
+            def append(self, entry):
+                tried[0] += entry[0] < 0
+                super().append(entry)
+
+        init = graphmml.context._Matcher.__init__
+
+        def counting_init(self, *sides):
+            init(self, *sides)
+            self.journal = Journal()
+
+        monkeypatch.setattr(graphmml.context._Matcher, "__init__", counting_init)
+        g = grid(5, 5)
+        information_content(g, [g], {"a": 4}, 3)
+        # Pruned by ball sizes alone, the search tried 968,828 pairings.
+        assert 0 < tried[0] <= 968_828 // 2
+
+
 class KnownPart:
     """The decoder's view of a traversal, shaped as PlainMatcher's first
     graph: every vertex label, but only the closed edges."""
@@ -372,6 +396,15 @@ def plain_edge_matches(state, backgrounds, source, pending, depth):
                 if w is None or w in candidates:
                     matches.append(ScoredMatch((bi, v2, s2.edge), score, EdgeOutcome(s2.label, w)))
     return matches
+
+
+SYMMETRIC_CASES = [
+    (f"{name} | {given}", g, [background], depth)
+    for name, g in (("4x4 grid", grid(4, 4)), ("6-rung ladder", grid(2, 6)),
+                    ("2x3 hexagon sheet", hex_sheet(2, 3)))
+    for given, background in (("itself", g), ("35% relabelled", relabelled(g, 0.35, 11)))
+    for depth in (2, 3, 4)
+]
 
 
 class TestStepMatchesAgainstPlainReference:
@@ -425,6 +458,51 @@ class TestStepMatchesAgainstPlainReference:
 
             steps += len(traverse(g, on_vertex, on_edge))
         assert steps > 50
+
+    @pytest.mark.parametrize("case", SYMMETRIC_CASES,
+                             ids=lambda case: f"{case[0]} depth {case[3]}")
+    def test_symmetric_lattices(self, case):
+        # One-label lattices are full of tied alternatives, where the
+        # matcher's bounds prune most.
+        _, g, backgrounds, depth = case
+
+        def on_vertex(state, event):
+            got = vertex_matches(state, backgrounds, event.incoming, depth)
+            assert got == plain_vertex_matches(state, backgrounds, event.incoming, depth)
+
+        def on_edge(state, event):
+            got = edge_matches(state, backgrounds, event.source, event.edge, depth)
+            assert got == plain_edge_matches(state, backgrounds, event.source, event.edge, depth)
+
+        traverse(g, on_vertex, on_edge)
+
+    def test_huge_depth_from_the_state_is_capped_at_the_largest_component(self, monkeypatch):
+        pairs = build_graph(False, ["a", "b"] * 500, [(2 * i, 2 * i + 1, "x") for i in range(500)])
+        bond = build_graph(False, ["a", "b"], [(0, 1, "x")])
+        side = graphmml.context._Side
+
+        def small_side(g, depth, known=None):
+            assert depth <= 2  # not the vertex count: the search never leaves a pair
+            return side(g, depth, known)
+
+        monkeypatch.setattr(graphmml.context, "_Side", small_side)
+        checked = []
+
+        # Every call indexes the whole target, so only a few pairs are checked.
+        def on_vertex(state, event):
+            if event.vertex % 200 < 2:
+                got = vertex_matches(state, [bond], event.incoming, 10**9)
+                assert got == vertex_matches(state, [bond], event.incoming, 2)
+                checked.append(got)
+
+        def on_edge(state, event):
+            if event.source % 200 == 0:
+                got = edge_matches(state, [bond], event.source, event.edge, 10**9)
+                assert got == edge_matches(state, [bond], event.source, event.edge, 2)
+                checked.append(got)
+
+        traverse(pairs, on_vertex, on_edge)
+        assert len(checked) == 15 and all(checked)
 
 
 def rebuilt_every_step(matches, depth, calls):
@@ -761,6 +839,25 @@ class TestInformationContent:
         monkeypatch.setattr(graphmml.context, "_Side", small_side)
         huge = information_content(pairs, [bond], {"a": 1, "b": 1}, 10**9)
         assert [s.bits for s in huge.steps] == [s.bits for s in capped.steps]
+
+    @pytest.mark.parametrize("n", [2, 3, 7, 4000])  # rungs; 4000 is 8,000 vertices
+    def test_rails_first_ladder_costs_its_closed_form_cold(self, n):
+        # The walk goes out along one rail, crosses the last rung, comes back
+        # along the other rail and closes the rungs on the way home, with
+        # every open vertex of the first rail a loop candidate meanwhile.
+        result = information_content(rails_first_ladder(n), [], {"a": 3})
+        # Loop candidates at each edge step, in order: leaving rung i of the
+        # first rail, crossing the last rung, leaving rung j of the second
+        # rail, and closing rung j.
+        candidates = ([max(i - 1, 0) for i in range(n - 1)] + [n - 2]
+                      + [n - 1 + max(n - 3 - j, 0) for j in range(n - 1, 0, -1)]
+                      + [n - 1 - j + max(n - 3 - j, 0) for j in range(n - 1)])
+        # Two edge labels, each fresh or closing to a candidate.
+        edge_bits = [math.log2(2 * (1 + c)) for c in candidates]
+        assert [s.bits for s in result.steps if s.kind == "E"] == pytest.approx(edge_bits)
+        # A root has degree 0..3, every later vertex 1..3.
+        expected = 2 + (2 * n - 1) * LOG2_3 + sum(edge_bits)
+        assert result.total == pytest.approx(expected, rel=1e-12)
 
     def test_empty_graph_costs_nothing(self, k33):
         empty = build_graph(False, [], [])

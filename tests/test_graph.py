@@ -19,7 +19,7 @@ from graphmml import (
     max_edges,
     traverse,
 )
-from conftest import random_connected_graph
+from conftest import grid, random_connected_graph, rails_first_ladder, star
 
 
 class TestBuildGraph:
@@ -255,30 +255,10 @@ def reference_loop_candidates(state, source):
     )
 
 
-def star(leaves):
-    return build_graph(False, ["h"] + ["l"] * leaves, [(0, i, "x") for i in range(1, leaves + 1)])
-
-
-def ladder(rungs):
-    # Both rails first, then the rungs: the walk along the second rail
-    # keeps every vertex of the first one open.
-    edges = [(i, i + 1, "x") for i in range(rungs - 1)]
-    edges += [(rungs + i, rungs + i + 1, "x") for i in range(rungs - 1)]
-    edges += [(i, rungs + i, "y") for i in range(rungs)]
-    return build_graph(False, ["a"] * (2 * rungs), edges)
-
-
-def grid(rows, cols):
-    cells = [(r, c) for r in range(rows) for c in range(cols)]
-    edges = [(r * cols + c, r * cols + c + 1, "x") for r, c in cells if c + 1 < cols]
-    edges += [(r * cols + c, (r + 1) * cols + c, "x") for r, c in cells if r + 1 < rows]
-    return build_graph(False, ["a"] * (rows * cols), edges)
-
-
 def state_check_graphs():
     rng = random.Random(6)
     graphs = [random_connected_graph(rng, rng.randint(2, 9), "ab", "xy") for _ in range(60)]
-    return graphs + [star(7), ladder(6), grid(4, 5)]
+    return graphs + [star(7), rails_first_ladder(6), grid(4, 5)]
 
 
 class TestIncrementalStateAgainstRescan:
@@ -298,3 +278,13 @@ class TestIncrementalStateAgainstRescan:
 
         traverse(g, on_edge=on_edge)
         assert sorted(e.edge for e in events) == list(range(g.edge_count))
+
+    @pytest.mark.parametrize("g", state_check_graphs())
+    def test_candidate_count_and_membership_agree_with_the_list(self, g):
+        def on_edge(state, event):
+            candidates = loop_candidates(state, event.source)
+            assert state.loop_candidate_count(event.source) == len(candidates)
+            for w in range(g.vertex_count):
+                assert state.is_loop_candidate(event.source, w) == (w in candidates)
+
+        traverse(g, on_edge=on_edge)
