@@ -18,6 +18,7 @@ diagonal.
 from __future__ import annotations
 
 import argparse
+import functools
 import sys
 from pathlib import Path
 from typing import Any, Sequence
@@ -444,7 +445,10 @@ def _add_common(sub, *, depth=True, given=False, steps=False, jobs=False) -> Non
                      help="file of LABEL=N lines with degree limits")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The command-line parser, built on the first call and shared after it:
+    parsing leaves it unchanged, so every main call in a process reuses it."""
     parser = argparse.ArgumentParser(
         prog="graphmml",
         description="Information content of labelled graphs, absolute or "
@@ -500,7 +504,3 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (SmilesError, GraphError, TreeCodeError, OSError, ValueError) as exc:
         print(f"graphmml: {exc}", file=sys.stderr)
         return EXIT_FORMAT
-
-
-if __name__ == "__main__":
-    sys.exit(main())

@@ -24,7 +24,6 @@ from __future__ import annotations
 
 import enum
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
 from typing import Any, Container, Iterable, Mapping, NamedTuple, Sequence
 
@@ -211,41 +210,43 @@ class _Side:
         self.bounds = [[1] * n for _ in range(depth + 1)]
         # caps[0] is never read: a depth-0 match follows no edges.
         self.caps: list = [None] + [[None] * n for _ in range(depth)]
-        self._refresh(range(n))
+        for d in range(1, depth + 1):
+            self._refresh(d, range(n))
 
     def _reslot(self, v: int) -> None:
         known = self.known
         self.slots[v] = tuple(
             (s.edge, s.head, s.label) for s in self.graph.adjacency[v] if known[s.edge])
 
-    def _refresh(self, vertices: Iterable[int]) -> None:
+    def _refresh(self, d: int, vertices: Iterable[int]) -> None:
+        """Recompute level d of bounds and caps at the vertices."""
         slots = self.slots
-        for d in range(1, self.depth + 1):
-            below, level, caps = self.bounds[d - 1], self.bounds[d], self.caps[d]
-            for v in vertices:
-                here = slots[v]
-                cap = [0] * (len(here) + 1)
-                for i in range(len(here) - 1, -1, -1):
-                    cap[i] = cap[i + 1] + 1 + below[here[i][1]]
-                caps[v] = cap
-                level[v] = 1 + cap[0]
+        below, level, caps = self.bounds[d - 1], self.bounds[d], self.caps[d]
+        for v in vertices:
+            here = slots[v]
+            cap = [0] * (len(here) + 1)
+            for i in range(len(here) - 1, -1, -1):
+                cap[i] = cap[i + 1] + 1 + below[here[i][1]]
+            caps[v] = cap
+            level[v] = 1 + cap[0]
 
     def add(self, edge: int) -> None:
         """Make edge known.
 
         Its two ends get new slots, so their level-d bounds change, and
         through them those of every vertex within d - 1 of either end:
-        only that ball is refreshed.
+        level d is refreshed on that ball only.
         """
         u, w, _ = self.graph.edges[edge]
         self.known[edge] = True
         self._reslot(u)
         self._reslot(w)
         ball = frontier = {u, w}
-        for _ in range(self.depth - 1):
-            frontier = {far for v in frontier for _, far, _ in self.slots[v]} - ball
-            ball = ball | frontier
-        self._refresh(ball)
+        for d in range(1, self.depth + 1):
+            self._refresh(d, ball)
+            if d < self.depth:
+                frontier = {far for v in frontier for _, far, _ in self.slots[v]} - ball
+                ball = ball | frontier
 
 
 class _Matcher:
@@ -726,6 +727,9 @@ def _run_tasks(tasks: list, jobs: int) -> list[float]:
     """Each task's total, in task order."""
     if jobs <= 1 or len(tasks) <= 1:
         return [_info_task(t) for t in tasks]
+    # Imported here, so a process that never runs a pool never loads one.
+    from concurrent.futures import ProcessPoolExecutor
+
     with ProcessPoolExecutor(max_workers=jobs) as pool:
         return list(pool.map(_info_task, tasks))
 

@@ -1,6 +1,7 @@
 """The command-line interface: formats, exit codes, and agreement with
 the library."""
 
+import argparse
 import math
 import os
 import shutil
@@ -19,7 +20,7 @@ from graphmml import (
     label_text,
     read_molecule,
 )
-from graphmml.cli import main
+from graphmml.cli import build_parser, main
 from conftest import (
     DRUG_SMILES,
     K33_EDGES,
@@ -441,6 +442,93 @@ class TestValenceConfiguration:
         assert out.splitlines()[1].startswith("neo\t")
 
 
+SUBCOMMANDS = ["info", "table", "chain", "tree", "ordering", "parse"]
+
+
+class TestRepeatedCalls:
+    """main keeps no state between calls but the parser it builds once."""
+
+    def test_parser_is_built_once(self, files, capsys, monkeypatch):
+        built = []
+        init = argparse.ArgumentParser.__init__
+
+        def counting_init(self, *args, **kwargs):
+            built.append(1)
+            init(self, *args, **kwargs)
+
+        monkeypatch.setattr(argparse.ArgumentParser, "__init__", counting_init)
+        build_parser.cache_clear()
+        argv = ["info", files.k33, *K33_FLAGS, "--format", "tsv"]
+        first = run(argv, capsys)
+        count = len(built)
+        assert count > 0
+        assert run(argv, capsys) == first
+        assert len(built) == count  # the second call constructs no parser
+
+    def test_backgrounds_do_not_carry_over(self, files, capsys):
+        argv = ["info", files.k33, *K33_FLAGS, "--format", "tsv"]
+        code, given, _ = run([*argv, "--given", files.near], capsys)
+        assert code == 0 and given.splitlines()[1] != "k33\t41.226\t6\t9"
+        code, cold, _ = run(argv, capsys)
+        assert code == 0 and cold.splitlines()[1] == "k33\t41.226\t6\t9"
+
+    def test_valence_flags_do_not_build_up(self, capsys, tmp_path):
+        neo = tmp_path / "neo.txt"
+        neo.write_text("neo CC(C)(C)C\n")
+        assert run(["info", neo, "--valence", "C=3"], capsys)[0] == 3
+        assert run(["info", neo], capsys)[0] == 0
+        parser = build_parser()
+        parser.parse_args(["info", "x", "--valence", "a=1"])
+        assert parser.parse_args(["info", "x", "--valence", "b=2"]).valence == ["b=2"]
+        assert parser.parse_args(["info", "x"]).valence is None
+
+    def test_usage_error_then_valid_call(self, files, capsys):
+        with pytest.raises(SystemExit) as exc:
+            main(["info", str(files.k33), "--depth", "three"])
+        assert exc.value.code == 2
+        assert "--depth" in capsys.readouterr().err
+        code, out, err = run(["info", files.k33, *K33_FLAGS, "--format", "tsv"], capsys)
+        assert code == 0 and err == ""
+        assert out == "name\tbits\tvertices\tedges\nk33\t41.226\t6\t9\n"
+
+    @pytest.mark.parametrize("command", [[], *[[name] for name in SUBCOMMANDS]],
+                             ids=lambda command: " ".join(command) or "graphmml")
+    def test_help_is_the_same_on_every_call(self, command, capsys):
+        build_parser.cache_clear()
+        fresh = build_parser.__wrapped__()  # a parser that no call has used
+        texts = []
+        for parse in (main, main, fresh.parse_args):
+            with pytest.raises(SystemExit) as exc:
+                parse([*command, "--help"])
+            assert exc.value.code == 0
+            texts.append(capsys.readouterr().out)
+        assert texts[0] == texts[1] == texts[2]
+
+
+def src_env():
+    """This environment with the checkout's src/ on PYTHONPATH."""
+    return dict(os.environ, PYTHONPATH=str(Path(graphmml.__file__).resolve().parent.parent))
+
+
+def python_with_src(*args):
+    return subprocess.run([sys.executable, *args], capture_output=True, text=True,
+                          env=src_env())
+
+
+def test_import_loads_no_process_pool():
+    # Only --jobs above 1 needs a process pool; a one-shot call never pays
+    # for importing one.
+    proc = python_with_src("-c", "import sys, graphmml.cli; print(sorted(m for m in sys.modules "
+                                 "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"
+
+
+def test_python_dash_m_runs_the_cli():
+    proc = python_with_src("-m", "graphmml", "tree", "encode", "strict", "(L)")
+    assert (proc.returncode, proc.stdout, proc.stderr) == (0, "L\n", "")
+
+
 def console_scripts():
     """The `[project.scripts]` table of this checkout's `pyproject.toml`."""
     try:
@@ -467,9 +555,7 @@ def test_console_script_is_installed(tmp_path):
         f"from {module} import {attr}\n"
         f"sys.exit({attr}())\n")
     script.chmod(0o755)
-    env = dict(os.environ,
-               PATH=os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")]),
-               PYTHONPATH=str(Path(graphmml.__file__).resolve().parent.parent))
+    env = dict(src_env(), PATH=os.pathsep.join([str(bin_dir), os.environ.get("PATH", "")]))
 
     exe = shutil.which("graphmml", path=str(bin_dir))
     assert exe, "console script not on PATH"

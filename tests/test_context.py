@@ -561,6 +561,10 @@ INCREMENTAL_CASES = [
        [molecule(CORONENE), molecule(PYRENE)], depth) for depth in range(5)],
     *[("valium and xanax as one graph | viagra, cialis", disjoint_union(*DRUGS[2:]),
        DRUGS[:2], depth) for depth in range(5)],
+    # Deep enough that a new edge's ring at level d is smaller than its
+    # (depth - 1)-ball, so each level's refresh is checked on its own.
+    ("12-vertex chain | itself", grid(1, 12), [grid(1, 12)], 8),
+    ("3x4 grid | itself", grid(3, 4), [grid(3, 4)], 8),
 ]
 
 
