@@ -186,10 +186,12 @@ class _Side:
     to it.  add() keeps all three current as edges become known.  A side
     over all its edges is a background, which the matcher also looks up
     by label: buckets[v] groups slots[v] by label as (edge, far end)
-    pairs in the same order.  A side over known edges has no buckets.
+    pairs in the same order, and by_label[label] lists the vertices of
+    that label as (v, slots[v]) pairs in id order.  A side over known
+    edges has neither.
     """
 
-    __slots__ = ("graph", "depth", "known", "slots", "buckets", "bounds", "caps")
+    __slots__ = ("graph", "depth", "known", "slots", "buckets", "by_label", "bounds", "caps")
 
     def __init__(self, g: Graph, depth: int, known: Container[int] | None = None):
         n = g.vertex_count
@@ -200,13 +202,16 @@ class _Side:
         for v in range(n):
             self._reslot(v)
         self.buckets: list[dict[Any, list[tuple[int, int]]]] | None = None
+        self.by_label: dict[Any, list[tuple[int, tuple]]] | None = None
         if known is None:
             self.buckets = []
-            for here in self.slots:
+            self.by_label = {}
+            for v, here in enumerate(self.slots):
                 buckets: dict[Any, list[tuple[int, int]]] = {}
                 for e, far, label in here:
                     buckets.setdefault(label, []).append((e, far))
                 self.buckets.append(buckets)
+                self.by_label.setdefault(g.labels[v], []).append((v, here))
         self.bounds = [[1] * n for _ in range(depth + 1)]
         # caps[0] is never read: a depth-0 match follows no edges.
         self.caps: list = [None] + [[None] * n for _ in range(depth)]
@@ -271,10 +276,16 @@ class _Matcher:
     use, cannot be the strictly better one and is never tried.  The
     winner is still the first alternative to reach the best value, so its
     bindings and every score are those of the unpruned search.
+
+    _assign is the one search core.  vertex_matches and edge_matches read
+    each step's target data once, make a candidate's first bindings in
+    place and enter _assign directly, or score the candidate without a
+    search where none can add to it.  match_vertex and match_edge run one
+    search from nothing bound; the tests drive the matcher through them.
     """
 
     __slots__ = (
-        "labels1", "slots1", "bounds1", "caps1", "labels2", "slots2", "buckets2", "bounds2",
+        "labels1", "slots1", "bounds1", "caps1", "labels2", "buckets2", "by_label2", "bounds2",
         "vmap", "vinv", "emap", "einv", "journal",
     )
 
@@ -284,8 +295,8 @@ class _Matcher:
         self.bounds1 = side1.bounds
         self.caps1 = side1.caps
         self.labels2 = side2.graph.labels
-        self.slots2 = side2.slots
         self.buckets2 = side2.buckets
+        self.by_label2 = side2.by_label
         self.bounds2 = side2.bounds
         self.vmap = [-1] * side1.graph.vertex_count
         self.vinv = [-1] * side2.graph.vertex_count
@@ -294,11 +305,6 @@ class _Matcher:
         self.journal: list[tuple[int, int]] = []
 
     # binding journal ------------------------------------------------------
-
-    def bind_edge(self, e1: int, e2: int) -> None:
-        self.emap[e1] = e2
-        self.einv[e2] = e1
-        self.journal.append((~e1, e2))
 
     def rollback(self, mark: int) -> None:
         journal, vmap, vinv, emap, einv = self.journal, self.vmap, self.vinv, self.emap, self.einv
@@ -345,7 +351,9 @@ class _Matcher:
 
     def match_edge(self, e1: int, far1: int, e2: int, far2: int, depth: int) -> int:
         """Pair two unbound edges of the same label and match their far ends."""
-        self.bind_edge(e1, e2)
+        self.emap[e1] = e2
+        self.einv[e2] = e1
+        self.journal.append((~e1, e2))
         return 1 + self.match_vertex(far1, far2, depth - 1, e1)
 
     def _assign(self, v1: int, i: int, v2: int, depth: int, caps: list[int],
@@ -354,6 +362,8 @@ class _Matcher:
 
         Each known edge either pairs with an unused background edge of its
         label or is left out; pairing recurses through the far endpoints.
+        A slot that is bound, or whose label no edge at v2 carries, can
+        only be left out, so it is passed over without a frame of its own.
         A best of at least need is returned with the bindings of the first
         alternative to reach it applied.  A smaller best is of no use to
         the caller: some number below need comes back instead, with nothing
@@ -364,8 +374,11 @@ class _Matcher:
         """
         slots = self.slots1[v1]
         emap = self.emap
+        buckets = self.buckets2[v2]
         e1, far1, label1 = slots[i]
-        while emap[e1] >= 0:  # a bound edge pairs with nothing: leave it out
+        # A bound edge pairs with nothing, and an edge of a label v2 lacks
+        # pairs with nothing either: leave it out.
+        while emap[e1] >= 0 or label1 not in buckets:
             if e1 == back:
                 share = 0
             i += 1
@@ -373,72 +386,71 @@ class _Matcher:
                 return 0
             e1, far1, label1 = slots[i]
         # Slot i is unbound, so back, if share still counts, lies beyond it.
+        # rest is 0 when nothing but the way back follows slot i: every
+        # other slot adds at least 2 to the caps.
         cap = caps[i] - share
         rest = caps[i + 1] - share
-        last = i + 1 == len(slots)
         journal = self.journal
         mark = len(journal)
         best = need - 1
         live = False  # whether best's bindings are the ones applied
         segment: list = []
-        arrivals = self.buckets2[v2].get(label1, ())
-        if arrivals:
-            labels2, vmap, vinv, einv = self.labels2, self.vmap, self.vinv, self.einv
-            label_far1 = self.labels1[far1]
-            bounds2 = self.bounds2[depth - 1]
-            # Paired, far1 and its match each have their slot for the pair
-            # bound, the way back, so neither bound counts it.
-            if depth > 1:
-                back1 = 1 + self.bounds1[depth - 2][v1]
-                back2 = 1 + self.bounds2[depth - 2][v2]
-                reach1 = self.bounds1[depth - 1][far1] - back1
-                far_caps = self.caps1[depth - 1][far1]
-            for e2, far2 in arrivals:
-                if best >= cap:
-                    break  # nothing after this point can improve on best
-                if live:
-                    segment = journal[mark:]
-                    self.rollback(mark)
-                    live = False
-                if einv[e2] >= 0:
-                    continue
-                # A far end that cannot pair adds nothing beyond the edge.
-                dead = label_far1 != labels2[far2] or vmap[far1] >= 0 or vinv[far2] >= 0
-                if dead:
-                    reach = 0
-                elif depth > 1:
-                    reach = bounds2[far2] - back2
-                    if reach > reach1:
-                        reach = reach1
-                else:
-                    reach = 1
-                if best >= 1 + reach + rest:
-                    continue  # this pairing cannot improve on best
-                emap[e1] = e2
-                einv[e2] = e1
-                journal.append((~e1, e2))
-                total = 1
-                if not dead:
-                    vmap[far1] = far2
-                    vinv[far2] = far1
-                    journal.append((far1, far2))
-                    total = 2
-                    if reach > 1:
-                        total += self._assign(far1, 0, far2, depth - 1, far_caps, back1, e1,
-                                              best + 1 - total - rest)
-                        if total + rest <= best:  # the rest cannot make up the shortfall
-                            self.rollback(mark)
-                            continue
-                if not last:
-                    total += self._assign(v1, i + 1, v2, depth, caps, share, back, best + 1 - total)
-                if total > best:
-                    best = total
-                    live = True
-                else:
-                    self.rollback(mark)
-        if best < rest:  # leaving the slot out can still win; rest is 0 at the last slot
+        labels2, vmap, vinv, einv = self.labels2, self.vmap, self.vinv, self.einv
+        label_far1 = self.labels1[far1]
+        bounds2 = self.bounds2[depth - 1]
+        # Paired, far1 and its match each have their slot for the pair
+        # bound, the way back, so neither bound counts it.
+        if depth > 1:
+            back1 = 1 + self.bounds1[depth - 2][v1]
+            back2 = 1 + self.bounds2[depth - 2][v2]
+            reach1 = self.bounds1[depth - 1][far1] - back1
+            far_caps = self.caps1[depth - 1][far1]
+        for e2, far2 in buckets[label1]:
+            if best >= cap:
+                break  # nothing after this point can improve on best
+            if live:
+                segment = journal[mark:]
+                self.rollback(mark)
+                live = False
+            if einv[e2] >= 0:
+                continue
+            # A far end that cannot pair adds nothing beyond the edge.
+            dead = label_far1 != labels2[far2] or vmap[far1] >= 0 or vinv[far2] >= 0
+            if dead:
+                reach = 0
+            elif depth > 1:
+                reach = bounds2[far2] - back2
+                if reach > reach1:
+                    reach = reach1
+            else:
+                reach = 1
+            if best >= 1 + reach + rest:
+                continue  # this pairing cannot improve on best
+            emap[e1] = e2
+            einv[e2] = e1
+            journal.append((~e1, e2))
+            total = 1
+            if not dead:
+                vmap[far1] = far2
+                vinv[far2] = far1
+                journal.append((far1, far2))
+                total = 2
+                if reach > 1:
+                    total += self._assign(far1, 0, far2, depth - 1, far_caps, back1, e1,
+                                          best + 1 - total - rest)
+                    if total + rest <= best:  # the rest cannot make up the shortfall
+                        self.rollback(mark)
+                        continue
+            if rest:
+                total += self._assign(v1, i + 1, v2, depth, caps, share, back, best + 1 - total)
+            if total > best:
+                best = total
+                live = True
+            else:
+                self.rollback(mark)
+        if best < rest:  # leaving the slot out can still win
             if best < need:
-                return 0 if last else self._assign(v1, i + 1, v2, depth, caps, share, back, need)
+                return self._assign(v1, i + 1, v2, depth, caps, share, back, need) if rest else 0
             if live:
                 segment = journal[mark:]
                 self.rollback(mark)
@@ -516,17 +528,40 @@ def vertex_matches(
         return matches
     if _sides is None:
         depth, _sides = _sides_from_state(state, backgrounds, depth)
+    # Every matcher shares the target side, so its data is read once.  The
+    # arrival edge closed before this step, so it is a known slot of far1,
+    # the way back from every search rooted there.
     e1, far1, label1 = incoming.edge, incoming.head, incoming.label
+    root_label = _sides[0].labels1[far1]
+    if depth > 1:
+        caps = _sides[0].caps1[depth - 1][far1]
+        share = 1 + _sides[0].bounds1[depth - 2][incoming.tail]
     for bi, (bg, matcher) in enumerate(zip(backgrounds, _sides)):
+        labels2, vmap, vinv, emap, einv = (
+            matcher.labels2, matcher.vmap, matcher.vinv, matcher.emap, matcher.einv)
+        journal = matcher.journal
         for v2, buckets in enumerate(matcher.buckets2):
             arrivals = buckets.get(label1)
             if arrivals is None:
                 continue
             outcome = VertexOutcome(bg.labels[v2], bg.degree(v2))
             for e2, far2 in arrivals:
-                score = matcher.match_edge(e1, far1, e2, far2, depth)
+                # The edge scores 1 and a far end of far1's label 1 more;
+                # only below depth 2 does a search have nothing to add.
+                if labels2[far2] != root_label:
+                    score = 1
+                elif depth < 2:
+                    score = 2
+                else:
+                    emap[e1] = e2
+                    einv[e2] = e1
+                    vmap[far1] = far2
+                    vinv[far2] = far1
+                    journal.append((~e1, e2))
+                    journal.append((far1, far2))
+                    score = 2 + matcher._assign(far1, 0, far2, depth - 1, caps, share, e1, 0)
+                    matcher.rollback(0)
                 matches.append(ScoredMatch((bi, v2, e2), score, outcome))
-                matcher.rollback(0)
     return matches
 
 
@@ -554,21 +589,33 @@ def edge_matches(
     if _sides is None:
         depth, _sides = _sides_from_state(state, backgrounds, depth)
     label = state.graph.labels[source]
+    # The source's own pair scores 1; a search adds what its known edges
+    # match, and with none it binds no far end, so the step stays fresh.
+    search = depth >= 1 and bool(_sides[0].slots1[source])
+    if search:
+        caps = _sides[0].caps1[depth][source]
     matches: list[ScoredMatch] = []
-    for bi, (bg, matcher) in enumerate(zip(backgrounds, _sides)):
-        vinv = matcher.vinv
-        for v2, slots in enumerate(matcher.slots2):
-            if bg.labels[v2] != label:
-                continue
+    for bi, matcher in enumerate(_sides):
+        vmap, vinv, emap, einv = matcher.vmap, matcher.vinv, matcher.emap, matcher.einv
+        journal = matcher.journal
+        for v2, slots in matcher.by_label2.get(label, ()):
             for e2, far2, label2 in slots:
-                matcher.bind_edge(pending_edge, e2)
-                score = matcher.match_vertex(source, v2, depth)
-                w = vinv[far2]
+                if search:
+                    emap[pending_edge] = e2
+                    einv[e2] = pending_edge
+                    vmap[source] = v2
+                    vinv[v2] = source
+                    journal.append((~pending_edge, e2))
+                    journal.append((source, v2))
+                    score = 1 + matcher._assign(source, 0, v2, depth, caps, 0, -1, 0)
+                    w = vinv[far2]
+                    matcher.rollback(0)
+                else:
+                    score, w = 1, -1
                 if w < 0:
                     matches.append(ScoredMatch((bi, v2, e2), score, EdgeOutcome(label2, None)))
                 elif state.is_loop_candidate(source, w):
                     matches.append(ScoredMatch((bi, v2, e2), score, EdgeOutcome(label2, w)))
-                matcher.rollback(0)
     return matches
 
 

@@ -3,11 +3,12 @@
 The k33 fixture is small enough that everything here is hand-checkable:
 its traversal order, every match score, and several step costs were
 worked out by hand and are asserted exactly.  The optimized matcher is
-additionally compared against a shortcut-free reference implementation
-on random graphs, pair by pair and step by step through traversals, and
-the target data information_content keeps up to date against data
-rebuilt from the traversal state at every step.  Its one-division step
-prices are compared, bit for bit, with the full distributions that
+additionally compared against a shortcut-free reference implementation,
+pair by pair on random graphs and step by step through traversals of
+random graphs, lattices and molecules, and the target data
+information_content keeps up to date against data rebuilt from the
+traversal state at every step.  Its one-division step prices are
+compared, bit for bit, with the full distributions that
 scored_matches_to_model builds.
 """
 
@@ -349,6 +350,52 @@ class TestMatcherPruning:
         # Pruned by ball sizes alone, the search tried 968,828 pairings.
         assert 0 < tried[0] <= 968_828 // 2
 
+    @staticmethod
+    def count_assign_calls(monkeypatch):
+        calls = [0]
+        assign = graphmml.context._Matcher._assign
+
+        def counting_assign(self, *args):
+            calls[0] += 1
+            return assign(self, *args)
+
+        monkeypatch.setattr(graphmml.context._Matcher, "_assign", counting_assign)
+        return calls
+
+    def test_slots_of_labels_the_background_vertex_lacks_get_no_frame(self, monkeypatch):
+        calls = self.count_assign_calls(monkeypatch)
+        star = build_graph(False, ["a", "b", "b", "b"], [(0, 1, "y"), (0, 2, "y"), (0, 3, "x")])
+        stub = build_graph(False, ["a", "b"], [(0, 1, "x")])
+        # The two y slots are passed over in the one frame that pairs x.
+        assert match_vertex(star, 0, stub, 0, 1) == 3
+        assert calls[0] == 1
+
+    def test_step_loops_spend_at_most_one_frame_per_live_candidate(self, monkeypatch):
+        # A candidate whose far end cannot pair is scored without a search,
+        # and a slot that cannot pair gets no frame of its own.
+        calls = self.count_assign_calls(monkeypatch)
+        viagra, cialis = DRUGS[:2]
+        result = information_content(viagra, [cialis], tight_degrees([viagra, cialis]), 3)
+        # With a frame per slot and per candidate the search made 6,426 calls.
+        assert 0 < calls[0] <= 5_000
+        assert result.total == pytest.approx(152.31725663244262, abs=1e-9)
+
+
+class TestSideIndexes:
+    def test_background_lists_the_vertices_of_each_label_in_id_order(self):
+        for g in [*DRUGS, make_k33(), relabelled(grid(4, 4), 0.35, 11)]:
+            side = graphmml.context._Side(g, 3)
+            listed = [v for vertices in side.by_label.values() for v, _ in vertices]
+            assert sorted(listed) == list(range(g.vertex_count))
+            for label, vertices in side.by_label.items():
+                ids = [v for v, _ in vertices]
+                assert ids == [v for v in range(g.vertex_count) if g.labels[v] == label]
+                assert all(slots is side.slots[v] for v, slots in vertices)
+
+    def test_target_side_builds_no_label_lookups(self, k33):
+        side = graphmml.context._Side(k33, 3, ())
+        assert side.buckets is None and side.by_label is None
+
 
 class KnownPart:
     """The decoder's view of a traversal, shaped as PlainMatcher's first
@@ -398,12 +445,43 @@ def plain_edge_matches(state, backgrounds, source, pending, depth):
     return matches
 
 
+def molecule(smiles):
+    return read_molecule(smiles)[0]
+
+
+DRUGS = [molecule(smiles) for smiles in DRUG_SMILES.values()]
+CORONENE = "c1cc2ccc3ccc4ccc5ccc6ccc1c7c2c3c4c5c67"
+PYRENE = "c1cc2ccc3cccc4ccc(c1)c2c34"
+
+
+def assert_steps_match_plain(g, backgrounds, depth):
+    """Every step's matches equal the plain reference's, through g's traversal."""
+
+    def on_vertex(state, event):
+        got = vertex_matches(state, backgrounds, event.incoming, depth)
+        assert got == plain_vertex_matches(state, backgrounds, event.incoming, depth)
+
+    def on_edge(state, event):
+        got = edge_matches(state, backgrounds, event.source, event.edge, depth)
+        assert got == plain_edge_matches(state, backgrounds, event.source, event.edge, depth)
+
+    traverse(g, on_vertex, on_edge)
+
+
 SYMMETRIC_CASES = [
     (f"{name} | {given}", g, [background], depth)
     for name, g in (("4x4 grid", grid(4, 4)), ("6-rung ladder", grid(2, 6)),
                     ("2x3 hexagon sheet", hex_sheet(2, 3)))
     for given, background in (("itself", g), ("35% relabelled", relabelled(g, 0.35, 11)))
     for depth in (2, 3, 4)
+]
+
+
+MOLECULE_CASES = [
+    *[(f"{name} | {given}", DRUGS[i], [DRUGS[j]], depth)
+      for i, name in enumerate(DRUG_SMILES) for j, given in enumerate(DRUG_SMILES)
+      if i != j for depth in (1, 2, 3)],
+    ("coronene | pyrene", molecule(CORONENE), [molecule(PYRENE)], 3),
 ]
 
 
@@ -465,16 +543,16 @@ class TestStepMatchesAgainstPlainReference:
         # One-label lattices are full of tied alternatives, where the
         # matcher's bounds prune most.
         _, g, backgrounds, depth = case
+        assert_steps_match_plain(g, backgrounds, depth)
 
-        def on_vertex(state, event):
-            got = vertex_matches(state, backgrounds, event.incoming, depth)
-            assert got == plain_vertex_matches(state, backgrounds, event.incoming, depth)
-
-        def on_edge(state, event):
-            got = edge_matches(state, backgrounds, event.source, event.edge, depth)
-            assert got == plain_edge_matches(state, backgrounds, event.source, event.edge, depth)
-
-        traverse(g, on_vertex, on_edge)
+    @pytest.mark.parametrize("case", MOLECULE_CASES,
+                             ids=lambda case: f"{case[0]} depth {case[3]}")
+    def test_molecules(self, case):
+        # Heteroatoms give far ends that cannot pair, and Cl or =O slots
+        # whose label the background vertex lacks: the random graphs above
+        # rarely reach either.
+        _, g, backgrounds, depth = case
+        assert_steps_match_plain(g, backgrounds, depth)
 
     def test_huge_depth_from_the_state_is_capped_at_the_largest_component(self, monkeypatch):
         pairs = build_graph(False, ["a", "b"] * 500, [(2 * i, 2 * i + 1, "x") for i in range(500)])
@@ -523,15 +601,6 @@ def rebuilt_every_step(matches, depth, calls):
         return rebuilt
 
     return call
-
-
-def molecule(smiles):
-    return read_molecule(smiles)[0]
-
-
-DRUGS = [molecule(smiles) for smiles in DRUG_SMILES.values()]
-CORONENE = "c1cc2ccc3ccc4ccc5ccc6ccc1c7c2c3c4c5c67"
-PYRENE = "c1cc2ccc3cccc4ccc(c1)c2c34"
 
 
 def tight_degrees(graphs):
