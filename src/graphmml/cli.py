@@ -271,9 +271,7 @@ def cmd_info(args) -> int:
     targets, givens, degrees = _load_inputs(args)
     given_graphs = [g for _, g in givens]
     # One shared edge alphabet keeps rows comparable across targets.
-    alphabet = tuple(
-        sorted({e.label for _, g in targets + givens for e in g.edges}, key=label_text)
-    )
+    alphabet = frozenset(e.label for _, g in targets + givens for e in g.edges)
 
     rows = [["name", "bits", "vertices", "edges"]]
     step_blocks: list[tuple[str, tuple]] = []

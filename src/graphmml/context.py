@@ -277,10 +277,10 @@ class _Matcher:
     winner is still the first alternative to reach the best value, so its
     bindings and every score are those of the unpruned search.
 
-    _assign is the one search core.  vertex_matches and edge_matches read
-    each step's target data once, make a candidate's first bindings in
-    place and enter _assign directly, or score the candidate without a
-    search where none can add to it.  match_vertex and match_edge run one
+    _assign is the one search core.  _Pricer's step methods read each
+    step's target data once, make a candidate's first bindings in place
+    and enter _assign directly, or score the candidate without a search
+    where none can add to it.  match_vertex and match_edge run one
     search from nothing bound; the tests drive the matcher through them.
     """
 
@@ -466,37 +466,117 @@ class _Matcher:
         return best
 
 
+class _Pricer:
+    """The matcher state of one traversal of g, built once and kept current.
+
+    With backgrounds it holds the capped depth, one target side over g's
+    known edges and one matcher per background around it; close() makes
+    an edge known as the traversal closes it.  With no backgrounds it
+    builds nothing, and its step methods are never called.
+
+    The depth is capped at g's largest component's vertex count.  Each
+    level of a match's recursion binds a vertex of g that no outer level
+    has bound, and a vertex step never binds the vertex it reveals; a
+    match stays inside one component of g.  Capped there, the depth still
+    leaves every vertex a match binds at depth >= 1, where it looks at all
+    its edges: no score or binding changes, and the sides' per-depth
+    tables stay small.
+    """
+
+    __slots__ = ("backgrounds", "depth", "target", "matchers")
+
+    def __init__(self, g: Graph, backgrounds: Sequence[Graph], depth: int, known=()):
+        self.backgrounds = backgrounds
+        self.target: _Side | None = None
+        if backgrounds:
+            depth = min(depth, max((c.vertex_count for c in connected_components(g)), default=0))
+            self.target = _Side(g, depth, known)
+        self.matchers = [_Matcher(self.target, _Side(bg, depth)) for bg in backgrounds]
+        self.depth = depth
+
+    def close(self, edge: int) -> None:
+        if self.target is not None:
+            self.target.add(edge)
+
+    def vertex_step(self, incoming) -> list[ScoredMatch]:
+        """vertex_matches for an arrival edge, over the known edges."""
+        depth, target = self.depth, self.target
+        # Every matcher shares the target side, so its data is read once.  The
+        # arrival edge closed before this step, so it is a known slot of far1,
+        # the way back from every search rooted there.
+        e1, far1, label1 = incoming.edge, incoming.head, incoming.label
+        root_label = target.graph.labels[far1]
+        if depth > 1:
+            caps = target.caps[depth - 1][far1]
+            share = 1 + target.bounds[depth - 2][incoming.tail]
+        matches: list[ScoredMatch] = []
+        for bi, (bg, matcher) in enumerate(zip(self.backgrounds, self.matchers)):
+            labels2, vmap, vinv, emap, einv = (
+                matcher.labels2, matcher.vmap, matcher.vinv, matcher.emap, matcher.einv)
+            journal = matcher.journal
+            for v2, buckets in enumerate(matcher.buckets2):
+                arrivals = buckets.get(label1)
+                if arrivals is None:
+                    continue
+                outcome = VertexOutcome(bg.labels[v2], bg.degree(v2))
+                for e2, far2 in arrivals:
+                    # The edge scores 1 and a far end of far1's label 1 more;
+                    # only below depth 2 does a search have nothing to add.
+                    if labels2[far2] != root_label:
+                        score = 1
+                    elif depth < 2:
+                        score = 2
+                    else:
+                        emap[e1] = e2
+                        einv[e2] = e1
+                        vmap[far1] = far2
+                        vinv[far2] = far1
+                        journal.append((~e1, e2))
+                        journal.append((far1, far2))
+                        score = 2 + matcher._assign(far1, 0, far2, depth - 1, caps, share, e1, 0)
+                        matcher.rollback(0)
+                    matches.append(ScoredMatch((bi, v2, e2), score, outcome))
+        return matches
+
+    def edge_step(self, state: TraversalState, source: int, pending_edge: int) -> list[ScoredMatch]:
+        """edge_matches for the pending edge, over the known edges."""
+        depth, target = self.depth, self.target
+        label = target.graph.labels[source]
+        # The source's own pair scores 1; a search adds what its known edges
+        # match, and with none it binds no far end, so the step stays fresh.
+        search = depth >= 1 and bool(target.slots[source])
+        if search:
+            caps = target.caps[depth][source]
+        matches: list[ScoredMatch] = []
+        for bi, matcher in enumerate(self.matchers):
+            vmap, vinv, emap, einv = matcher.vmap, matcher.vinv, matcher.emap, matcher.einv
+            journal = matcher.journal
+            for v2, slots in matcher.by_label2.get(label, ()):
+                for e2, far2, label2 in slots:
+                    if search:
+                        emap[pending_edge] = e2
+                        einv[e2] = pending_edge
+                        vmap[source] = v2
+                        vinv[v2] = source
+                        journal.append((~pending_edge, e2))
+                        journal.append((source, v2))
+                        score = 1 + matcher._assign(source, 0, v2, depth, caps, 0, -1, 0)
+                        w = vinv[far2]
+                        matcher.rollback(0)
+                    else:
+                        score, w = 1, -1
+                    if w < 0:
+                        matches.append(ScoredMatch((bi, v2, e2), score, EdgeOutcome(label2, None)))
+                    elif state.is_loop_candidate(source, w):
+                        matches.append(ScoredMatch((bi, v2, e2), score, EdgeOutcome(label2, w)))
+        return matches
+
+
 # -- public matching entry points -------------------------------------------------
 
 
-# One matcher per background, each between the traversal's known part (one
-# side shared by all of them) and that background.
-_Sides = list[_Matcher]
-
-
-def _capped_depth(g: Graph, depth: int) -> int:
-    """depth, capped at g's largest component's vertex count.
-
-    Each level of a match's recursion binds a vertex of g that no outer
-    level has bound, and a vertex step never binds the vertex it reveals;
-    a match stays inside one component of g.  Capped there, the depth
-    still leaves every vertex a match binds at depth >= 1, where it looks
-    at all its edges: no score or binding changes, and the sides'
-    per-depth tables stay small.
-    """
-    return min(depth, max((c.vertex_count for c in connected_components(g)), default=0))
-
-
-def _sides_from_state(
-    state: TraversalState, backgrounds: Sequence[Graph], depth: int
-) -> tuple[int, _Sides]:
-    """The capped depth and the matchers information_content keeps across
-    steps, built for one call."""
-    g = state.graph
-    depth = _capped_depth(g, depth)
-    closed = {e for e in range(g.edge_count) if state.is_closed(e)}
-    target = _Side(g, depth, closed)
-    return depth, [_Matcher(target, _Side(bg, depth)) for bg in backgrounds]
+def _known_edges(state: TraversalState) -> set[int]:
+    return {e for e in range(state.graph.edge_count) if state.is_closed(e)}
 
 
 def vertex_matches(
@@ -505,7 +585,7 @@ def vertex_matches(
     incoming,
     depth: int,
     *,
-    _sides: _Sides | None = None,
+    _pricer: _Pricer | None = None,
 ) -> list[ScoredMatch]:
     """Scored predictions for the vertex about to be revealed.
 
@@ -526,43 +606,9 @@ def vertex_matches(
         return matches
     if not backgrounds:
         return matches
-    if _sides is None:
-        depth, _sides = _sides_from_state(state, backgrounds, depth)
-    # Every matcher shares the target side, so its data is read once.  The
-    # arrival edge closed before this step, so it is a known slot of far1,
-    # the way back from every search rooted there.
-    e1, far1, label1 = incoming.edge, incoming.head, incoming.label
-    root_label = _sides[0].labels1[far1]
-    if depth > 1:
-        caps = _sides[0].caps1[depth - 1][far1]
-        share = 1 + _sides[0].bounds1[depth - 2][incoming.tail]
-    for bi, (bg, matcher) in enumerate(zip(backgrounds, _sides)):
-        labels2, vmap, vinv, emap, einv = (
-            matcher.labels2, matcher.vmap, matcher.vinv, matcher.emap, matcher.einv)
-        journal = matcher.journal
-        for v2, buckets in enumerate(matcher.buckets2):
-            arrivals = buckets.get(label1)
-            if arrivals is None:
-                continue
-            outcome = VertexOutcome(bg.labels[v2], bg.degree(v2))
-            for e2, far2 in arrivals:
-                # The edge scores 1 and a far end of far1's label 1 more;
-                # only below depth 2 does a search have nothing to add.
-                if labels2[far2] != root_label:
-                    score = 1
-                elif depth < 2:
-                    score = 2
-                else:
-                    emap[e1] = e2
-                    einv[e2] = e1
-                    vmap[far1] = far2
-                    vinv[far2] = far1
-                    journal.append((~e1, e2))
-                    journal.append((far1, far2))
-                    score = 2 + matcher._assign(far1, 0, far2, depth - 1, caps, share, e1, 0)
-                    matcher.rollback(0)
-                matches.append(ScoredMatch((bi, v2, e2), score, outcome))
-    return matches
+    if _pricer is None:
+        _pricer = _Pricer(state.graph, backgrounds, depth, _known_edges(state))
+    return _pricer.vertex_step(incoming)
 
 
 def edge_matches(
@@ -572,7 +618,7 @@ def edge_matches(
     pending_edge: int,
     depth: int,
     *,
-    _sides: _Sides | None = None,
+    _pricer: _Pricer | None = None,
 ) -> list[ScoredMatch]:
     """Scored predictions for the edge about to be revealed from source.
 
@@ -586,37 +632,9 @@ def edge_matches(
     """
     if not backgrounds:
         return []
-    if _sides is None:
-        depth, _sides = _sides_from_state(state, backgrounds, depth)
-    label = state.graph.labels[source]
-    # The source's own pair scores 1; a search adds what its known edges
-    # match, and with none it binds no far end, so the step stays fresh.
-    search = depth >= 1 and bool(_sides[0].slots1[source])
-    if search:
-        caps = _sides[0].caps1[depth][source]
-    matches: list[ScoredMatch] = []
-    for bi, matcher in enumerate(_sides):
-        vmap, vinv, emap, einv = matcher.vmap, matcher.vinv, matcher.emap, matcher.einv
-        journal = matcher.journal
-        for v2, slots in matcher.by_label2.get(label, ()):
-            for e2, far2, label2 in slots:
-                if search:
-                    emap[pending_edge] = e2
-                    einv[e2] = pending_edge
-                    vmap[source] = v2
-                    vinv[v2] = source
-                    journal.append((~pending_edge, e2))
-                    journal.append((source, v2))
-                    score = 1 + matcher._assign(source, 0, v2, depth, caps, 0, -1, 0)
-                    w = vinv[far2]
-                    matcher.rollback(0)
-                else:
-                    score, w = 1, -1
-                if w < 0:
-                    matches.append(ScoredMatch((bi, v2, e2), score, EdgeOutcome(label2, None)))
-                elif state.is_loop_candidate(source, w):
-                    matches.append(ScoredMatch((bi, v2, e2), score, EdgeOutcome(label2, w)))
-    return matches
+    if _pricer is None:
+        _pricer = _Pricer(state.graph, backgrounds, depth, _known_edges(state))
+    return _pricer.edge_step(state, source, pending_edge)
 
 
 # -- whole-graph information content ----------------------------------------------
@@ -666,9 +684,8 @@ def _check_degrees(g: Graph, degrees: Mapping[Any, int], what: str) -> None:
             )
 
 
-def _shared_edge_alphabet(graphs: Iterable[Graph]) -> tuple:
-    labels = {e.label for g in graphs for e in g.edges}
-    return tuple(sorted(labels, key=label_text))
+def _shared_edge_alphabet(graphs: Iterable[Graph]) -> frozenset:
+    return frozenset(e.label for g in graphs for e in g.edges)
 
 
 def information_content(
@@ -677,7 +694,7 @@ def information_content(
     degrees: Mapping[Any, int],
     depth: int = 3,
     *,
-    edge_alphabet: Sequence | None = None,
+    edge_alphabet: Iterable | None = None,
 ) -> InfoResult:
     """Bits to transmit g to a receiver who already knows the backgrounds.
 
@@ -702,45 +719,41 @@ def information_content(
     for bi, bg in enumerate(backgrounds):
         _check_degrees(bg, degrees, f"background {bi}")
 
-    if edge_alphabet is None:
-        alphabet = _shared_edge_alphabet([g] + backgrounds)
-    else:
-        alphabet = tuple(edge_alphabet)
-        present = {e.label for bg in [g] + backgrounds for e in bg.edges}
-        missing = present - set(alphabet)
-        if missing:
-            raise ContextError(
-                f"edge label {label_text(sorted(missing, key=label_text)[0])} "
-                "is not in the edge alphabet"
-            )
+    present = _shared_edge_alphabet([g] + backgrounds)
+    alphabet = present if edge_alphabet is None else frozenset(edge_alphabet)
+    missing = present - alphabet
+    if missing:
+        raise ContextError(
+            f"edge label {label_text(sorted(missing, key=label_text)[0])} "
+            "is not in the edge alphabet"
+        )
 
     # Outcome counts: a later vertex has degree 1..limit, a root 0..limit.
     size_later = sum(degrees.values())
     size_initial = size_later + len(degrees)
-    edge_labels = len(set(alphabet))
+    edge_labels = len(alphabet)
     # Each background is indexed once and gets one matcher for the call; the
     # target side they share starts with no edge known and learns each edge
     # as the traversal closes it.
-    target = sides = None
-    if backgrounds:
-        depth = _capped_depth(g, depth)
-        target = _Side(g, depth, ())
-        sides = [_Matcher(target, _Side(bg, depth)) for bg in backgrounds]
+    pricer = _Pricer(g, backgrounds, depth)
     steps: list[StepRecord] = []
 
+    # Each step passes the pricer to the module's vertex_matches or
+    # edge_matches instead of calling its methods, with backgrounds (and a
+    # vertex step's incoming) positional: perfbench/run.py wraps those two
+    # names and reads those arguments.
     def on_vertex(state: TraversalState, event) -> None:
-        matches = vertex_matches(state, backgrounds, event.incoming, depth, _sides=sides)
+        matches = vertex_matches(state, backgrounds, event.incoming, depth, _pricer=pricer)
         size = size_initial if event.incoming is None else size_later
         outcome = VertexOutcome(event.label, event.degree)
         steps.append(StepRecord(len(steps), "V", outcome, _step_bits(matches, outcome, size)))
 
     def on_edge(state: TraversalState, event) -> None:
-        matches = edge_matches(state, backgrounds, event.source, event.edge, depth, _sides=sides)
+        matches = edge_matches(state, backgrounds, event.source, event.edge, depth, _pricer=pricer)
         outcome = EdgeOutcome(event.label, event.target)
         size = edge_labels * (1 + state.loop_candidate_count(event.source))
         steps.append(StepRecord(len(steps), "E", outcome, _step_bits(matches, outcome, size)))
-        if target is not None:
-            target.add(event.edge)  # traverse closes the edge as this returns
+        pricer.close(event.edge)  # traverse closes the edge as this returns
 
     traverse(g, on_vertex, on_edge)
     return InfoResult(total=sum((step.bits for step in steps), 0.0), steps=tuple(steps))

@@ -235,11 +235,14 @@ class TestTableAndChainCommands:
         assert out.splitlines()[2].startswith("two\t")
 
     @pytest.mark.parametrize("command", ["table", "chain"])
-    def test_readme_quick_start(self, files, command, capsys):
-        # The README's quick-start outputs for the four drugs, human format.
+    def test_readme_quick_start(self, command, capsys, tmp_path):
+        # The README's quick-start outputs, human format, for its own
+        # drugs.txt: the first block under "Quick start".
         readme = (Path(__file__).resolve().parent.parent / "README.md").read_text()
+        drugs = tmp_path / "drugs.txt"
+        drugs.write_text(readme.split("## Quick start\n", 1)[1].split("```\n", 2)[1])
         block = readme.split(f"$ graphmml {command} drugs.txt\n", 1)[1].split("```", 1)[0]
-        code, out, _ = run([command, files.drugs], capsys)
+        code, out, _ = run([command, drugs], capsys)
         assert code == 0
         assert out == block
 

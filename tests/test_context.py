@@ -585,18 +585,20 @@ class TestStepMatchesAgainstPlainReference:
 
 def rebuilt_every_step(matches, depth, calls):
     """A vertex_matches or edge_matches that prices from the state alone,
-    after checking that information_content's kept matchers agree with it
-    and that each reads target data as current as rebuilt data."""
+    after checking that information_content's pricer agrees with it, that
+    its target side is as current as rebuilt data and that every matcher
+    reads that side."""
 
-    def call(state, *args, _sides, **kwargs):
+    def call(state, *args, _pricer, **kwargs):
         rebuilt = matches(state, *args, **kwargs)
-        assert matches(state, *args, _sides=_sides, **kwargs) == rebuilt
+        assert matches(state, *args, _pricer=_pricer, **kwargs) == rebuilt
         g = state.graph
         closed = {e for e in range(g.edge_count) if state.is_closed(e)}
         fresh = graphmml.context._Side(g, depth, closed)
-        for kept in _sides:
-            assert (kept.slots1, kept.bounds1, kept.caps1) == (
-                fresh.slots, fresh.bounds, fresh.caps)
+        kept = _pricer.target
+        assert (kept.slots, kept.bounds, kept.caps) == (fresh.slots, fresh.bounds, fresh.caps)
+        assert all(m.slots1 is kept.slots and m.bounds1 is kept.bounds and m.caps1 is kept.caps
+                   for m in _pricer.matchers)
         calls.append(1)
         return rebuilt
 
@@ -651,6 +653,26 @@ class TestIncrementalTargetSide:
         from_state = information_content(g, backgrounds, degrees, depth)
         assert len(calls) == len(kept.steps)
         assert [s.bits for s in kept.steps] == [s.bits for s in from_state.steps]
+
+    @pytest.mark.parametrize("k", range(4))
+    def test_matcher_state_is_built_once_per_call_and_never_cold(self, monkeypatch, k):
+        # viagra given the first k other drugs: k + 1 sides and one split
+        # into components, or nothing at all when there is no background.
+        built = Counter()
+        side, components = graphmml.context._Side, graphmml.context.connected_components
+
+        def counting_side(*args):
+            built["sides"] += 1
+            return side(*args)
+
+        def counting_components(g):
+            built["components"] += 1
+            return components(g)
+
+        monkeypatch.setattr(graphmml.context, "_Side", counting_side)
+        monkeypatch.setattr(graphmml.context, "connected_components", counting_components)
+        information_content(DRUGS[0], DRUGS[1:1 + k], tight_degrees(DRUGS), 3)
+        assert built == ({"sides": k + 1, "components": 1} if k else {})
 
 
 def distribution_bits(g, backgrounds, degrees, depth, edge_alphabet):
