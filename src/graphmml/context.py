@@ -186,12 +186,18 @@ class _Side:
     to it.  add() keeps all three current as edges become known.  A side
     over all its edges is a background, which the matcher also looks up
     by label: buckets[v] groups slots[v] by label as (edge, far end)
-    pairs in the same order, and by_label[label] lists the vertices of
-    that label as (v, slots[v]) pairs in id order.  A side over known
-    edges has neither.
+    pairs in the same order.  The step loops list their candidates from
+    two more lookups, each in vertex id order and then slot order, that
+    share one (v, edge, far end, v's VertexOutcome, the edge's fresh
+    EdgeOutcome) tuple per slot: arrivals[label] lists the slots of that
+    edge label, and leaving[label] the slots of the vertices of that
+    label.  vertex_memo and edge_memo map a step's context key to the
+    results of its candidates here (see _Pricer).  A side over known
+    edges has none of these.
     """
 
-    __slots__ = ("graph", "depth", "known", "slots", "buckets", "by_label", "bounds", "caps")
+    __slots__ = ("graph", "depth", "known", "slots", "buckets", "arrivals", "leaving",
+                 "vertex_memo", "edge_memo", "bounds", "caps")
 
     def __init__(self, g: Graph, depth: int, known: Container[int] | None = None):
         n = g.vertex_count
@@ -202,16 +208,27 @@ class _Side:
         for v in range(n):
             self._reslot(v)
         self.buckets: list[dict[Any, list[tuple[int, int]]]] | None = None
-        self.by_label: dict[Any, list[tuple[int, tuple]]] | None = None
+        self.arrivals: dict[Any, list[tuple]] | None = None
+        self.leaving: dict[Any, list[tuple]] | None = None
+        self.vertex_memo: dict[tuple, bytes | tuple[int, ...]] | None = None
+        self.edge_memo: dict[tuple, bytes | tuple[int, ...]] | None = None
         if known is None:
             self.buckets = []
-            self.by_label = {}
+            self.arrivals = {}
+            self.leaving = {}
+            fresh = {label: EdgeOutcome(label, None) for _, _, label in g.edges}
             for v, here in enumerate(self.slots):
                 buckets: dict[Any, list[tuple[int, int]]] = {}
+                outcome = VertexOutcome(g.labels[v], len(here))
+                leaving = self.leaving.setdefault(g.labels[v], [])
                 for e, far, label in here:
                     buckets.setdefault(label, []).append((e, far))
+                    slot = (v, e, far, outcome, fresh[label])
+                    self.arrivals.setdefault(label, []).append(slot)
+                    leaving.append(slot)
                 self.buckets.append(buckets)
-                self.by_label.setdefault(g.labels[v], []).append((v, here))
+            self.vertex_memo = {}
+            self.edge_memo = {}
         self.bounds = [[1] * n for _ in range(depth + 1)]
         # caps[0] is never read: a depth-0 match follows no edges.
         self.caps: list = [None] + [[None] * n for _ in range(depth)]
@@ -285,7 +302,7 @@ class _Matcher:
     """
 
     __slots__ = (
-        "labels1", "slots1", "bounds1", "caps1", "labels2", "buckets2", "by_label2", "bounds2",
+        "labels1", "slots1", "bounds1", "caps1", "labels2", "buckets2", "bounds2",
         "vmap", "vinv", "emap", "einv", "journal",
     )
 
@@ -296,7 +313,6 @@ class _Matcher:
         self.caps1 = side1.caps
         self.labels2 = side2.graph.labels
         self.buckets2 = side2.buckets
-        self.by_label2 = side2.by_label
         self.bounds2 = side2.bounds
         self.vmap = [-1] * side1.graph.vertex_count
         self.vinv = [-1] * side2.graph.vertex_count
@@ -466,13 +482,59 @@ class _Matcher:
         return best
 
 
+def _largest_component(g: Graph) -> int:
+    return max((c.vertex_count for c in connected_components(g)), default=0)
+
+
+def _compact(values: list[int]) -> bytes | tuple[int, ...]:
+    """A memo entry: bytes when every value fits in one, else a tuple."""
+    try:
+        return bytes(values)
+    except ValueError:
+        return tuple(values)
+
+
+# Stands in a vertex step's key for the arriving vertex's label, which no
+# search reads: its one known edge is the arrival edge, and that is bound.
+_HIDDEN = object()
+
+
+class _Library:
+    """Background sides shared by the pricers of one batch call.
+
+    graphs are every graph the call prices or conditions on.  side(bg)
+    builds bg's side the first time a pricer asks for it, at the call's
+    depth capped at the largest component of any of the graphs: no
+    pricer's capped depth is deeper, and a matcher never reads the levels
+    past its own.  Each side's memos therefore serve every cell of the
+    call.  keys interns the context keys, so a key that several sides'
+    memos hold is stored once.
+    """
+
+    __slots__ = ("depth", "sides", "keys")
+
+    def __init__(self, graphs: Sequence[Graph], depth: int):
+        self.depth = min(depth, max(map(_largest_component, graphs), default=0))
+        self.sides: dict[int, _Side] = {}
+        self.keys: dict[tuple, tuple] = {}
+
+    def side(self, bg: Graph) -> _Side:
+        side = self.sides.get(id(bg))
+        if side is None:
+            side = self.sides[id(bg)] = _Side(bg, self.depth)
+        return side
+
+
 class _Pricer:
     """The matcher state of one traversal of g, built once and kept current.
 
     With backgrounds it holds the capped depth, one target side over g's
-    known edges and one matcher per background around it; close() makes
-    an edge known as the traversal closes it.  With no backgrounds it
-    builds nothing, and its step methods are never called.
+    known edges, a side and a matcher per background around it, and the
+    table that interns context keys; close() makes an edge known as the
+    traversal closes it.  The background sides and the key table come
+    from library when one is given, and are the pricer's own otherwise.
+    With no backgrounds it builds nothing, and its step methods are never
+    called.
 
     The depth is capped at g's largest component's vertex count.  Each
     level of a match's recursion binds a vertex of g that no outer level
@@ -481,22 +543,73 @@ class _Pricer:
     leaves every vertex a match binds at depth >= 1, where it looks at all
     its edges: no score or binding changes, and the sides' per-depth
     tables stay small.
+
+    A step's searches read only the target's known ball of radius r
+    around the root: depth from the source for an edge step, depth - 1
+    from the vertex the arrival edge leads back to for a vertex step.
+    The step codes that ball as its context key (see _context), and each
+    background side memoises its candidates' results by key, so a step
+    whose context some earlier step of the call had runs no search on
+    that background.  The memoised results are a vertex step's scores,
+    and an edge step's scores with each bound far end's number in the
+    ball; the matches are rebuilt from them in candidate order.
     """
 
-    __slots__ = ("backgrounds", "depth", "target", "matchers")
+    __slots__ = ("depth", "target", "sides", "matchers", "keys")
 
-    def __init__(self, g: Graph, backgrounds: Sequence[Graph], depth: int, known=()):
-        self.backgrounds = backgrounds
+    def __init__(self, g: Graph, backgrounds: Sequence[Graph], depth: int, known=(),
+                 library: _Library | None = None):
         self.target: _Side | None = None
+        self.sides: list[_Side] = []
+        self.keys: dict[tuple, tuple] = {} if library is None else library.keys
         if backgrounds:
-            depth = min(depth, max((c.vertex_count for c in connected_components(g)), default=0))
+            depth = min(depth, _largest_component(g))
             self.target = _Side(g, depth, known)
-        self.matchers = [_Matcher(self.target, _Side(bg, depth)) for bg in backgrounds]
+            self.sides = [_Side(bg, depth) if library is None else library.side(bg)
+                          for bg in backgrounds]
+        self.matchers = [_Matcher(self.target, side) for side in self.sides]
         self.depth = depth
 
     def close(self, edge: int) -> None:
         if self.target is not None:
             self.target.add(edge)
+
+    def _context(self, key: list, root: int, radius: int,
+                 hidden: int = -1) -> tuple[tuple, dict[int, int]]:
+        """The context key: key followed by the code of the target's known
+        ball around root, interned.
+
+        The vertices are numbered in breadth-first order from root over
+        the known slots, out to radius.  A vertex inside the radius adds
+        its label, its slot count and each slot as (edge label, far end's
+        number), in slot order; a vertex on the radius adds its label
+        alone.  That is all a search rooted there reads, and the code
+        rebuilds the ball up to the numbering: two steps with one key see
+        the same candidates, search them the same way and bind the same
+        numbered vertices.  hidden's label is coded as _HIDDEN.  Also
+        returns the map from each ball vertex to its number, which lists
+        the vertices in number order.
+        """
+        labels, slots = self.target.graph.labels, self.target.slots
+        number = {root: 0}
+        order = [root]
+        start = 0
+        for _ in range(radius):
+            end = len(order)
+            for v in order[start:end]:
+                here = slots[v]
+                key += (_HIDDEN if v == hidden else labels[v], len(here))
+                for _, far, label in here:
+                    n = number.get(far)
+                    if n is None:
+                        n = number[far] = len(order)
+                        order.append(far)
+                    key += (label, n)
+            start = end
+        for v in order[start:]:
+            key.append(_HIDDEN if v == hidden else labels[v])
+        key = tuple(key)
+        return self.keys.setdefault(key, key), number
 
     def vertex_step(self, incoming) -> list[ScoredMatch]:
         """vertex_matches for an arrival edge, over the known edges."""
@@ -505,21 +618,23 @@ class _Pricer:
         # arrival edge closed before this step, so it is a known slot of far1,
         # the way back from every search rooted there.
         e1, far1, label1 = incoming.edge, incoming.head, incoming.label
+        key, _ = self._context([depth, label1], far1, depth - 1, incoming.tail)
         root_label = target.graph.labels[far1]
         if depth > 1:
             caps = target.caps[depth - 1][far1]
             share = 1 + target.bounds[depth - 2][incoming.tail]
         matches: list[ScoredMatch] = []
-        for bi, (bg, matcher) in enumerate(zip(self.backgrounds, self.matchers)):
-            labels2, vmap, vinv, emap, einv = (
-                matcher.labels2, matcher.vmap, matcher.vinv, matcher.emap, matcher.einv)
-            journal = matcher.journal
-            for v2, buckets in enumerate(matcher.buckets2):
-                arrivals = buckets.get(label1)
-                if arrivals is None:
-                    continue
-                outcome = VertexOutcome(bg.labels[v2], bg.degree(v2))
-                for e2, far2 in arrivals:
+        for bi, (side, matcher) in enumerate(zip(self.sides, self.matchers)):
+            arrivals = side.arrivals.get(label1)
+            if arrivals is None:
+                continue
+            scores = side.vertex_memo.get(key)
+            if scores is None:
+                labels2, vmap, vinv, emap, einv = (
+                    matcher.labels2, matcher.vmap, matcher.vinv, matcher.emap, matcher.einv)
+                journal = matcher.journal
+                scores = []
+                for _, e2, far2, _, _ in arrivals:
                     # The edge scores 1 and a far end of far1's label 1 more;
                     # only below depth 2 does a search have nothing to add.
                     if labels2[far2] != root_label:
@@ -535,24 +650,36 @@ class _Pricer:
                         journal.append((far1, far2))
                         score = 2 + matcher._assign(far1, 0, far2, depth - 1, caps, share, e1, 0)
                         matcher.rollback(0)
-                    matches.append(ScoredMatch((bi, v2, e2), score, outcome))
+                    scores.append(score)
+                scores = side.vertex_memo[key] = _compact(scores)
+            matches += [ScoredMatch((bi, v2, e2), score, outcome)
+                        for (v2, e2, _, outcome, _), score in zip(arrivals, scores)]
         return matches
 
     def edge_step(self, state: TraversalState, source: int, pending_edge: int) -> list[ScoredMatch]:
         """edge_matches for the pending edge, over the known edges."""
         depth, target = self.depth, self.target
         label = target.graph.labels[source]
+        key, number = self._context([depth], source, depth)
+        ball = list(number)
         # The source's own pair scores 1; a search adds what its known edges
         # match, and with none it binds no far end, so the step stays fresh.
         search = depth >= 1 and bool(target.slots[source])
         if search:
             caps = target.caps[depth][source]
         matches: list[ScoredMatch] = []
-        for bi, matcher in enumerate(self.matchers):
-            vmap, vinv, emap, einv = matcher.vmap, matcher.vinv, matcher.emap, matcher.einv
-            journal = matcher.journal
-            for v2, slots in matcher.by_label2.get(label, ()):
-                for e2, far2, label2 in slots:
+        for bi, (side, matcher) in enumerate(zip(self.sides, self.matchers)):
+            leaving = side.leaving.get(label)
+            if leaving is None:
+                continue
+            # Per candidate: its score, then 0 for a fresh outcome or 1 plus
+            # the number of the ball vertex its far end is bound to.
+            results = side.edge_memo.get(key)
+            if results is None:
+                vmap, vinv, emap, einv = matcher.vmap, matcher.vinv, matcher.emap, matcher.einv
+                journal = matcher.journal
+                results = []
+                for v2, e2, far2, _, _ in leaving:
                     if search:
                         emap[pending_edge] = e2
                         einv[e2] = pending_edge
@@ -565,10 +692,14 @@ class _Pricer:
                         matcher.rollback(0)
                     else:
                         score, w = 1, -1
-                    if w < 0:
-                        matches.append(ScoredMatch((bi, v2, e2), score, EdgeOutcome(label2, None)))
-                    elif state.is_loop_candidate(source, w):
-                        matches.append(ScoredMatch((bi, v2, e2), score, EdgeOutcome(label2, w)))
+                    results += (score, 0 if w < 0 else 1 + number[w])
+                results = side.edge_memo[key] = _compact(results)
+            for (v2, e2, _, _, fresh), score, n in zip(leaving, results[::2], results[1::2]):
+                if n == 0:
+                    matches.append(ScoredMatch((bi, v2, e2), score, fresh))
+                elif state.is_loop_candidate(source, ball[n - 1]):
+                    matches.append(
+                        ScoredMatch((bi, v2, e2), score, EdgeOutcome(fresh.label, ball[n - 1])))
         return matches
 
 
@@ -695,6 +826,7 @@ def information_content(
     depth: int = 3,
     *,
     edge_alphabet: Iterable | None = None,
+    _library: _Library | None = None,
 ) -> InfoResult:
     """Bits to transmit g to a receiver who already knows the backgrounds.
 
@@ -702,7 +834,9 @@ def information_content(
     component, and sums the negative log probability of every step's
     actual outcome under models built from the backgrounds.  An empty
     background list gives the unconditional estimate, and an empty g costs
-    0 bits.  The step log accounts for the total exactly.
+    0 bits.  The step log accounts for the total exactly.  A batch call
+    passes _library, built over g and the backgrounds among others, to
+    share background sides and their memos with its other cells.
     """
     backgrounds = list(backgrounds)
     _require_model_graph(g, "the graph")
@@ -732,10 +866,10 @@ def information_content(
     size_later = sum(degrees.values())
     size_initial = size_later + len(degrees)
     edge_labels = len(alphabet)
-    # Each background is indexed once and gets one matcher for the call; the
-    # target side they share starts with no edge known and learns each edge
-    # as the traversal closes it.
-    pricer = _Pricer(g, backgrounds, depth)
+    # Each background's index, built here or taken from _library, gets one
+    # matcher for the call; the target side they share starts with no edge
+    # known and learns each edge as the traversal closes it.
+    pricer = _Pricer(g, backgrounds, depth, library=_library)
     steps: list[StepRecord] = []
 
     # Each step passes the pricer to the module's vertex_matches or
@@ -778,15 +912,22 @@ class ChainResult:
     total: float
 
 
-def _info_task(args) -> float:
+def _info_task(args, library: _Library | None = None) -> float:
     target, bgs, degrees, depth, alphabet = args
-    return information_content(target, bgs, degrees, depth, edge_alphabet=alphabet).total
+    return information_content(
+        target, bgs, degrees, depth, edge_alphabet=alphabet, _library=library).total
 
 
-def _run_tasks(tasks: list, jobs: int) -> list[float]:
-    """Each task's total, in task order."""
+def _run_tasks(tasks: list, jobs: int, graphs: list[Graph], depth: int) -> list[float]:
+    """Each task's total, in task order.
+
+    Run in this process, the tasks share one library over the graphs, so
+    each background is indexed once and its memos serve every task.
+    Worker processes price their tasks on their own.
+    """
     if jobs <= 1 or len(tasks) <= 1:
-        return [_info_task(t) for t in tasks]
+        library = _Library(graphs, depth)
+        return [_info_task(t, library) for t in tasks]
     # Imported here, so a process that never runs a pool never loads one.
     from concurrent.futures import ProcessPoolExecutor
 
@@ -805,7 +946,8 @@ def conditional_table(
 
     One edge-label alphabet, the union over all the graphs, is shared by
     every cell so the numbers are comparable.  Cells are independent and
-    may be computed by up to `jobs` worker processes.
+    may be computed by up to `jobs` worker processes; in one process they
+    share one index of each graph as a background.
     """
     named = list(named_graphs)
     if not named:
@@ -817,7 +959,7 @@ def conditional_table(
     n = len(graphs)
     tasks = [(graphs[i], [graphs[j]], degrees, depth, alphabet)
              for i in range(n) for j in range(n)]
-    totals = _run_tasks(tasks, jobs)
+    totals = _run_tasks(tasks, jobs, graphs, depth)
     bits = tuple(tuple(totals[i * n:(i + 1) * n]) for i in range(n))
     return TableResult(names=names, bits=bits)
 
@@ -833,7 +975,8 @@ def chain_information(
 
     The total is the cost of the whole sequence when transmitter and
     receiver accumulate each graph into their shared knowledge before the
-    next one is sent.
+    next one is sent.  In one process every graph but the last is indexed
+    once as a background, for all the later ones.
     """
     named = list(named_graphs)
     if not named:
@@ -843,5 +986,5 @@ def chain_information(
     alphabet = _shared_edge_alphabet(graphs)
     degrees = dict(degrees)
     tasks = [(graphs[i], graphs[:i], degrees, depth, alphabet) for i in range(len(graphs))]
-    totals = _run_tasks(tasks, jobs)
+    totals = _run_tasks(tasks, jobs, graphs, depth)
     return ChainResult(items=tuple(zip(names, totals)), total=sum(totals))

@@ -7,9 +7,10 @@ additionally compared against a shortcut-free reference implementation,
 pair by pair on random graphs and step by step through traversals of
 random graphs, lattices and molecules, and the target data
 information_content keeps up to date against data rebuilt from the
-traversal state at every step.  Its one-division step prices are
-compared, bit for bit, with the full distributions that
-scored_matches_to_model builds.
+traversal state at every step.  Steps answered from a background's
+memo of earlier contexts are checked against memo-less pricing and the
+plain reference.  Its one-division step prices are compared, bit for
+bit, with the full distributions that scored_matches_to_model builds.
 """
 
 import math
@@ -382,19 +383,31 @@ class TestMatcherPruning:
 
 
 class TestSideIndexes:
-    def test_background_lists_the_vertices_of_each_label_in_id_order(self):
+    def test_background_lists_the_candidates_of_each_label_in_id_and_slot_order(self):
         for g in [*DRUGS, make_k33(), relabelled(grid(4, 4), 0.35, 11)]:
             side = graphmml.context._Side(g, 3)
-            listed = [v for vertices in side.by_label.values() for v, _ in vertices]
-            assert sorted(listed) == list(range(g.vertex_count))
-            for label, vertices in side.by_label.items():
-                ids = [v for v, _ in vertices]
-                assert ids == [v for v in range(g.vertex_count) if g.labels[v] == label]
-                assert all(slots is side.slots[v] for v, slots in vertices)
+            slots = [(v, s.edge, s.head, s.label) for v in range(g.vertex_count)
+                     for s in g.adjacency[v]]
+            entries = [(v, e, far, VertexOutcome(g.labels[v], g.degree(v)),
+                        EdgeOutcome(edge_label, None)) for v, e, far, edge_label in slots]
+            assert sorted(side.arrivals) == sorted({label for *_, label in slots})
+            for label, listed in side.arrivals.items():
+                assert listed == [entry for entry in entries if entry[4].label == label]
+            assert sorted(side.leaving) == sorted(set(g.labels))
+            for label, listed in side.leaving.items():
+                assert listed == [entry for entry in entries if g.labels[entry[0]] == label]
+            # One tuple per slot, and each vertex's outcome built once.
+            shared = {entry[:2]: entry for listed in side.arrivals.values() for entry in listed}
+            assert all(shared[entry[:2]] is entry
+                       for listed in side.leaving.values() for entry in listed)
+            outcomes = {}
+            for v, _, _, outcome, _ in shared.values():
+                assert outcomes.setdefault(v, outcome) is outcome
 
     def test_target_side_builds_no_label_lookups(self, k33):
         side = graphmml.context._Side(k33, 3, ())
-        assert side.buckets is None and side.by_label is None
+        assert side.buckets is None and side.arrivals is None and side.leaving is None
+        assert side.vertex_memo is None and side.edge_memo is None
 
 
 class KnownPart:
@@ -673,6 +686,106 @@ class TestIncrementalTargetSide:
         monkeypatch.setattr(graphmml.context, "connected_components", counting_components)
         information_content(DRUGS[0], DRUGS[1:1 + k], tight_degrees(DRUGS), 3)
         assert built == ({"sides": k + 1, "components": 1} if k else {})
+
+
+def memo_checked(kind, matches, plain, tally):
+    """matches, vertex_matches (kind "V") or edge_matches (kind "E"),
+    checking the memoising pricer information_content passes it, step by
+    step, against a memo-less pricer and the plain reference.  tally
+    counts, per background with candidates, whether its memo answered the
+    step (True) or the step searched and stored its results (False), and
+    the edge-step hits that predict a loop closure."""
+
+    def call(state, backgrounds, *args, _pricer):
+        if kind == "V" and args[0] is None:  # a root step has no context
+            return matches(state, backgrounds, *args, _pricer=_pricer)
+        if kind == "V":
+            label = args[0].label
+            asked = [(s.vertex_memo, label in s.arrivals) for s in _pricer.sides]
+        else:
+            label = state.graph.labels[args[0]]
+            asked = [(s.edge_memo, label in s.leaving) for s in _pricer.sides]
+        sizes = [len(memo) for memo, _ in asked]
+        got = matches(state, backgrounds, *args, _pricer=_pricer)
+        # Built for this step alone, a pricer's memos start empty: it searches.
+        assert got == matches(state, backgrounds, *args)
+        assert got == plain(state, backgrounds, *args)
+        for bi, ((memo, candidates), size) in enumerate(zip(asked, sizes)):
+            if candidates:
+                hit = len(memo) == size
+                tally[kind, hit] += 1
+                tally["loop hits"] += hit and kind == "E" and any(
+                    m.candidate[0] == bi and m.outcome.target is not None for m in got)
+        return got
+
+    return call
+
+
+def check_memo(monkeypatch):
+    tally = Counter()
+    for kind, name, plain in (("V", "vertex_matches", plain_vertex_matches),
+                              ("E", "edge_matches", plain_edge_matches)):
+        matches = getattr(graphmml.context, name)
+        monkeypatch.setattr(graphmml.context, name, memo_checked(kind, matches, plain, tally))
+    return tally
+
+
+class TestContextMemo:
+    """A step's searches read only the target's known ball around the
+    root, so a background's results for a context key serve every later
+    step with that key: the matches stay those of a search."""
+
+    @pytest.mark.parametrize("depth", [1, 2, 3, 4])
+    def test_chain_of_drugs(self, monkeypatch, depth):
+        # The chain shares one library, so a step also meets the contexts
+        # of earlier targets' steps.
+        named = list(zip(DRUG_SMILES, DRUGS))
+        degrees = tight_degrees(DRUGS)
+        expected = chain_information(named, degrees, depth)
+        tally = check_memo(monkeypatch)
+        assert chain_information(named, degrees, depth) == expected
+        assert tally["V", True] > 0 and tally["V", False] > 0
+        assert tally["E", True] > 0 and tally["E", False] > 0
+
+    def test_relabelled_lattices_given_themselves(self, monkeypatch):
+        # A standalone call memoises within itself.  Below depth 5 no drug
+        # step predicts a ring closure, as a ring of 5 or 6 needs that deep a
+        # search to bind the closing vertex; the ladder's squares need only
+        # depth 3, and one of its hits there maps a stored loop target
+        # through its own step's numbering.
+        cases = [(relabelled(g, share, 7), depth)
+                 for g in (grid(4, 4), grid(2, 6), hex_sheet(2, 3))
+                 for share in (0.3, 0.45) for depth in (2, 3)]
+        expected = [information_content(g, [g], tight_degrees([g]), depth) for g, depth in cases]
+        tally = check_memo(monkeypatch)
+        for (g, depth), result in zip(cases, expected):
+            assert information_content(g, [g], tight_degrees([g]), depth) == result
+        assert tally["V", True] > 0 and tally["V", False] > 0
+        assert tally["E", True] > 0 and tally["E", False] > 0
+        assert tally["loop hits"] > 0
+
+    def test_entries_are_bytes_while_every_value_fits_in_one(self):
+        compact = graphmml.context._compact
+        assert compact([0, 3, 255]) == b"\x00\x03\xff"
+        assert compact([0, 3, 256]) == (0, 3, 256)
+
+    def test_keys_are_interned_once_per_call(self, monkeypatch):
+        libraries = []
+        library = graphmml.context._Library
+
+        def kept_library(*args):
+            libraries.append(library(*args))
+            return libraries[-1]
+
+        monkeypatch.setattr(graphmml.context, "_Library", kept_library)
+        conditional_table(list(zip(DRUG_SMILES, DRUGS)), tight_degrees(DRUGS), 3)
+        (shared,) = libraries
+        stored = [key for side in shared.sides.values()
+                  for memo in (side.vertex_memo, side.edge_memo) for key in memo]
+        assert len(stored) > len(shared.keys)
+        assert all(shared.keys[key] is key for key in stored)
+        assert all(isinstance(entry, bytes) for side in shared.sides.values()
+                   for memo in (side.vertex_memo, side.edge_memo) for entry in memo.values())
 
 
 def distribution_bits(g, backgrounds, degrees, depth, edge_alphabet):
@@ -1006,13 +1119,52 @@ class TestTableAndChain:
             for j, (_, given) in enumerate(named):
                 expected = information_content(
                     target, [given], utility_degrees, 3, edge_alphabet=alphabet).total
-                assert table.bits[i][j] == pytest.approx(expected, abs=1e-12)
+                assert table.bits[i][j] == expected
 
     def test_parallel_equals_sequential(self, k33, near_k33, utility_degrees):
         named = [("k33", k33), ("near", near_k33)]
         seq = conditional_table(named, utility_degrees, 2, jobs=1)
         par = conditional_table(named, utility_degrees, 2, jobs=3)
         assert seq.bits == par.bits
+
+    def test_parallel_chain_equals_sequential(self, k33, near_k33, utility_degrees):
+        # Worker processes do not share the memo; the bits are the same.
+        named = [("k33", k33), ("near", near_k33), ("stub", cable_stub())]
+        seq = chain_information(named, utility_degrees, 2, jobs=1)
+        par = chain_information(named, utility_degrees, 2, jobs=3)
+        assert seq == par
+
+    @staticmethod
+    def count_sides(monkeypatch):
+        """Counts of background and target sides built, and every side's depth."""
+        built, depths = Counter(), []
+        side = graphmml.context._Side
+
+        def counting_side(g, depth, known=None):
+            built["background" if known is None else "target"] += 1
+            depths.append(depth)
+            return side(g, depth, known)
+
+        monkeypatch.setattr(graphmml.context, "_Side", counting_side)
+        return built, depths
+
+    def test_table_indexes_each_graph_once_as_a_background(self, monkeypatch):
+        built, _ = self.count_sides(monkeypatch)
+        conditional_table(list(zip(DRUG_SMILES, DRUGS)), tight_degrees(DRUGS), 2)
+        assert built == {"background": 4, "target": 16}
+
+    def test_chain_indexes_every_graph_but_the_last_as_a_background(self, monkeypatch):
+        built, _ = self.count_sides(monkeypatch)
+        chain_information(list(zip(DRUG_SMILES, DRUGS)), tight_degrees(DRUGS), 2)
+        assert built == {"background": 3, "target": 3}
+
+    def test_huge_depth_table_builds_no_side_deeper_than_the_largest_component(
+            self, monkeypatch, k33, near_k33, utility_degrees):
+        named = [("k33", k33), ("near", near_k33), ("stub", cable_stub())]
+        expected = conditional_table(named, utility_degrees, 7)
+        _, depths = self.count_sides(monkeypatch)
+        assert conditional_table(named, utility_degrees, 10**9) == expected
+        assert max(depths) == 7  # near_k33's vertex count
 
     def test_chain_accumulates_backgrounds(self, k33, near_k33, utility_degrees):
         named = [("k33", k33), ("near", near_k33), ("stub", cable_stub())]
@@ -1022,9 +1174,9 @@ class TestTableAndChain:
         for index, (name, target) in enumerate(named):
             expected = information_content(
                 target, priors, utility_degrees, 3, edge_alphabet=alphabet).total
-            assert chain.items[index] == (name, pytest.approx(expected, abs=1e-12))
+            assert chain.items[index] == (name, expected)
             priors.append(target)
-        assert chain.total == pytest.approx(sum(bits for _, bits in chain.items), abs=1e-12)
+        assert chain.total == sum(bits for _, bits in chain.items)
 
     def test_chain_beats_independent_sends(self, k33, near_k33, utility_degrees):
         named = [("k33", k33), ("near", near_k33)]
