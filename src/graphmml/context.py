@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import enum
 import math
+import os
 from dataclasses import dataclass
 from typing import Any, Container, Iterable, Mapping, NamedTuple, Sequence
 
@@ -500,21 +501,22 @@ _HIDDEN = object()
 
 
 class _Library:
-    """Background sides shared by the pricers of one batch call.
+    """Background sides shared by the pricers of one batch call, or of one
+    worker's share of it.
 
-    graphs are every graph the call prices or conditions on.  side(bg)
-    builds bg's side the first time a pricer asks for it, at the call's
-    depth capped at the largest component of any of the graphs: no
-    pricer's capped depth is deeper, and a matcher never reads the levels
-    past its own.  Each side's memos therefore serve every cell of the
-    call.  keys interns the context keys, so a key that several sides'
+    depth is already capped: a batch call caps its depth once at the
+    largest component of any of its graphs, so no pricer's capped depth is
+    deeper, and a matcher never reads the levels past its own.  side(bg)
+    builds bg's side the first time a pricer asks for it, so each
+    background is indexed once and its memos serve every cell the library
+    prices.  keys interns the context keys, so a key that several sides'
     memos hold is stored once.
     """
 
     __slots__ = ("depth", "sides", "keys")
 
-    def __init__(self, graphs: Sequence[Graph], depth: int):
-        self.depth = min(depth, max(map(_largest_component, graphs), default=0))
+    def __init__(self, depth: int):
+        self.depth = depth
         self.sides: dict[int, _Side] = {}
         self.keys: dict[tuple, tuple] = {}
 
@@ -531,10 +533,10 @@ class _Pricer:
     With backgrounds it holds the capped depth, one target side over g's
     known edges, a side and a matcher per background around it, and the
     table that interns context keys; close() makes an edge known as the
-    traversal closes it.  The background sides and the key table come
-    from library when one is given, and are the pricer's own otherwise.
-    With no backgrounds it builds nothing, and its step methods are never
-    called.
+    traversal closes it.  The background sides and the key table always
+    come from a library: the batch call's when one is given, or one the
+    pricer builds at its own capped depth.  With no backgrounds it builds
+    no side, and its step methods are never called.
 
     The depth is capped at g's largest component's vertex count.  Each
     level of a match's recursion binds a vertex of g that no outer level
@@ -559,16 +561,15 @@ class _Pricer:
 
     def __init__(self, g: Graph, backgrounds: Sequence[Graph], depth: int, known=(),
                  library: _Library | None = None):
-        self.target: _Side | None = None
-        self.sides: list[_Side] = []
-        self.keys: dict[tuple, tuple] = {} if library is None else library.keys
         if backgrounds:
             depth = min(depth, _largest_component(g))
-            self.target = _Side(g, depth, known)
-            self.sides = [_Side(bg, depth) if library is None else library.side(bg)
-                          for bg in backgrounds]
-        self.matchers = [_Matcher(self.target, side) for side in self.sides]
+        if library is None:
+            library = _Library(depth)
         self.depth = depth
+        self.keys = library.keys
+        self.target = _Side(g, depth, known) if backgrounds else None
+        self.sides = [library.side(bg) for bg in backgrounds]
+        self.matchers = [_Matcher(self.target, side) for side in self.sides]
 
     def close(self, edge: int) -> None:
         if self.target is not None:
@@ -835,8 +836,9 @@ def information_content(
     actual outcome under models built from the backgrounds.  An empty
     background list gives the unconditional estimate, and an empty g costs
     0 bits.  The step log accounts for the total exactly.  A batch call
-    passes _library, built over g and the backgrounds among others, to
-    share background sides and their memos with its other cells.
+    passes _library, at a depth capped over g, the backgrounds and its
+    other graphs, to share background sides and their memos with its
+    other cells.
     """
     backgrounds = list(backgrounds)
     _require_model_graph(g, "the graph")
@@ -866,7 +868,7 @@ def information_content(
     size_later = sum(degrees.values())
     size_initial = size_later + len(degrees)
     edge_labels = len(alphabet)
-    # Each background's index, built here or taken from _library, gets one
+    # Each background's index, from _library or the pricer's own, gets one
     # matcher for the call; the target side they share starts with no edge
     # known and learns each edge as the traversal closes it.
     pricer = _Pricer(g, backgrounds, depth, library=_library)
@@ -912,27 +914,49 @@ class ChainResult:
     total: float
 
 
-def _info_task(args, library: _Library | None = None) -> float:
-    target, bgs, degrees, depth, alphabet = args
-    return information_content(
-        target, bgs, degrees, depth, edge_alphabet=alphabet, _library=library).total
+def _price(tasks: list, cap: int) -> list[float]:
+    """Each task's total, in task order, through one library of depth cap."""
+    library = _Library(cap)
+    return [information_content(target, bgs, degrees, depth, edge_alphabet=alphabet,
+                                _library=library).total
+            for target, bgs, degrees, depth, alphabet in tasks]
 
 
-def _run_tasks(tasks: list, jobs: int, graphs: list[Graph], depth: int) -> list[float]:
-    """Each task's total, in task order.
+def _batch(named_graphs: Sequence[tuple[str, Graph]], degrees: Mapping[Any, int], depth: int,
+           jobs: int, what: str, pairs) -> tuple[tuple[str, ...], list[float]]:
+    """The names and, in task order, the totals of the cells pairs(graphs)
+    lists as (target, backgrounds).
 
-    Run in this process, the tasks share one library over the graphs, so
-    each background is indexed once and its memos serve every task.
-    Worker processes price their tasks on their own.
+    Every cell shares one edge-label alphabet, the union over all the
+    graphs, so the numbers are comparable.  The library depth is capped
+    once, at the largest component of any of the graphs.  The cells run
+    in this process, or in w = min(jobs, cells, CPUs) worker processes
+    when that is more than one: worker k prices cells k, k + w, k + 2w,
+    ... through one library of its own, so it too indexes each background
+    once.  Round-robin shares even out a chain, whose later cells carry
+    more backgrounds.
     """
-    if jobs <= 1 or len(tasks) <= 1:
-        library = _Library(graphs, depth)
-        return [_info_task(t, library) for t in tasks]
-    # Imported here, so a process that never runs a pool never loads one.
-    from concurrent.futures import ProcessPoolExecutor
+    named = list(named_graphs)
+    if not named:
+        raise ContextError(f"the {what} needs at least one graph")
+    graphs = [g for _, g in named]
+    alphabet = _shared_edge_alphabet(graphs)
+    degrees = dict(degrees)
+    tasks = [(target, bgs, degrees, depth, alphabet) for target, bgs in pairs(graphs)]
+    cap = min(depth, max(map(_largest_component, graphs)))
+    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    if workers <= 1:
+        totals = _price(tasks, cap)
+    else:
+        # Imported here, so a process that never runs a pool never loads one.
+        from concurrent.futures import ProcessPoolExecutor
 
-    with ProcessPoolExecutor(max_workers=jobs) as pool:
-        return list(pool.map(_info_task, tasks))
+        totals = [0.0] * len(tasks)
+        with ProcessPoolExecutor(max_workers=workers) as pool:
+            shares = [pool.submit(_price, tasks[k::workers], cap) for k in range(workers)]
+            for k, share in enumerate(shares):
+                totals[k::workers] = share.result()
+    return tuple(name for name, _ in named), totals
 
 
 def conditional_table(
@@ -944,24 +968,15 @@ def conditional_table(
 ) -> TableResult:
     """Pairwise conditional costs: cell (i, j) prices graph i given graph j.
 
-    One edge-label alphabet, the union over all the graphs, is shared by
-    every cell so the numbers are comparable.  Cells are independent and
-    may be computed by up to `jobs` worker processes; in one process they
-    share one index of each graph as a background.
+    The cells are independent.  In one process they share one index of
+    each graph as a background and its memo; with jobs above 1 they are
+    split over up to jobs worker processes, each of which shares its own
+    index across its cells.
     """
-    named = list(named_graphs)
-    if not named:
-        raise ContextError("the table needs at least one graph")
-    names = tuple(name for name, _ in named)
-    graphs = [g for _, g in named]
-    alphabet = _shared_edge_alphabet(graphs)
-    degrees = dict(degrees)
-    n = len(graphs)
-    tasks = [(graphs[i], [graphs[j]], degrees, depth, alphabet)
-             for i in range(n) for j in range(n)]
-    totals = _run_tasks(tasks, jobs, graphs, depth)
-    bits = tuple(tuple(totals[i * n:(i + 1) * n]) for i in range(n))
-    return TableResult(names=names, bits=bits)
+    names, totals = _batch(named_graphs, degrees, depth, jobs, "table",
+                           lambda graphs: [(a, [b]) for a in graphs for b in graphs])
+    n = len(names)
+    return TableResult(names=names, bits=tuple(tuple(totals[i * n:(i + 1) * n]) for i in range(n)))
 
 
 def chain_information(
@@ -975,16 +990,10 @@ def chain_information(
 
     The total is the cost of the whole sequence when transmitter and
     receiver accumulate each graph into their shared knowledge before the
-    next one is sent.  In one process every graph but the last is indexed
-    once as a background, for all the later ones.
+    next one is sent.  Every graph but the last is indexed once as a
+    background, for all the later ones, in this process or in each worker
+    process that prices one of them.
     """
-    named = list(named_graphs)
-    if not named:
-        raise ContextError("the chain needs at least one graph")
-    names = tuple(name for name, _ in named)
-    graphs = [g for _, g in named]
-    alphabet = _shared_edge_alphabet(graphs)
-    degrees = dict(degrees)
-    tasks = [(graphs[i], graphs[:i], degrees, depth, alphabet) for i in range(len(graphs))]
-    totals = _run_tasks(tasks, jobs, graphs, depth)
+    names, totals = _batch(named_graphs, degrees, depth, jobs, "chain",
+                           lambda graphs: [(g, graphs[:i]) for i, g in enumerate(graphs)])
     return ChainResult(items=tuple(zip(names, totals)), total=sum(totals))

@@ -518,13 +518,29 @@ def python_with_src(*args):
                           env=src_env())
 
 
+# Prints the process-pool modules the process has loaded.
+PRINT_POOL_MODULES = ("print(sorted(m for m in sys.modules "
+                      "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+
+
 def test_import_loads_no_process_pool():
     # Only --jobs above 1 needs a process pool; a one-shot call never pays
     # for importing one.
-    proc = python_with_src("-c", "import sys, graphmml.cli; print(sorted(m for m in sys.modules "
-                                 "if m.split('.')[0] in ('concurrent', 'multiprocessing')))")
+    proc = python_with_src("-c", "import sys, graphmml.cli; " + PRINT_POOL_MODULES)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_one_cell_table_loads_no_process_pool(tmp_path):
+    # A one-graph table has one cell, so --jobs 4 needs one worker: this one.
+    one = tmp_path / "one.txt"
+    one.write_text("benzene c1ccccc1\n")
+    proc = python_with_src(
+        "-c", "import sys, graphmml.cli; graphmml.cli.main(sys.argv[1:]); " + PRINT_POOL_MODULES,
+        "table", str(one), "--format", "tsv", "--jobs", "4")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[0] == "name\tbenzene"
+    assert proc.stdout.splitlines()[-1] == "[]"
 
 
 def test_python_dash_m_runs_the_cli():

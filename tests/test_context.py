@@ -13,7 +13,10 @@ plain reference.  Its one-division step prices are compared, bit for
 bit, with the full distributions that scored_matches_to_model builds.
 """
 
+import concurrent.futures
 import math
+import os
+import pickle
 import random
 from collections import Counter, deque
 
@@ -1121,18 +1124,89 @@ class TestTableAndChain:
                     target, [given], utility_degrees, 3, edge_alphabet=alphabet).total
                 assert table.bits[i][j] == expected
 
-    def test_parallel_equals_sequential(self, k33, near_k33, utility_degrees):
+    def test_a_batch_needs_a_graph(self, utility_degrees):
+        for batch, what in ((conditional_table, "table"), (chain_information, "chain")):
+            with pytest.raises(ContextError, match=f"the {what} needs at least one graph"):
+                batch([], utility_degrees)
+
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_parallel_equals_sequential(self, k33, near_k33, utility_degrees, jobs):
         named = [("k33", k33), ("near", near_k33)]
         seq = conditional_table(named, utility_degrees, 2, jobs=1)
-        par = conditional_table(named, utility_degrees, 2, jobs=3)
+        par = conditional_table(named, utility_degrees, 2, jobs=jobs)
         assert seq.bits == par.bits
 
-    def test_parallel_chain_equals_sequential(self, k33, near_k33, utility_degrees):
-        # Worker processes do not share the memo; the bits are the same.
+    @pytest.mark.parametrize("jobs", [2, 3])
+    def test_parallel_chain_equals_sequential(self, k33, near_k33, utility_degrees, jobs):
+        # Each worker shares its own index and memo; the bits are the same.
         named = [("k33", k33), ("near", near_k33), ("stub", cable_stub())]
         seq = chain_information(named, utility_degrees, 2, jobs=1)
-        par = chain_information(named, utility_degrees, 2, jobs=3)
+        par = chain_information(named, utility_degrees, 2, jobs=jobs)
         assert seq == par
+
+    @staticmethod
+    def inline_pool(monkeypatch):
+        """Replace ProcessPoolExecutor with a stand-in that starts no process.
+
+        It records each pool's max_workers and each submitted call's
+        arguments, and runs the call at once on a pickled copy of them, as
+        a worker would receive them.
+        """
+
+        class InlinePool:
+            sizes: list = []
+            calls: list = []
+
+            def __init__(self, max_workers):
+                self.sizes.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def submit(self, fn, *args):
+                args = pickle.loads(pickle.dumps(args))
+                self.calls.append(args)
+                future = concurrent.futures.Future()
+                future.set_result(fn(*args))
+                return future
+
+        monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", InlinePool)
+        return InlinePool
+
+    @pytest.mark.parametrize("cpus", [None, 64])
+    def test_pool_is_bounded_by_the_cells_and_the_cpus(self, monkeypatch, cpus):
+        named, degrees = list(zip(DRUG_SMILES, DRUGS)), tight_degrees(DRUGS)
+        expected = conditional_table(named, degrees, 2)
+        if cpus is not None:
+            monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        pool = self.inline_pool(monkeypatch)
+        assert conditional_table(named, degrees, 2, jobs=10**6) == expected
+        workers = min(16, os.cpu_count() or 1)
+        assert pool.sizes == ([workers] if workers > 1 else [])
+        assert len(pool.calls) == sum(pool.sizes)
+
+    def test_shares_are_round_robin_and_come_back_in_task_order(
+            self, monkeypatch, k33, near_k33, utility_degrees):
+        named = [("k33", k33), ("near", near_k33), ("stub", cable_stub())]
+        table = conditional_table(named[:2], utility_degrees, 2)
+        chain = chain_information(named, utility_degrees, 2)
+        built, _ = self.count_sides(monkeypatch)
+        monkeypatch.setattr(os, "cpu_count", lambda: 8)
+        pool = self.inline_pool(monkeypatch)
+
+        assert conditional_table(named[:2], utility_degrees, 2, jobs=3) == table
+        # Cells 0 and 3 (k33 | k33, near | near), then 1 and 2.
+        assert [[(t[0].vertex_count, t[1][0].vertex_count) for t in tasks]
+                for tasks, _ in pool.calls] == [[(6, 6), (7, 7)], [(6, 7)], [(7, 6)]]
+        assert chain_information(named, utility_degrees, 2, jobs=3) == chain
+        assert [[len(t[1]) for t in tasks] for tasks, _ in pool.calls[3:]] == [[0], [1], [2]]
+        assert pool.sizes == [3, 3]
+        # Each share indexes each of its backgrounds once, after pickling.
+        assert built["background"] == sum(
+            len({id(bg) for _, bgs, *_ in tasks for bg in bgs}) for tasks, _ in pool.calls)
 
     @staticmethod
     def count_sides(monkeypatch):
