@@ -23,12 +23,13 @@ one stream of steps.
 from __future__ import annotations
 
 import enum
+import itertools
 import math
 import os
 from dataclasses import dataclass
 from typing import Any, Container, Iterable, Mapping, NamedTuple, Sequence
 
-from .graph import Graph, TraversalState, connected_components, traverse
+from .graph import Graph, TraversalState, VertexEvent, connected_components, traverse
 
 
 class ContextError(ValueError):
@@ -160,18 +161,14 @@ def scored_matches_to_model(
     return PredictiveModel({o: w / total for o, w in weights.items()})
 
 
-def _step_bits(matches: Iterable[ScoredMatch], outcome, size: int) -> float:
-    """Bits for outcome, one of size possible outcomes, under the weight rule.
+def _step_bits(hit: int, total: int, size: int) -> float:
+    """Bits for an outcome, one of size possible outcomes, under the weight
+    rule, when the step's matches weigh total and those predicting it hit.
 
     The same number scored_matches_to_model(...).nl_pr(outcome) gives, bit
     for bit: every weight is a multiple of 1/2, so both sums are exact and
     the one division rounds as the distribution's does.
     """
-    hit = total = 0
-    for m in matches:
-        total += m.score + 1
-        if m.outcome == outcome:
-            hit += m.score + 1
     return -math.log2((ESCAPE + hit) / (ESCAPE * size + total))
 
 
@@ -298,8 +295,8 @@ class _Matcher:
     _assign is the one search core.  _Pricer's step methods read each
     step's target data once, make a candidate's first bindings in place
     and enter _assign directly, or score the candidate without a search
-    where none can add to it.  match_vertex and match_edge run one
-    search from nothing bound; the tests drive the matcher through them.
+    where none can add to it.  The tests run a search from nothing bound
+    through the same core.
     """
 
     __slots__ = (
@@ -343,35 +340,6 @@ class _Matcher:
                 self.vmap[a] = b
                 self.vinv[b] = a
         self.journal.extend(segment)
-
-    # scoring --------------------------------------------------------------
-
-    def match_vertex(self, v1: int, v2: int, depth: int, back: int = -1) -> int:
-        """Pair two vertices and match their edges; back is a bound edge
-        the search arrived by, or -1."""
-        if self.labels1[v1] != self.labels2[v2]:
-            return 0
-        # Already-corresponded vertices were counted when first bound; a
-        # contradictory pairing is worth nothing either.
-        if self.vmap[v1] >= 0 or self.vinv[v2] >= 0:
-            return 0
-        self.vmap[v1] = v2
-        self.vinv[v2] = v1
-        self.journal.append((v1, v2))
-        slots = self.slots1[v1]
-        if depth < 1 or not slots:
-            return 1
-        share = 0  # back's part of v1's caps, if back is one of v1's known edges
-        if back >= 0:
-            share = next((1 + self.bounds1[depth - 1][far] for e, far, _ in slots if e == back), 0)
-        return 1 + self._assign(v1, 0, v2, depth, self.caps1[depth][v1], share, back, 0)
-
-    def match_edge(self, e1: int, far1: int, e2: int, far2: int, depth: int) -> int:
-        """Pair two unbound edges of the same label and match their far ends."""
-        self.emap[e1] = e2
-        self.einv[e2] = e1
-        self.journal.append((~e1, e2))
-        return 1 + self.match_vertex(far1, far2, depth - 1, e1)
 
     def _assign(self, v1: int, i: int, v2: int, depth: int, caps: list[int],
                 share: int, back: int, need: int) -> int:
@@ -501,22 +469,22 @@ _HIDDEN = object()
 
 
 class _Library:
-    """Background sides shared by the pricers of one batch call, or of one
-    worker's share of it.
+    """Background sides shared by the pricers of one batch call, of one
+    worker's share of it, or of one info command's targets.
 
-    depth is already capped: a batch call caps its depth once at the
-    largest component of any of its graphs, so no pricer's capped depth is
-    deeper, and a matcher never reads the levels past its own.  side(bg)
-    builds bg's side the first time a pricer asks for it, so each
-    background is indexed once and its memos serve every cell the library
-    prices.  keys interns the context keys, so a key that several sides'
-    memos hold is stored once.
+    depth is capped at the largest component of any of the graphs the
+    library will price, so no pricer's capped depth is deeper, and a
+    matcher never reads the levels past its own.  side(bg) builds bg's
+    side the first time a pricer asks for it, so each background is
+    indexed once and its memos serve every cell the library prices.
+    keys interns the context keys, so a key that several sides' memos
+    hold is stored once.
     """
 
     __slots__ = ("depth", "sides", "keys")
 
-    def __init__(self, depth: int):
-        self.depth = depth
+    def __init__(self, depth: int, graphs: Iterable[Graph] = ()):
+        self.depth = min(depth, max(map(_largest_component, graphs), default=depth))
         self.sides: dict[int, _Side] = {}
         self.keys: dict[tuple, tuple] = {}
 
@@ -532,11 +500,14 @@ class _Pricer:
 
     With backgrounds it holds the capped depth, one target side over g's
     known edges, a side and a matcher per background around it, and the
-    table that interns context keys; close() makes an edge known as the
-    traversal closes it.  The background sides and the key table always
-    come from a library: the batch call's when one is given, or one the
-    pricer builds at its own capped depth.  With no backgrounds it builds
-    no side, and its step methods are never called.
+    table that interns context keys; the traversal makes each edge known
+    on the target side as it closes it.  A table row's walk (see _walk)
+    passes the backgrounds of all the row's cells, so the target side,
+    each step's context key and each step's call serve every cell of the
+    row.  The background sides and the key table always come from a
+    library: the caller's when one is given, or one the pricer builds
+    at its own capped depth.  With no backgrounds it builds no side, and
+    its step methods are never called.
 
     The depth is capped at g's largest component's vertex count.  Each
     level of a match's recursion binds a vertex of g that no outer level
@@ -570,10 +541,6 @@ class _Pricer:
         self.target = _Side(g, depth, known) if backgrounds else None
         self.sides = [library.side(bg) for bg in backgrounds]
         self.matchers = [_Matcher(self.target, side) for side in self.sides]
-
-    def close(self, edge: int) -> None:
-        if self.target is not None:
-            self.target.add(edge)
 
     def _context(self, key: list, root: int, radius: int,
                  hidden: int = -1) -> tuple[tuple, dict[int, int]]:
@@ -707,8 +674,10 @@ class _Pricer:
 # -- public matching entry points -------------------------------------------------
 
 
-def _known_edges(state: TraversalState) -> set[int]:
-    return {e for e in range(state.graph.edge_count) if state.is_closed(e)}
+def _own_pricer(state: TraversalState, backgrounds: Sequence[Graph], depth: int) -> _Pricer:
+    """A pricer for one step alone, over the state's closed edges."""
+    closed = {e for e in range(state.graph.edge_count) if state.is_closed(e)}
+    return _Pricer(state.graph, backgrounds, depth, closed)
 
 
 def vertex_matches(
@@ -729,18 +698,12 @@ def vertex_matches(
     0.  The unknown vertex itself contributes nothing: matching starts
     behind it.
     """
-    matches: list[ScoredMatch] = []
     if incoming is None:
-        for bi, bg in enumerate(backgrounds):
-            for v2 in range(bg.vertex_count):
-                outcome = VertexOutcome(bg.labels[v2], bg.degree(v2))
-                matches.append(ScoredMatch((bi, v2), 0, outcome))
-        return matches
+        return [ScoredMatch((bi, v2), 0, VertexOutcome(bg.labels[v2], bg.degree(v2)))
+                for bi, bg in enumerate(backgrounds) for v2 in range(bg.vertex_count)]
     if not backgrounds:
-        return matches
-    if _pricer is None:
-        _pricer = _Pricer(state.graph, backgrounds, depth, _known_edges(state))
-    return _pricer.vertex_step(incoming)
+        return []
+    return (_pricer or _own_pricer(state, backgrounds, depth)).vertex_step(incoming)
 
 
 def edge_matches(
@@ -764,9 +727,8 @@ def edge_matches(
     """
     if not backgrounds:
         return []
-    if _pricer is None:
-        _pricer = _Pricer(state.graph, backgrounds, depth, _known_edges(state))
-    return _pricer.edge_step(state, source, pending_edge)
+    pricer = _pricer or _own_pricer(state, backgrounds, depth)
+    return pricer.edge_step(state, source, pending_edge)
 
 
 # -- whole-graph information content ----------------------------------------------
@@ -820,27 +782,10 @@ def _shared_edge_alphabet(graphs: Iterable[Graph]) -> frozenset:
     return frozenset(e.label for g in graphs for e in g.edges)
 
 
-def information_content(
-    g: Graph,
-    backgrounds: Sequence[Graph],
-    degrees: Mapping[Any, int],
-    depth: int = 3,
-    *,
-    edge_alphabet: Iterable | None = None,
-    _library: _Library | None = None,
-) -> InfoResult:
-    """Bits to transmit g to a receiver who already knows the backgrounds.
-
-    Replays g's traversal, which starts at vertex 0 and covers every
-    component, and sums the negative log probability of every step's
-    actual outcome under models built from the backgrounds.  An empty
-    background list gives the unconditional estimate, and an empty g costs
-    0 bits.  The step log accounts for the total exactly.  A batch call
-    passes _library, at a depth capped over g, the backgrounds and its
-    other graphs, to share background sides and their memos with its
-    other cells.
-    """
-    backgrounds = list(backgrounds)
+def _checked_alphabet(g: Graph, backgrounds: list[Graph], degrees: Mapping[Any, int],
+                      depth: int, edge_alphabet: Iterable | None) -> frozenset:
+    """The edge alphabet of pricing g given the backgrounds, once the input
+    is checked; raises ContextError for the first condition it breaks."""
     _require_model_graph(g, "the graph")
     for bi, bg in enumerate(backgrounds):
         _require_model_graph(bg, f"background {bi}")
@@ -863,36 +808,96 @@ def information_content(
             f"edge label {label_text(sorted(missing, key=label_text)[0])} "
             "is not in the edge alphabet"
         )
+    return alphabet
 
+
+def _walk(g: Graph, cells: list[list[Graph]], degrees: Mapping[Any, int], depth: int,
+          edge_alphabet: Iterable | None, library: _Library | None) -> tuple[list, list]:
+    """One traversal of g that prices it given each cell's backgrounds.
+
+    Each cell's input is checked first, in cell order, as
+    information_content checks it.  Returns the first cell's step log and,
+    per cell, every step's bits.  The pricer sees the cells' backgrounds
+    one after another, so a step makes one vertex_matches or edge_matches
+    call for all the cells and charges each cell the integer weight sums
+    of its own backgrounds' matches: every sum is exact, so the bits are
+    those of pricing that cell alone.
+    """
+    backgrounds, cell_of, bits = [], [], []
+    for c, bgs in enumerate(cells):
+        alphabet = _checked_alphabet(g, bgs, degrees, depth, edge_alphabet)
+        backgrounds += bgs
+        cell_of += [c] * len(bgs)
+        bits.append([])
     # Outcome counts: a later vertex has degree 1..limit, a root 0..limit.
     size_later = sum(degrees.values())
     size_initial = size_later + len(degrees)
     edge_labels = len(alphabet)
-    # Each background's index, from _library or the pricer's own, gets one
-    # matcher for the call; the target side they share starts with no edge
-    # known and learns each edge as the traversal closes it.
-    pricer = _Pricer(g, backgrounds, depth, library=_library)
-    steps: list[StepRecord] = []
+    # Each background's index, from the library or the pricer's own, gets
+    # one matcher for the walk; the target side they share starts with no
+    # edge known and learns each edge as the traversal closes it.
+    pricer = _Pricer(g, backgrounds, depth, library=library)
+    target, first, single = pricer.target, bits[0], len(bits) == 1
 
     # Each step passes the pricer to the module's vertex_matches or
     # edge_matches instead of calling its methods, with backgrounds (and a
     # vertex step's incoming) positional: perfbench/run.py wraps those two
     # names and reads those arguments.
-    def on_vertex(state: TraversalState, event) -> None:
-        matches = vertex_matches(state, backgrounds, event.incoming, depth, _pricer=pricer)
-        size = size_initial if event.incoming is None else size_later
-        outcome = VertexOutcome(event.label, event.degree)
-        steps.append(StepRecord(len(steps), "V", outcome, _step_bits(matches, outcome, size)))
+    def step(state: TraversalState, event) -> StepRecord:
+        if isinstance(event, VertexEvent):
+            kind, outcome = "V", VertexOutcome(event.label, event.degree)
+            matches = vertex_matches(state, backgrounds, event.incoming, depth, _pricer=pricer)
+            size = size_initial if event.incoming is None else size_later
+        else:
+            kind, outcome = "E", EdgeOutcome(event.label, event.target)
+            matches = edge_matches(state, backgrounds, event.source, event.edge, depth,
+                                   _pricer=pricer)
+            size = edge_labels * (1 + state.loop_candidate_count(event.source))
+            if target is not None:
+                target.add(event.edge)  # traverse closes the edge as this returns
+        if single:  # the one cell's sums need no lookup per match
+            hit = total = 0
+            for _, score, predicted in matches:
+                total += score + 1
+                if predicted == outcome:
+                    hit += score + 1
+            first.append(_step_bits(hit, total, size))
+        else:
+            hits, totals = [0] * len(bits), [0] * len(bits)
+            for candidate, score, predicted in matches:
+                c = cell_of[candidate[0]]
+                totals[c] += score + 1
+                if predicted == outcome:
+                    hits[c] += score + 1
+            for hit, total, cell in zip(hits, totals, bits):
+                cell.append(_step_bits(hit, total, size))
+        return StepRecord(len(first) - 1, kind, outcome, first[-1])
 
-    def on_edge(state: TraversalState, event) -> None:
-        matches = edge_matches(state, backgrounds, event.source, event.edge, depth, _pricer=pricer)
-        outcome = EdgeOutcome(event.label, event.target)
-        size = edge_labels * (1 + state.loop_candidate_count(event.source))
-        steps.append(StepRecord(len(steps), "E", outcome, _step_bits(matches, outcome, size)))
-        pricer.close(event.edge)  # traverse closes the edge as this returns
+    return traverse(g, step, step), bits
 
-    traverse(g, on_vertex, on_edge)
-    return InfoResult(total=sum((step.bits for step in steps), 0.0), steps=tuple(steps))
+
+def information_content(
+    g: Graph,
+    backgrounds: Sequence[Graph],
+    degrees: Mapping[Any, int],
+    depth: int = 3,
+    *,
+    edge_alphabet: Iterable | None = None,
+    _library: _Library | None = None,
+) -> InfoResult:
+    """Bits to transmit g to a receiver who already knows the backgrounds.
+
+    Replays g's traversal, which starts at vertex 0 and covers every
+    component, and sums the negative log probability of every step's
+    actual outcome under models built from the backgrounds.  An empty
+    background list gives the unconditional estimate, and an empty g costs
+    0 bits.  The step log accounts for the total exactly.  A caller that
+    prices several graphs given the same backgrounds passes one _library,
+    capped over all of them, so each background is indexed once and its
+    memo serves every call.
+    """
+    steps, (bits,) = _walk(g, [list(backgrounds)], degrees, depth, edge_alphabet, _library)
+    return InfoResult(total=sum(bits, 0.0), steps=tuple(steps))
 
 
 # -- batched computations ----------------------------------------------------------
@@ -914,17 +919,25 @@ class ChainResult:
     total: float
 
 
-def _price(tasks: list, cap: int) -> list[float]:
-    """Each task's total, in task order, through one library of depth cap."""
-    library = _Library(cap)
-    return [information_content(target, bgs, degrees, depth, edge_alphabet=alphabet,
-                                _library=library).total
-            for target, bgs, degrees, depth, alphabet in tasks]
+def _price(cells: list, degrees: dict, depth: int, alphabet: frozenset,
+           library: _Library) -> list[float]:
+    """Each (target, backgrounds) cell's total, in cell order, through the
+    library.
+
+    A run of cells with the same target, a table row or the part of one
+    in a worker's share, is priced in one traversal of that target.
+    """
+    totals = []
+    for _, row in itertools.groupby(cells, key=lambda cell: id(cell[0])):
+        row = list(row)
+        _, bits = _walk(row[0][0], [bgs for _, bgs in row], degrees, depth, alphabet, library)
+        totals += [sum(cell, 0.0) for cell in bits]
+    return totals
 
 
 def _batch(named_graphs: Sequence[tuple[str, Graph]], degrees: Mapping[Any, int], depth: int,
            jobs: int, what: str, pairs) -> tuple[tuple[str, ...], list[float]]:
-    """The names and, in task order, the totals of the cells pairs(graphs)
+    """The names and, in cell order, the totals of the cells pairs(graphs)
     lists as (target, backgrounds).
 
     Every cell shares one edge-label alphabet, the union over all the
@@ -932,28 +945,26 @@ def _batch(named_graphs: Sequence[tuple[str, Graph]], degrees: Mapping[Any, int]
     once, at the largest component of any of the graphs.  The cells run
     in this process, or in w = min(jobs, cells, CPUs) worker processes
     when that is more than one: worker k prices cells k, k + w, k + 2w,
-    ... through one library of its own, so it too indexes each background
-    once.  Round-robin shares even out a chain, whose later cells carry
-    more backgrounds.
+    ... through its own copy of the still empty library, so it too
+    indexes each background once and walks each row once.  Round-robin
+    shares even out a chain, whose later cells carry more backgrounds.
     """
     named = list(named_graphs)
     if not named:
         raise ContextError(f"the {what} needs at least one graph")
     graphs = [g for _, g in named]
-    alphabet = _shared_edge_alphabet(graphs)
-    degrees = dict(degrees)
-    tasks = [(target, bgs, degrees, depth, alphabet) for target, bgs in pairs(graphs)]
-    cap = min(depth, max(map(_largest_component, graphs)))
-    workers = min(jobs, len(tasks), os.cpu_count() or 1)
+    cells = pairs(graphs)
+    settings = dict(degrees), depth, _shared_edge_alphabet(graphs), _Library(depth, graphs)
+    workers = min(jobs, len(cells), os.cpu_count() or 1)
     if workers <= 1:
-        totals = _price(tasks, cap)
+        totals = _price(cells, *settings)
     else:
         # Imported here, so a process that never runs a pool never loads one.
         from concurrent.futures import ProcessPoolExecutor
 
-        totals = [0.0] * len(tasks)
+        totals = [0.0] * len(cells)
         with ProcessPoolExecutor(max_workers=workers) as pool:
-            shares = [pool.submit(_price, tasks[k::workers], cap) for k in range(workers)]
+            shares = [pool.submit(_price, cells[k::workers], *settings) for k in range(workers)]
             for k, share in enumerate(shares):
                 totals[k::workers] = share.result()
     return tuple(name for name, _ in named), totals

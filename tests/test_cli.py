@@ -127,6 +127,29 @@ class TestInfo:
         first = steps[0].split("\t")
         assert first == ["#step", "k33", "0", "V", "vertex Utility degree 3", "1.585"]
 
+    def test_targets_share_one_index_of_each_given(self, files, capsys, monkeypatch, tmp_path):
+        given = tmp_path / "valium.txt"
+        given.write_text(f"valium {DRUG_SMILES['valium']}\n")
+        argv = ["info", files.drugs, "--given", given, "--format", "tsv", "--steps"]
+        built = []
+        side = graphmml.context._Side
+
+        def counting_side(g, depth, known=None):
+            built.append(known is None)
+            return side(g, depth, known)
+
+        monkeypatch.setattr(graphmml.context, "_Side", counting_side)
+        code, shared, _ = run(argv, capsys)
+        assert code == 0 and built.count(True) == 1  # one background side, four targets
+        # Each target priced with an index of its own prints the same bytes.
+        built.clear()
+        monkeypatch.setattr(graphmml.cli, "_Library", lambda depth, graphs: None)
+        assert run(argv, capsys) == (0, shared, "")
+        assert built.count(True) == 4
+        assert len([line for line in shared.splitlines() if line.startswith("#step")]) == sum(
+            g.vertex_count + g.edge_count
+            for g in (read_molecule(s)[0] for s in DRUG_SMILES.values()))
+
     def test_huge_depth_prices_like_the_vertex_count(self, capsys, tmp_path):
         benzene = tmp_path / "benzene.txt"
         benzene.write_text("benzene c1ccccc1\n")

@@ -51,6 +51,35 @@ from conftest import (
 LOG2_3 = math.log2(3.0)
 
 
+def search_vertex(matcher, v1, v2, depth, back=-1):
+    """Pair two vertices and match their edges through the matcher's one
+    search core, _assign; back is a bound edge the search arrived by, or -1."""
+    if matcher.labels1[v1] != matcher.labels2[v2]:
+        return 0
+    # Already-corresponded vertices were counted when first bound; a
+    # contradictory pairing is worth nothing either.
+    if matcher.vmap[v1] >= 0 or matcher.vinv[v2] >= 0:
+        return 0
+    matcher.vmap[v1] = v2
+    matcher.vinv[v2] = v1
+    matcher.journal.append((v1, v2))
+    slots = matcher.slots1[v1]
+    if depth < 1 or not slots:
+        return 1
+    share = 0  # back's part of v1's caps, if back is one of v1's known edges
+    if back >= 0:
+        share = next((1 + matcher.bounds1[depth - 1][far] for e, far, _ in slots if e == back), 0)
+    return 1 + matcher._assign(v1, 0, v2, depth, matcher.caps1[depth][v1], share, back, 0)
+
+
+def search_edge(matcher, e1, far1, e2, far2, depth):
+    """Pair two unbound edges of the same label and match their far ends."""
+    matcher.emap[e1] = e2
+    matcher.einv[e2] = e1
+    matcher.journal.append((~e1, e2))
+    return 1 + search_vertex(matcher, far1, far2, depth - 1, e1)
+
+
 def match_vertex(g1, v1, g2, v2, depth, known_edges=None):
     """The library matcher's best score rooted at (v1, v2).
 
@@ -58,7 +87,7 @@ def match_vertex(g1, v1, g2, v2, depth, known_edges=None):
     """
     known = None if known_edges is None else set(known_edges)
     sides = graphmml.context._Side(g1, depth, known), graphmml.context._Side(g2, depth)
-    return graphmml.context._Matcher(*sides).match_vertex(v1, v2, depth)
+    return search_vertex(graphmml.context._Matcher(*sides), v1, v2, depth)
 
 
 def match_edge(g1, s1, g2, s2, depth):
@@ -66,7 +95,8 @@ def match_edge(g1, s1, g2, s2, depth):
     if s1.label != s2.label:
         return 0
     sides = graphmml.context._Side(g1, depth), graphmml.context._Side(g2, depth)
-    return graphmml.context._Matcher(*sides).match_edge(s1.edge, s1.head, s2.edge, s2.head, depth)
+    return search_edge(graphmml.context._Matcher(*sides), s1.edge, s1.head, s2.edge, s2.head,
+                       depth)
 
 
 class TestOutcomeSpaces:
@@ -1199,14 +1229,14 @@ class TestTableAndChain:
 
         assert conditional_table(named[:2], utility_degrees, 2, jobs=3) == table
         # Cells 0 and 3 (k33 | k33, near | near), then 1 and 2.
-        assert [[(t[0].vertex_count, t[1][0].vertex_count) for t in tasks]
-                for tasks, _ in pool.calls] == [[(6, 6), (7, 7)], [(6, 7)], [(7, 6)]]
+        assert [[(t[0].vertex_count, t[1][0].vertex_count) for t in cells]
+                for cells, *_ in pool.calls] == [[(6, 6), (7, 7)], [(6, 7)], [(7, 6)]]
         assert chain_information(named, utility_degrees, 2, jobs=3) == chain
-        assert [[len(t[1]) for t in tasks] for tasks, _ in pool.calls[3:]] == [[0], [1], [2]]
+        assert [[len(t[1]) for t in cells] for cells, *_ in pool.calls[3:]] == [[0], [1], [2]]
         assert pool.sizes == [3, 3]
         # Each share indexes each of its backgrounds once, after pickling.
         assert built["background"] == sum(
-            len({id(bg) for _, bgs, *_ in tasks for bg in bgs}) for tasks, _ in pool.calls)
+            len({id(bg) for _, bgs in cells for bg in bgs}) for cells, *_ in pool.calls)
 
     @staticmethod
     def count_sides(monkeypatch):
@@ -1223,9 +1253,20 @@ class TestTableAndChain:
         return built, depths
 
     def test_table_indexes_each_graph_once_as_a_background(self, monkeypatch):
+        # A row's cells share one traversal of their target, and with it one
+        # target side.
         built, _ = self.count_sides(monkeypatch)
+        walks = []
+        walk = graphmml.context.traverse
+
+        def counting_traverse(g, *args):
+            walks.append(g)
+            return walk(g, *args)
+
+        monkeypatch.setattr(graphmml.context, "traverse", counting_traverse)
         conditional_table(list(zip(DRUG_SMILES, DRUGS)), tight_degrees(DRUGS), 2)
-        assert built == {"background": 4, "target": 16}
+        assert built == {"background": 4, "target": 4}
+        assert [id(g) for g in walks] == [id(g) for g in DRUGS]  # one walk per row
 
     def test_chain_indexes_every_graph_but_the_last_as_a_background(self, monkeypatch):
         built, _ = self.count_sides(monkeypatch)
