@@ -37,10 +37,9 @@ from .codes import (
 )
 from .context import (
     ContextError,
-    _Library,
     chain_information,
     conditional_table,
-    information_content,
+    information_contents,
     label_text,
     outcome_text,
 )
@@ -271,16 +270,14 @@ def _print_rows(rows: list[list[str]], tsv: bool) -> None:
 def cmd_info(args) -> int:
     targets, givens, degrees = _load_inputs(args)
     given_graphs = [g for _, g in givens]
-    # One shared edge alphabet keeps rows comparable across targets, and one
-    # library indexes each background once for all of them.
+    # One shared edge alphabet keeps rows comparable across targets.
     alphabet = frozenset(e.label for _, g in targets + givens for e in g.edges)
-    library = _Library(args.depth, [g for _, g in targets + givens]) if givens else None
+    results = information_contents([g for _, g in targets], given_graphs, degrees, args.depth,
+                                   edge_alphabet=alphabet)
 
     rows = [["name", "bits", "vertices", "edges"]]
     step_blocks: list[tuple[str, tuple]] = []
-    for name, g in targets:
-        result = information_content(g, given_graphs, degrees, args.depth, edge_alphabet=alphabet,
-                                     _library=library)
+    for (name, g), result in zip(targets, results):
         rows.append([name, _bits(result.total), str(g.vertex_count), str(g.edge_count)])
         step_blocks.append((name, result.steps))
 

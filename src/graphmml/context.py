@@ -823,12 +823,11 @@ def _walk(g: Graph, cells: list[list[Graph]], degrees: Mapping[Any, int], depth:
     of its own backgrounds' matches: every sum is exact, so the bits are
     those of pricing that cell alone.
     """
-    backgrounds, cell_of, bits = [], [], []
-    for c, bgs in enumerate(cells):
+    for bgs in cells:
         alphabet = _checked_alphabet(g, bgs, degrees, depth, edge_alphabet)
-        backgrounds += bgs
-        cell_of += [c] * len(bgs)
-        bits.append([])
+    backgrounds = [bg for bgs in cells for bg in bgs]
+    cell_of = [c for c, bgs in enumerate(cells) for _ in bgs]
+    bits: list[list[float]] = [[] for _ in cells]
     # Outcome counts: a later vertex has degree 1..limit, a root 0..limit.
     size_later = sum(degrees.values())
     size_initial = size_later + len(degrees)
@@ -892,12 +891,30 @@ def information_content(
     actual outcome under models built from the backgrounds.  An empty
     background list gives the unconditional estimate, and an empty g costs
     0 bits.  The step log accounts for the total exactly.  A caller that
-    prices several graphs given the same backgrounds passes one _library,
-    capped over all of them, so each background is indexed once and its
+    prices several graphs passes one _library, capped over all of them
+    and their backgrounds, so each background is indexed once and its
     memo serves every call.
     """
     steps, (bits,) = _walk(g, [list(backgrounds)], degrees, depth, edge_alphabet, _library)
     return InfoResult(total=sum(bits, 0.0), steps=tuple(steps))
+
+
+def information_contents(
+    graphs: Sequence[Graph],
+    backgrounds: Sequence[Graph],
+    degrees: Mapping[Any, int],
+    depth: int = 3,
+    *,
+    edge_alphabet: Iterable | None = None,
+) -> list[InfoResult]:
+    """information_content of each graph, in order, given the same backgrounds.
+
+    The graphs share one library, so each background is indexed once and
+    its memo serves them all.
+    """
+    library = _Library(depth, [*graphs, *backgrounds]) if backgrounds else None
+    return [information_content(g, backgrounds, degrees, depth, edge_alphabet=edge_alphabet,
+                                _library=library) for g in graphs]
 
 
 # -- batched computations ----------------------------------------------------------
@@ -925,13 +942,19 @@ def _price(cells: list, degrees: dict, depth: int, alphabet: frozenset,
     library.
 
     A run of cells with the same target, a table row or the part of one
-    in a worker's share, is priced in one traversal of that target.
+    in a worker's share, is priced in one traversal of that target.  A
+    lone cell, such as a chain item, goes through the module's
+    information_content, which perfbench/run.py times as a cell.
     """
     totals = []
     for _, row in itertools.groupby(cells, key=lambda cell: id(cell[0])):
-        row = list(row)
-        _, bits = _walk(row[0][0], [bgs for _, bgs in row], degrees, depth, alphabet, library)
-        totals += [sum(cell, 0.0) for cell in bits]
+        (g, bgs), *rest = row
+        if rest:
+            _, bits = _walk(g, [bgs] + [b for _, b in rest], degrees, depth, alphabet, library)
+            totals += [sum(cell, 0.0) for cell in bits]
+        else:
+            totals.append(information_content(g, bgs, degrees, depth, edge_alphabet=alphabet,
+                                              _library=library).total)
     return totals
 
 

@@ -18,6 +18,7 @@ from graphmml import (
     conditional_table,
     information_content,
     label_text,
+    outcome_text,
     read_molecule,
 )
 from graphmml.cli import build_parser, main
@@ -127,10 +128,11 @@ class TestInfo:
         first = steps[0].split("\t")
         assert first == ["#step", "k33", "0", "V", "vertex Utility degree 3", "1.585"]
 
-    def test_targets_share_one_index_of_each_given(self, files, capsys, monkeypatch, tmp_path):
+    def test_targets_share_one_index_of_each_given(self, files, drug_graphs, drug_degrees, capsys,
+                                                   monkeypatch, tmp_path):
         given = tmp_path / "valium.txt"
         given.write_text(f"valium {DRUG_SMILES['valium']}\n")
-        argv = ["info", files.drugs, "--given", given, "--format", "tsv", "--steps"]
+        options = ["--given", given, "--format", "tsv", "--steps"]
         built = []
         side = graphmml.context._Side
 
@@ -139,16 +141,21 @@ class TestInfo:
             return side(g, depth, known)
 
         monkeypatch.setattr(graphmml.context, "_Side", counting_side)
-        code, shared, _ = run(argv, capsys)
+        code, shared, _ = run(["info", files.drugs, *options], capsys)
         assert code == 0 and built.count(True) == 1  # one background side, four targets
-        # Each target priced with an index of its own prints the same bytes.
-        built.clear()
-        monkeypatch.setattr(graphmml.cli, "_Library", lambda depth, graphs: None)
-        assert run(argv, capsys) == (0, shared, "")
-        assert built.count(True) == 4
-        assert len([line for line in shared.splitlines() if line.startswith("#step")]) == sum(
-            g.vertex_count + g.edge_count
-            for g in (read_molecule(s)[0] for s in DRUG_SMILES.values()))
+        # Each target priced on its own, over the same edge alphabet, gives
+        # the same rows and steps.
+        alphabet = {e.label for g in drug_graphs.values() for e in g.edges}
+        rows, steps = ["name\tbits\tvertices\tedges"], []
+        for name, g in drug_graphs.items():
+            result = information_content(g, [drug_graphs["valium"]], drug_degrees, 3,
+                                         edge_alphabet=alphabet)
+            rows.append(f"{name}\t{result.total:.3f}\t{g.vertex_count}\t{g.edge_count}")
+            steps += [f"#step\t{name}\t{step.index}\t{step.kind}\t{outcome_text(step.outcome)}"
+                      f"\t{step.bits + 0.0:.3f}" for step in result.steps]
+        assert shared.splitlines() == rows + steps
+        assert built.count(True) == 1 + 4  # each lone call indexes valium again
+        assert len(steps) == sum(g.vertex_count + g.edge_count for g in drug_graphs.values())
 
     def test_huge_depth_prices_like_the_vertex_count(self, capsys, tmp_path):
         benzene = tmp_path / "benzene.txt"

@@ -1273,6 +1273,21 @@ class TestTableAndChain:
         chain_information(list(zip(DRUG_SMILES, DRUGS)), tight_degrees(DRUGS), 2)
         assert built == {"background": 3, "target": 3}
 
+    def test_info_targets_index_each_given_once(self, monkeypatch):
+        degrees, given = tight_degrees(DRUGS), [DRUGS[2]]
+        alphabet = graphmml.context._shared_edge_alphabet(DRUGS)
+        alone = [information_content(g, given, degrees, 3, edge_alphabet=alphabet)
+                 for g in DRUGS]
+        built, depths = self.count_sides(monkeypatch)
+        shared = graphmml.context.information_contents(DRUGS, given, degrees, 3,
+                                                       edge_alphabet=alphabet)
+        assert shared == alone
+        assert built == {"background": 1, "target": 4} and set(depths) == {3}
+        built.clear()
+        assert graphmml.context.information_contents(DRUGS[:2], [], degrees, 3) == [
+            information_content(g, [], degrees, 3) for g in DRUGS[:2]]
+        assert not built
+
     def test_huge_depth_table_builds_no_side_deeper_than_the_largest_component(
             self, monkeypatch, k33, near_k33, utility_degrees):
         named = [("k33", k33), ("near", near_k33), ("stub", cable_stub())]
