@@ -734,8 +734,7 @@ def edge_matches(
 # -- whole-graph information content ----------------------------------------------
 
 
-@dataclass(frozen=True)
-class StepRecord:
+class StepRecord(NamedTuple):
     """One traversal step's actual outcome and its cost in bits."""
 
     index: int
@@ -821,7 +820,8 @@ def _walk(g: Graph, cells: list[list[Graph]], degrees: Mapping[Any, int], depth:
     one after another, so a step makes one vertex_matches or edge_matches
     call for all the cells and charges each cell the integer weight sums
     of its own backgrounds' matches: every sum is exact, so the bits are
-    those of pricing that cell alone.
+    those of pricing that cell alone.  With no backgrounds a step makes
+    no call and charges both sums as 0, the uniform price.
     """
     for bgs in cells:
         alphabet = _checked_alphabet(g, bgs, degrees, depth, edge_alphabet)
@@ -838,21 +838,23 @@ def _walk(g: Graph, cells: list[list[Graph]], degrees: Mapping[Any, int], depth:
     pricer = _Pricer(g, backgrounds, depth, library=library)
     target, first, single = pricer.target, bits[0], len(bits) == 1
 
-    # Each step passes the pricer to the module's vertex_matches or
-    # edge_matches instead of calling its methods, with backgrounds (and a
-    # vertex step's incoming) positional: perfbench/run.py wraps those two
-    # names and reads those arguments.
+    # A step with backgrounds passes the pricer to the module's
+    # vertex_matches or edge_matches instead of calling its methods, with
+    # backgrounds (and a vertex step's incoming) positional:
+    # perfbench/run.py wraps those two names and reads those arguments.
     def step(state: TraversalState, event) -> StepRecord:
+        matches = ()
         if isinstance(event, VertexEvent):
             kind, outcome = "V", VertexOutcome(event.label, event.degree)
-            matches = vertex_matches(state, backgrounds, event.incoming, depth, _pricer=pricer)
             size = size_initial if event.incoming is None else size_later
+            if backgrounds:
+                matches = vertex_matches(state, backgrounds, event.incoming, depth, _pricer=pricer)
         else:
             kind, outcome = "E", EdgeOutcome(event.label, event.target)
-            matches = edge_matches(state, backgrounds, event.source, event.edge, depth,
-                                   _pricer=pricer)
             size = edge_labels * (1 + state.loop_candidate_count(event.source))
-            if target is not None:
+            if backgrounds:
+                matches = edge_matches(state, backgrounds, event.source, event.edge, depth,
+                                       _pricer=pricer)
                 target.add(event.edge)  # traverse closes the edge as this returns
         if single:  # the one cell's sums need no lookup per match
             hit = total = 0

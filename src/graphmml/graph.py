@@ -165,8 +165,7 @@ def connected_components(g: Graph) -> list[Graph]:
 # -- traversal ---------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class VertexEvent:
+class VertexEvent(NamedTuple):
     vertex: int
     label: Any
     degree: int
@@ -175,8 +174,7 @@ class VertexEvent:
     incoming: OrientedEdge | None
 
 
-@dataclass(frozen=True)
-class EdgeEvent:
+class EdgeEvent(NamedTuple):
     edge: int
     source: int
     label: Any
@@ -221,7 +219,7 @@ class TraversalState:
 
     def _push(self, v: int) -> None:
         self.visiting.append(v)
-        if len(self._neighbours[v]) < self.graph.degree(v):
+        if len(self._neighbours[v]) < len(self.graph.adjacency[v]):
             self._open[v] = None
 
     def _close(self, slot: OrientedEdge) -> None:
@@ -229,7 +227,7 @@ class TraversalState:
         for v, w in ((slot.tail, slot.head), (slot.head, slot.tail)):
             neighbours = self._neighbours[v]
             neighbours.add(w)
-            if len(neighbours) == self.graph.degree(v):
+            if len(neighbours) == len(self.graph.adjacency[v]):
                 self._open.pop(v, None)
 
     def _first_open(self, v: int) -> OrientedEdge | None:
@@ -279,7 +277,7 @@ def traverse(
     results: list = []
 
     def emit_vertex(v: int, incoming: OrientedEdge | None) -> None:
-        event = VertexEvent(v, g.labels[v], g.degree(v), incoming)
+        event = VertexEvent(v, g.labels[v], len(g.adjacency[v]), incoming)
         results.append(on_vertex(state, event) if on_vertex else event)
         reached[v] = True
         state._push(v)

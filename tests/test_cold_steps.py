@@ -1,0 +1,96 @@
+"""Steps priced with no backgrounds, and the records a traversal yields.
+
+A step with no backgrounds can find no match, so information_content
+prices it from the size of its outcome space alone, without calling the
+matchers; the bits must still be those of the uniform distribution that
+scored_matches_to_model builds from no matches.  With a background, each
+step makes its one matcher call, with the backgrounds positional.
+"""
+
+import pytest
+
+hypothesis = pytest.importorskip("hypothesis")
+from hypothesis import given, settings, strategies as st
+
+import graphmml.context
+import test_context
+from graphmml import (
+    EdgeEvent,
+    EdgeOutcome,
+    StepRecord,
+    VertexEvent,
+    VertexOutcome,
+    edge_outcome_space,
+    information_content,
+    loop_candidates,
+    scored_matches_to_model,
+    traverse,
+    vertex_outcome_space,
+)
+from test_table_rows import labelled_graph
+
+ALPHABET = ("x", "y")
+
+
+@pytest.mark.parametrize("record, fields", [
+    (VertexEvent(1, "a", 2, None), ("vertex", "label", "degree", "incoming")),
+    (EdgeEvent(3, 1, "x", None), ("edge", "source", "label", "target")),
+    (StepRecord(0, "V", VertexOutcome("a", 2), 1.5), ("index", "kind", "outcome", "bits")),
+])
+def test_records_keep_their_fields_and_are_immutable_values(record, fields):
+    assert type(record)._fields == fields
+    with pytest.raises(AttributeError):
+        setattr(record, fields[0], 7)
+    with pytest.raises(AttributeError):
+        record.extra = 7
+    twin = type(record)(*record)
+    assert twin == record and twin is not record
+    assert hash(twin) == hash(record)
+
+
+def uniform_bits(g, degrees):
+    """Each step's bits under no matches, from the outcome spaces listed in full."""
+    def on_vertex(state, event):
+        space = vertex_outcome_space(degrees, initial=event.incoming is None)
+        return scored_matches_to_model([], space).nl_pr(VertexOutcome(event.label, event.degree))
+
+    def on_edge(state, event):
+        space = edge_outcome_space(ALPHABET, loop_candidates(state, event.source))
+        return scored_matches_to_model([], space).nl_pr(EdgeOutcome(event.label, event.target))
+
+    return traverse(g, on_vertex, on_edge)
+
+
+def recorded_calls(monkeypatch):
+    """Patch the module's matchers to record each call's positional arguments."""
+    calls = {"vertex_matches": [], "edge_matches": []}
+    for name, log in calls.items():
+        def record(*args, _original=getattr(graphmml.context, name), _log=log, **kwargs):
+            _log.append(args)
+            return _original(*args, **kwargs)
+        monkeypatch.setattr(graphmml.context, name, record)
+    return calls
+
+
+@settings(max_examples=80, deadline=None, derandomize=True)
+@given(data=st.data(), g=labelled_graph(), bg=labelled_graph(), depth=st.integers(0, 3))
+def test_cold_steps_charge_the_uniform_price_without_matching(data, g, bg, depth):
+    # Each label's largest degree in either graph, plus up to 2 of slack.
+    tight = test_context.tight_degrees([g, bg])
+    degrees = {label: tight.get(label, 1) + data.draw(st.integers(0, 2)) for label in "ab"}
+    with pytest.MonkeyPatch.context() as monkeypatch:
+        calls = recorded_calls(monkeypatch)
+        cold = information_content(g, [], degrees, depth, edge_alphabet=ALPHABET)
+        assert calls == {"vertex_matches": [], "edge_matches": []}
+        assert [step.bits for step in cold.steps] == uniform_bits(g, degrees)
+
+        warm = information_content(g, [bg], degrees, depth, edge_alphabet=ALPHABET)
+    kinds = [step.kind for step in warm.steps]
+    assert len(calls["vertex_matches"]) == kinds.count("V") == g.vertex_count
+    assert len(calls["edge_matches"]) == kinds.count("E") == g.edge_count
+    # The arguments the benchmark's tracer reads are positional: the
+    # backgrounds, and a vertex step's incoming edge after them.
+    assert all(len(args) == 4 for args in calls["vertex_matches"])
+    assert all(len(args) == 5 for args in calls["edge_matches"])
+    for args in calls["vertex_matches"] + calls["edge_matches"]:
+        assert args[1] == [bg]

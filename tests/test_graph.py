@@ -144,7 +144,9 @@ class TestTraversal:
                 return event.edge, event.target, loop_candidates(state, event.source)
             return None
 
-        got = [r for r in traverse(k33, on_edge=on_edge) if isinstance(r, tuple)]
+        # Vertex events are tuples too: keep on_edge's closures only.
+        got = [r for r in traverse(k33, on_edge=on_edge)
+               if r is not None and not isinstance(r, VertexEvent)]
         assert got == [
             (1, 0, (0, 3)),
             (6, 3, (0, 3, 1)),
@@ -227,7 +229,7 @@ class TestTraversal:
             return loop_candidates(state, event.source)
 
         results = traverse(k33, on_edge=on_edge)
-        candidate_lists = [r for r in results if isinstance(r, tuple)]
+        candidate_lists = [r for r in results if not isinstance(r, VertexEvent)]
         assert candidate_lists == [
             (),        # edge 0 from the root: nothing else on the stack
             (),        # edge 3 from vertex 3: vertex 0 already adjacent
