@@ -472,13 +472,13 @@ class _Library:
     """Background sides shared by the pricers of one batch call, of one
     worker's share of it, or of one info command's targets.
 
-    depth is capped at the largest component of any of the graphs the
+    depth is capped at the largest component of any of the targets the
     library will price, so no pricer's capped depth is deeper, and a
-    matcher never reads the levels past its own.  side(bg) builds bg's
-    side the first time a pricer asks for it, so each background is
-    indexed once and its memos serve every cell the library prices.
-    keys interns the context keys, so a key that several sides' memos
-    hold is stored once.
+    matcher never reads the levels past its own: a background's size
+    does not count.  side(bg) builds bg's side the first time a pricer
+    asks for it, so each background is indexed once and its memos serve
+    every cell the library prices.  keys interns the context keys, so a
+    key that several sides' memos hold is stored once.
     """
 
     __slots__ = ("depth", "sides", "keys")
@@ -758,36 +758,19 @@ def outcome_text(outcome: VertexOutcome | EdgeOutcome) -> str:
     return f"edge {label_text(outcome.label)} closes {outcome.target}"
 
 
-def _require_model_graph(g: Graph, what: str) -> None:
-    if g.directed:
-        raise ContextError(f"{what} must be undirected")
-
-
-def _check_degrees(g: Graph, degrees: Mapping[Any, int], what: str) -> None:
-    for v in range(g.vertex_count):
-        label = g.labels[v]
-        if label not in degrees:
-            raise ContextError(
-                f"{what} vertex {v} has label {label_text(label)} with no declared maximum degree"
-            )
-        if g.degree(v) > degrees[label]:
-            raise ContextError(
-                f"{what} vertex {v} has degree {g.degree(v)}, above the declared "
-                f"maximum {degrees[label]} for label {label_text(label)}"
-            )
-
-
 def _shared_edge_alphabet(graphs: Iterable[Graph]) -> frozenset:
     return frozenset(e.label for g in graphs for e in g.edges)
 
 
-def _checked_alphabet(g: Graph, backgrounds: list[Graph], degrees: Mapping[Any, int],
+def _checked_alphabet(graphs: list[tuple[str, Graph]], degrees: Mapping[Any, int],
                       depth: int, edge_alphabet: Iterable | None) -> frozenset:
-    """The edge alphabet of pricing g given the backgrounds, once the input
-    is checked; raises ContextError for the first condition it breaks."""
-    _require_model_graph(g, "the graph")
-    for bi, bg in enumerate(backgrounds):
-        _require_model_graph(bg, f"background {bi}")
+    """The edge alphabet of pricing the (what, graph) pairs' graphs, once
+    the input is checked; raises ContextError for the first condition it
+    breaks, naming the graph by its what.  A what of "the graph" reads
+    "graph" before a vertex."""
+    for what, g in graphs:
+        if g.directed:
+            raise ContextError(f"{what} must be undirected")
     for label, limit in degrees.items():
         if not isinstance(limit, int) or isinstance(limit, bool) or limit < 1:
             raise ContextError(
@@ -795,11 +778,20 @@ def _checked_alphabet(g: Graph, backgrounds: list[Graph], degrees: Mapping[Any, 
             )
     if depth < 0:
         raise ContextError("depth must be non-negative")
-    _check_degrees(g, degrees, "graph")
-    for bi, bg in enumerate(backgrounds):
-        _check_degrees(bg, degrees, f"background {bi}")
+    for what, g in graphs:
+        what = what.removeprefix("the ")
+        for v in range(g.vertex_count):
+            label = g.labels[v]
+            if label not in degrees:
+                raise ContextError(f"{what} vertex {v} has label {label_text(label)} "
+                                   "with no declared maximum degree")
+            if g.degree(v) > degrees[label]:
+                raise ContextError(
+                    f"{what} vertex {v} has degree {g.degree(v)}, above the declared "
+                    f"maximum {degrees[label]} for label {label_text(label)}"
+                )
 
-    present = _shared_edge_alphabet([g] + backgrounds)
+    present = _shared_edge_alphabet(g for _, g in graphs)
     alphabet = present if edge_alphabet is None else frozenset(edge_alphabet)
     missing = present - alphabet
     if missing:
@@ -811,20 +803,18 @@ def _checked_alphabet(g: Graph, backgrounds: list[Graph], degrees: Mapping[Any, 
 
 
 def _walk(g: Graph, cells: list[list[Graph]], degrees: Mapping[Any, int], depth: int,
-          edge_alphabet: Iterable | None, library: _Library | None) -> tuple[list, list]:
+          alphabet: frozenset, library: _Library | None) -> tuple[list, list]:
     """One traversal of g that prices it given each cell's backgrounds.
 
-    Each cell's input is checked first, in cell order, as
-    information_content checks it.  Returns the first cell's step log and,
+    The caller has checked the input, and alphabet is the edge alphabet
+    _checked_alphabet returned.  Returns the first cell's step log and,
     per cell, every step's bits.  The pricer sees the cells' backgrounds
     one after another, so a step makes one vertex_matches or edge_matches
     call for all the cells and charges each cell the integer weight sums
     of its own backgrounds' matches: every sum is exact, so the bits are
     those of pricing that cell alone.  With no backgrounds a step makes
-    no call and charges both sums as 0, the uniform price.
+    no call and charges every cell both sums as 0, the uniform price.
     """
-    for bgs in cells:
-        alphabet = _checked_alphabet(g, bgs, degrees, depth, edge_alphabet)
     backgrounds = [bg for bgs in cells for bg in bgs]
     cell_of = [c for c, bgs in enumerate(cells) for _ in bgs]
     bits: list[list[float]] = [[] for _ in cells]
@@ -836,14 +826,13 @@ def _walk(g: Graph, cells: list[list[Graph]], degrees: Mapping[Any, int], depth:
     # one matcher for the walk; the target side they share starts with no
     # edge known and learns each edge as the traversal closes it.
     pricer = _Pricer(g, backgrounds, depth, library=library)
-    target, first, single = pricer.target, bits[0], len(bits) == 1
+    target, first = pricer.target, bits[0]
 
     # A step with backgrounds passes the pricer to the module's
     # vertex_matches or edge_matches instead of calling its methods, with
     # backgrounds (and a vertex step's incoming) positional:
     # perfbench/run.py wraps those two names and reads those arguments.
     def step(state: TraversalState, event) -> StepRecord:
-        matches = ()
         if isinstance(event, VertexEvent):
             kind, outcome = "V", VertexOutcome(event.label, event.degree)
             size = size_initial if event.incoming is None else size_later
@@ -856,13 +845,9 @@ def _walk(g: Graph, cells: list[list[Graph]], degrees: Mapping[Any, int], depth:
                 matches = edge_matches(state, backgrounds, event.source, event.edge, depth,
                                        _pricer=pricer)
                 target.add(event.edge)  # traverse closes the edge as this returns
-        if single:  # the one cell's sums need no lookup per match
-            hit = total = 0
-            for _, score, predicted in matches:
-                total += score + 1
-                if predicted == outcome:
-                    hit += score + 1
-            first.append(_step_bits(hit, total, size))
+        if not backgrounds:
+            for cell in bits:
+                cell.append(_step_bits(0, 0, size))
         else:
             hits, totals = [0] * len(bits), [0] * len(bits)
             for candidate, score, predicted in matches:
@@ -893,11 +878,13 @@ def information_content(
     actual outcome under models built from the backgrounds.  An empty
     background list gives the unconditional estimate, and an empty g costs
     0 bits.  The step log accounts for the total exactly.  A caller that
-    prices several graphs passes one _library, capped over all of them
-    and their backgrounds, so each background is indexed once and its
-    memo serves every call.
+    prices several graphs passes one _library, capped over all of them,
+    so each background is indexed once and its memo serves every call.
     """
-    steps, (bits,) = _walk(g, [list(backgrounds)], degrees, depth, edge_alphabet, _library)
+    backgrounds = list(backgrounds)
+    checks = [("the graph", g)] + [(f"background {bi}", bg) for bi, bg in enumerate(backgrounds)]
+    alphabet = _checked_alphabet(checks, degrees, depth, edge_alphabet)
+    steps, (bits,) = _walk(g, [backgrounds], degrees, depth, alphabet, _library)
     return InfoResult(total=sum(bits, 0.0), steps=tuple(steps))
 
 
@@ -912,9 +899,10 @@ def information_contents(
     """information_content of each graph, in order, given the same backgrounds.
 
     The graphs share one library, so each background is indexed once and
-    its memo serves them all.
+    its memo serves them all.  Its depth is capped over the graphs alone:
+    no pricer reads a level past its own target's largest component.
     """
-    library = _Library(depth, [*graphs, *backgrounds]) if backgrounds else None
+    library = _Library(depth, graphs) if backgrounds else None
     return [information_content(g, backgrounds, degrees, depth, edge_alphabet=edge_alphabet,
                                 _library=library) for g in graphs]
 
@@ -943,20 +931,15 @@ def _price(cells: list, degrees: dict, depth: int, alphabet: frozenset,
     """Each (target, backgrounds) cell's total, in cell order, through the
     library.
 
-    A run of cells with the same target, a table row or the part of one
-    in a worker's share, is priced in one traversal of that target.  A
-    lone cell, such as a chain item, goes through the module's
-    information_content, which perfbench/run.py times as a cell.
+    Each run of cells with the same target, a table row or the part of
+    one in a worker's share, or a lone chain item, is priced in one
+    traversal of that target.  The caller has checked every graph.
     """
     totals = []
     for _, row in itertools.groupby(cells, key=lambda cell: id(cell[0])):
-        (g, bgs), *rest = row
-        if rest:
-            _, bits = _walk(g, [bgs] + [b for _, b in rest], degrees, depth, alphabet, library)
-            totals += [sum(cell, 0.0) for cell in bits]
-        else:
-            totals.append(information_content(g, bgs, degrees, depth, edge_alphabet=alphabet,
-                                              _library=library).total)
+        row = list(row)
+        _, bits = _walk(row[0][0], [bgs for _, bgs in row], degrees, depth, alphabet, library)
+        totals += [sum(cell, 0.0) for cell in bits]
     return totals
 
 
@@ -965,21 +948,25 @@ def _batch(named_graphs: Sequence[tuple[str, Graph]], degrees: Mapping[Any, int]
     """The names and, in cell order, the totals of the cells pairs(graphs)
     lists as (target, backgrounds).
 
-    Every cell shares one edge-label alphabet, the union over all the
-    graphs, so the numbers are comparable.  The library depth is capped
-    once, at the largest component of any of the graphs.  The cells run
-    in this process, or in w = min(jobs, cells, CPUs) worker processes
-    when that is more than one: worker k prices cells k, k + w, k + 2w,
-    ... through its own copy of the still empty library, so it too
-    indexes each background once and walks each row once.  Round-robin
-    shares even out a chain, whose later cells carry more backgrounds.
+    Every graph is checked once, before any cell, library or worker is
+    made, and a bad one is named in the message.  Every cell shares one
+    edge-label alphabet, the union over all the graphs, so the numbers
+    are comparable.  The library depth is capped once, at the largest
+    component of any of the graphs.  The cells run in this process, or
+    in w = min(jobs, cells, CPUs) worker processes when that is more
+    than one: worker k prices cells k, k + w, k + 2w, ... through its
+    own copy of the still empty library, so it too indexes each
+    background once and walks each row once.  Round-robin shares even
+    out a chain, whose later cells carry more backgrounds.
     """
     named = list(named_graphs)
     if not named:
         raise ContextError(f"the {what} needs at least one graph")
+    checks = [(f"graph {name!r}", g) for name, g in named]
+    alphabet = _checked_alphabet(checks, degrees, depth, None)
     graphs = [g for _, g in named]
     cells = pairs(graphs)
-    settings = dict(degrees), depth, _shared_edge_alphabet(graphs), _Library(depth, graphs)
+    settings = dict(degrees), depth, alphabet, _Library(depth, graphs)
     workers = min(jobs, len(cells), os.cpu_count() or 1)
     if workers <= 1:
         totals = _price(cells, *settings)

@@ -1252,6 +1252,16 @@ class TestTableAndChain:
         monkeypatch.setattr(graphmml.context, "_Side", counting_side)
         return built, depths
 
+    def test_info_caps_its_library_over_the_targets_alone(self, monkeypatch):
+        # A 6-vertex ring given a 1,500-vertex chain: no pricer reads a level
+        # past the ring's 6 vertices, so no background side is built deeper.
+        ring = build_graph(False, ["C"] * 6, [(i, (i + 1) % 6, "s") for i in range(6)])
+        chain = build_graph(False, ["C"] * 1500, [(i, i + 1, "s") for i in range(1499)])
+        capped = graphmml.context.information_contents([ring], [chain], {"C": 2}, 6)
+        _, depths = self.count_sides(monkeypatch)
+        huge = graphmml.context.information_contents([ring], [chain], {"C": 2}, 10**9)
+        assert huge == capped and max(depths) == 6
+
     def test_table_indexes_each_graph_once_as_a_background(self, monkeypatch):
         # A row's cells share one traversal of their target, and with it one
         # target side.

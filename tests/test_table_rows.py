@@ -3,8 +3,8 @@
 conditional_table walks each target once for all the cells of its row,
 charging each cell from its own background's matches.  Every cell must
 still be the number information_content gives for that cell alone, in
-one process and across worker processes, and a bad input must raise the
-message the first bad cell raises alone.
+one process and across worker processes.  A batch checks each graph once,
+before any cell runs, and a bad input's message names the bad graph.
 """
 
 import os
@@ -14,9 +14,12 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 from hypothesis import given, settings, strategies as st
 
+import graphmml.context
 import test_context
-from graphmml import ContextError, build_graph, conditional_table, information_content
-from conftest import UTILITY_DEGREES, make_k33
+from graphmml import (
+    ContextError, build_graph, chain_information, conditional_table, information_content,
+)
+from conftest import DRUG_SMILES, UTILITY_DEGREES, make_k33
 
 
 @st.composite
@@ -62,24 +65,56 @@ def test_every_cell_equals_its_own_run(named, depth):
         assert pool.sizes == ([min(3, len(graphs) ** 2)] if len(graphs) > 1 else [])
 
 
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(named=named_graphs(), depth=st.integers(0, 3))
+def test_every_chain_item_equals_its_own_run(named, depth):
+    # A chain item walks alone, or with the next item when that lists the
+    # same Graph object again.
+    graphs = [g for _, g in named]
+    degrees = test_context.tight_degrees(graphs)
+    shared = {e.label for g in graphs for e in g.edges}
+    expected = [information_content(g, graphs[:i], degrees, depth, edge_alphabet=shared).total
+                for i, g in enumerate(graphs)]
+    assert [bits for _, bits in chain_information(named, degrees, depth).items] == expected
+
+
 def over_degree_star():
     """A House joined to four Utilities, one edge above its declared 3."""
     return build_graph(False, ["House"] + ["Utility"] * 4,
                        [(0, i, "Elec") for i in range(1, 5)])
 
 
-@pytest.mark.parametrize("jobs, message", [
-    # Row k33: cell (k33 | k33) passes, and cell (k33 | star) meets the star
-    # as its background 0.
-    (1, "background 0 vertex 0 has degree 4, above the declared maximum 3 for label House"),
-    # Worker 0 prices cells 0 and 3, (k33 | k33) and (star | star): the star
-    # is that row's target.
-    (3, "graph vertex 0 has degree 4, above the declared maximum 3 for label House"),
-])
-def test_a_bad_second_graph_raises_its_first_cells_message(monkeypatch, jobs, message):
+@pytest.mark.parametrize("jobs", [1, 3])
+@pytest.mark.parametrize("batch", [conditional_table, chain_information])
+def test_a_bad_last_graph_is_named_before_any_cell_runs(monkeypatch, batch, jobs):
+    # The table's second graph and the chain's last one break a declared
+    # degree: the message names it whatever the job count, and no worker
+    # starts.
     monkeypatch.setattr(os, "cpu_count", lambda: 8)
-    test_context.TestTableAndChain.inline_pool(monkeypatch)
+    pool = test_context.TestTableAndChain.inline_pool(monkeypatch)
     named = [("k33", make_k33()), ("star", over_degree_star())]
     with pytest.raises(ContextError) as raised:
-        conditional_table(named, UTILITY_DEGREES, 3, jobs=jobs)
-    assert str(raised.value) == message
+        batch(named, UTILITY_DEGREES, 3, jobs=jobs)
+    assert str(raised.value) == (
+        "graph 'star' vertex 0 has degree 4, above the declared maximum 3 for label House")
+    assert pool.sizes == []
+
+
+@pytest.mark.parametrize("jobs", [1, 3])
+def test_a_batch_checks_its_input_once(monkeypatch, jobs):
+    monkeypatch.setattr(os, "cpu_count", lambda: 8)
+    test_context.TestTableAndChain.inline_pool(monkeypatch)
+    checks = []
+    check = graphmml.context._checked_alphabet
+
+    def counting_check(*args):
+        checks.append(args)
+        return check(*args)
+
+    monkeypatch.setattr(graphmml.context, "_checked_alphabet", counting_check)
+    named = list(zip(DRUG_SMILES, test_context.DRUGS))
+    degrees = test_context.tight_degrees(test_context.DRUGS)
+    conditional_table(named, degrees, 2, jobs=jobs)
+    assert len(checks) == 1
+    chain_information(named, degrees, 2, jobs=jobs)
+    assert len(checks) == 2
