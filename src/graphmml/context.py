@@ -9,10 +9,11 @@ the correspondence covers within a depth-limited radius.  Every outcome
 the step could reveal gets an escape weight of ESCAPE, each match adds
 its score plus one to the outcome it predicts, and the actual outcome's
 negative log2 share of the total weight is the step's cost.
-information_content computes that share with one division, from the
-match list and the number of possible outcomes, without listing the
-outcomes; scored_matches_to_model builds the full distribution under the
-same rule.
+information_content computes that share with one division, from each
+background's weight sums per outcome and the number of possible
+outcomes, without listing the matches or the outcomes;
+scored_matches_to_model builds the full distribution from vertex_matches
+or edge_matches under the same rule.
 
 With no backgrounds every step falls back to a uniform distribution, so
 the unconditional cost is still well defined.  The traversal covers every
@@ -26,6 +27,7 @@ import enum
 import itertools
 import math
 import os
+from collections import Counter
 from dataclasses import dataclass
 from typing import Any, Container, Iterable, Mapping, NamedTuple, Sequence
 
@@ -184,18 +186,19 @@ class _Side:
     to it.  add() keeps all three current as edges become known.  A side
     over all its edges is a background, which the matcher also looks up
     by label: buckets[v] groups slots[v] by label as (edge, far end)
-    pairs in the same order.  The step loops list their candidates from
+    pairs in the same order.  The candidate loops list their candidates from
     two more lookups, each in vertex id order and then slot order, that
     share one (v, edge, far end, v's VertexOutcome, the edge's fresh
     EdgeOutcome) tuple per slot: arrivals[label] lists the slots of that
     edge label, and leaving[label] the slots of the vertices of that
     label.  vertex_memo and edge_memo map a step's context key to the
-    results of its candidates here (see _Pricer).  A side over known
-    edges has none of these.
+    weight its candidates here give each outcome (see _Pricer), and
+    roots counts the vertices of each VertexOutcome, for root steps.  A
+    side over known edges has none of these.
     """
 
     __slots__ = ("graph", "depth", "known", "slots", "buckets", "arrivals", "leaving",
-                 "vertex_memo", "edge_memo", "bounds", "caps")
+                 "vertex_memo", "edge_memo", "roots", "bounds", "caps")
 
     def __init__(self, g: Graph, depth: int, known: Container[int] | None = None):
         n = g.vertex_count
@@ -205,28 +208,26 @@ class _Side:
         self.slots: list[tuple[tuple[int, int, Any], ...]] = [()] * n
         for v in range(n):
             self._reslot(v)
-        self.buckets: list[dict[Any, list[tuple[int, int]]]] | None = None
-        self.arrivals: dict[Any, list[tuple]] | None = None
-        self.leaving: dict[Any, list[tuple]] | None = None
-        self.vertex_memo: dict[tuple, bytes | tuple[int, ...]] | None = None
-        self.edge_memo: dict[tuple, bytes | tuple[int, ...]] | None = None
-        if known is None:
-            self.buckets = []
-            self.arrivals = {}
-            self.leaving = {}
+        background = known is None
+        self.buckets: list[dict[Any, list[tuple[int, int]]]] | None = [] if background else None
+        self.arrivals: dict[Any, list[tuple]] | None = {} if background else None
+        self.leaving: dict[Any, list[tuple]] | None = {} if background else None
+        self.roots: Counter | None = Counter() if background else None
+        self.vertex_memo: dict[tuple, tuple] | None = {} if background else None
+        self.edge_memo: dict[tuple, tuple] | None = {} if background else None
+        if background:
             fresh = {label: EdgeOutcome(label, None) for _, _, label in g.edges}
             for v, here in enumerate(self.slots):
                 buckets: dict[Any, list[tuple[int, int]]] = {}
                 outcome = VertexOutcome(g.labels[v], len(here))
                 leaving = self.leaving.setdefault(g.labels[v], [])
+                self.roots[outcome] += 1
                 for e, far, label in here:
                     buckets.setdefault(label, []).append((e, far))
                     slot = (v, e, far, outcome, fresh[label])
                     self.arrivals.setdefault(label, []).append(slot)
                     leaving.append(slot)
                 self.buckets.append(buckets)
-            self.vertex_memo = {}
-            self.edge_memo = {}
         self.bounds = [[1] * n for _ in range(depth + 1)]
         # caps[0] is never read: a depth-0 match follows no edges.
         self.caps: list = [None] + [[None] * n for _ in range(depth)]
@@ -292,7 +293,7 @@ class _Matcher:
     winner is still the first alternative to reach the best value, so its
     bindings and every score are those of the unpruned search.
 
-    _assign is the one search core.  _Pricer's step methods read each
+    _assign is the one search core.  _Pricer's candidate loops read the
     step's target data once, make a candidate's first bindings in place
     and enter _assign directly, or score the candidate without a search
     where none can add to it.  The tests run a search from nothing bound
@@ -455,12 +456,19 @@ def _largest_component(g: Graph) -> int:
     return max((c.vertex_count for c in connected_components(g)), default=0)
 
 
-def _compact(values: list[int]) -> bytes | tuple[int, ...]:
-    """A memo entry: bytes when every value fits in one, else a tuple."""
-    try:
-        return bytes(values)
-    except ValueError:
-        return tuple(values)
+def _entry(entries: dict[tuple, tuple], results: Iterable[tuple[int, Any]]) -> tuple:
+    """A memo entry from a step's (score, predicted outcome) results,
+    interned in entries: each outcome they predict, then the weight their
+    matches give it."""
+    sums: dict = {}
+    for score, predicted in results:
+        sums[predicted] = sums.get(predicted, 0) + score + 1
+    # Made from a list, so the tuple is built at its length: from an
+    # iterator tuple() builds a longer one and shrinks it, and each freed
+    # duplicate would then pile up in the interpreter's cache of short
+    # tuples instead of being reused by the next entry.
+    entry = tuple([*itertools.chain.from_iterable(sums.items())])
+    return entries.setdefault(entry, entry)
 
 
 # Stands in a vertex step's key for the arriving vertex's label, which no
@@ -478,15 +486,18 @@ class _Library:
     does not count.  side(bg) builds bg's side the first time a pricer
     asks for it, so each background is indexed once and its memos serve
     every cell the library prices.  keys interns the context keys, so a
-    key that several sides' memos hold is stored once.
+    key that several sides' memos hold is stored once, and vertex_entries
+    and edge_entries intern the memos' entries alike.
     """
 
-    __slots__ = ("depth", "sides", "keys")
+    __slots__ = ("depth", "sides", "keys", "vertex_entries", "edge_entries")
 
     def __init__(self, depth: int, graphs: Iterable[Graph] = ()):
         self.depth = min(depth, max(map(_largest_component, graphs), default=depth))
         self.sides: dict[int, _Side] = {}
         self.keys: dict[tuple, tuple] = {}
+        self.vertex_entries: dict[tuple, tuple] = {}
+        self.edge_entries: dict[tuple, tuple] = {}
 
     def side(self, bg: Graph) -> _Side:
         side = self.sides.get(id(bg))
@@ -500,12 +511,12 @@ class _Pricer:
 
     With backgrounds it holds the capped depth, one target side over g's
     known edges, a side and a matcher per background around it, and the
-    table that interns context keys; the traversal makes each edge known
-    on the target side as it closes it.  A table row's walk (see _walk)
-    passes the backgrounds of all the row's cells, so the target side,
-    each step's context key and each step's call serve every cell of the
-    row.  The background sides and the key table always come from a
-    library: the caller's when one is given, or one the pricer builds
+    table that interns context keys; edge_step makes each edge known on
+    the target side as the traversal closes it.  A table row's walk (see
+    _walk) passes the backgrounds of all the row's cells, so the target
+    side, each step's context key and each step's call serve every cell
+    of the row.  The background sides and the key table always come from
+    a library: the caller's when one is given, or one the pricer builds
     at its own capped depth.  With no backgrounds it builds no side, and
     its step methods are never called.
 
@@ -521,25 +532,29 @@ class _Pricer:
     around the root: depth from the source for an edge step, depth - 1
     from the vertex the arrival edge leads back to for a vertex step.
     The step codes that ball as its context key (see _context), and each
-    background side memoises its candidates' results by key, so a step
-    whose context some earlier step of the call had runs no search on
-    that background.  The memoised results are a vertex step's scores,
-    and an edge step's scores with each bound far end's number in the
-    ball; the matches are rebuilt from them in candidate order.
+    background side memoises, by key, the weight its candidates give
+    each outcome, so a step whose context some earlier step of the call
+    had runs no search on that background and costs one pass over its
+    distinct outcomes.  An entry lists each outcome the candidates
+    predict, each followed by its weight; an edge step's loop closure names its
+    target by the target's number in the ball, and counts only while
+    that vertex can still take a loop closure, which the step checks
+    once per target.  vertex_results and edge_results are the one
+    candidate loop of each step kind: the step methods sum their
+    results into the memo on a miss, and vertex_matches and edge_matches
+    list them as matches.
     """
 
-    __slots__ = ("depth", "target", "sides", "matchers", "keys")
+    __slots__ = ("depth", "target", "sides", "matchers", "library")
 
     def __init__(self, g: Graph, backgrounds: Sequence[Graph], depth: int, known=(),
                  library: _Library | None = None):
         if backgrounds:
             depth = min(depth, _largest_component(g))
-        if library is None:
-            library = _Library(depth)
         self.depth = depth
-        self.keys = library.keys
+        self.library = library or _Library(depth)
         self.target = _Side(g, depth, known) if backgrounds else None
-        self.sides = [library.side(bg) for bg in backgrounds]
+        self.sides = [self.library.side(bg) for bg in backgrounds]
         self.matchers = [_Matcher(self.target, side) for side in self.sides]
 
     def _context(self, key: list, root: int, radius: int,
@@ -577,98 +592,120 @@ class _Pricer:
         for v in order[start:]:
             key.append(_HIDDEN if v == hidden else labels[v])
         key = tuple(key)
-        return self.keys.setdefault(key, key), number
+        return self.library.keys.setdefault(key, key), number
 
-    def vertex_step(self, incoming) -> list[ScoredMatch]:
-        """vertex_matches for an arrival edge, over the known edges."""
-        depth, target = self.depth, self.target
-        # Every matcher shares the target side, so its data is read once.  The
-        # arrival edge closed before this step, so it is a known slot of far1,
-        # the way back from every search rooted there.
-        e1, far1, label1 = incoming.edge, incoming.head, incoming.label
-        key, _ = self._context([depth, label1], far1, depth - 1, incoming.tail)
+    def vertex_results(self, incoming, bi: int) -> list[tuple[int, VertexOutcome]]:
+        """(score, predicted outcome) for each of background bi's candidates
+        for the arrival edge incoming, over the known edges, in arrivals
+        order."""
+        depth, target, matcher = self.depth, self.target, self.matchers[bi]
+        # The arrival edge closed before this step, so it is a known slot of
+        # far1, the way back from every search rooted there.
+        e1, far1 = incoming.edge, incoming.head
         root_label = target.graph.labels[far1]
         if depth > 1:
             caps = target.caps[depth - 1][far1]
             share = 1 + target.bounds[depth - 2][incoming.tail]
-        matches: list[ScoredMatch] = []
-        for bi, (side, matcher) in enumerate(zip(self.sides, self.matchers)):
-            arrivals = side.arrivals.get(label1)
-            if arrivals is None:
-                continue
-            scores = side.vertex_memo.get(key)
-            if scores is None:
-                labels2, vmap, vinv, emap, einv = (
-                    matcher.labels2, matcher.vmap, matcher.vinv, matcher.emap, matcher.einv)
-                journal = matcher.journal
-                scores = []
-                for _, e2, far2, _, _ in arrivals:
-                    # The edge scores 1 and a far end of far1's label 1 more;
-                    # only below depth 2 does a search have nothing to add.
-                    if labels2[far2] != root_label:
-                        score = 1
-                    elif depth < 2:
-                        score = 2
-                    else:
-                        emap[e1] = e2
-                        einv[e2] = e1
-                        vmap[far1] = far2
-                        vinv[far2] = far1
-                        journal.append((~e1, e2))
-                        journal.append((far1, far2))
-                        score = 2 + matcher._assign(far1, 0, far2, depth - 1, caps, share, e1, 0)
-                        matcher.rollback(0)
-                    scores.append(score)
-                scores = side.vertex_memo[key] = _compact(scores)
-            matches += [ScoredMatch((bi, v2, e2), score, outcome)
-                        for (v2, e2, _, outcome, _), score in zip(arrivals, scores)]
-        return matches
+        labels2, vmap, vinv, emap, einv = (
+            matcher.labels2, matcher.vmap, matcher.vinv, matcher.emap, matcher.einv)
+        journal = matcher.journal
+        results = []
+        for _, e2, far2, predicted, _ in self.sides[bi].arrivals.get(incoming.label, ()):
+            # The edge scores 1 and a far end of far1's label 1 more; only
+            # below depth 2 does a search have nothing to add.
+            if labels2[far2] != root_label:
+                score = 1
+            elif depth < 2:
+                score = 2
+            else:
+                emap[e1] = e2
+                einv[e2] = e1
+                vmap[far1] = far2
+                vinv[far2] = far1
+                journal.append((~e1, e2))
+                journal.append((far1, far2))
+                score = 2 + matcher._assign(far1, 0, far2, depth - 1, caps, share, e1, 0)
+                matcher.rollback(0)
+            results.append((score, predicted))
+        return results
 
-    def edge_step(self, state: TraversalState, source: int, pending_edge: int) -> list[ScoredMatch]:
-        """edge_matches for the pending edge, over the known edges."""
-        depth, target = self.depth, self.target
-        label = target.graph.labels[source]
-        key, number = self._context([depth], source, depth)
-        ball = list(number)
+    def edge_results(self, source: int, pending_edge: int, bi: int,
+                     number: Mapping[int, int] | Sequence[int]) -> list[tuple[int, EdgeOutcome]]:
+        """(score, predicted outcome) for each of background bi's candidates
+        for the pending edge, over the known edges, in leaving order.  A
+        loop closure's target is number[w] for the vertex w the
+        candidate's far end is bound to."""
+        depth, target, matcher = self.depth, self.target, self.matchers[bi]
+        leaving = self.sides[bi].leaving.get(target.graph.labels[source], ())
         # The source's own pair scores 1; a search adds what its known edges
         # match, and with none it binds no far end, so the step stays fresh.
-        search = depth >= 1 and bool(target.slots[source])
-        if search:
-            caps = target.caps[depth][source]
-        matches: list[ScoredMatch] = []
-        for bi, (side, matcher) in enumerate(zip(self.sides, self.matchers)):
-            leaving = side.leaving.get(label)
-            if leaving is None:
-                continue
-            # Per candidate: its score, then 0 for a fresh outcome or 1 plus
-            # the number of the ball vertex its far end is bound to.
-            results = side.edge_memo.get(key)
-            if results is None:
-                vmap, vinv, emap, einv = matcher.vmap, matcher.vinv, matcher.emap, matcher.einv
-                journal = matcher.journal
-                results = []
-                for v2, e2, far2, _, _ in leaving:
-                    if search:
-                        emap[pending_edge] = e2
-                        einv[e2] = pending_edge
-                        vmap[source] = v2
-                        vinv[v2] = source
-                        journal.append((~pending_edge, e2))
-                        journal.append((source, v2))
-                        score = 1 + matcher._assign(source, 0, v2, depth, caps, 0, -1, 0)
-                        w = vinv[far2]
-                        matcher.rollback(0)
-                    else:
-                        score, w = 1, -1
-                    results += (score, 0 if w < 0 else 1 + number[w])
-                results = side.edge_memo[key] = _compact(results)
-            for (v2, e2, _, _, fresh), score, n in zip(leaving, results[::2], results[1::2]):
-                if n == 0:
-                    matches.append(ScoredMatch((bi, v2, e2), score, fresh))
-                elif state.is_loop_candidate(source, ball[n - 1]):
-                    matches.append(
-                        ScoredMatch((bi, v2, e2), score, EdgeOutcome(fresh.label, ball[n - 1])))
-        return matches
+        if depth < 1 or not target.slots[source]:
+            return [(1, fresh) for *_, fresh in leaving]
+        caps = target.caps[depth][source]
+        vmap, vinv, emap, einv = matcher.vmap, matcher.vinv, matcher.emap, matcher.einv
+        journal = matcher.journal
+        results = []
+        for v2, e2, far2, _, fresh in leaving:
+            emap[pending_edge] = e2
+            einv[e2] = pending_edge
+            vmap[source] = v2
+            vinv[v2] = source
+            journal.append((~pending_edge, e2))
+            journal.append((source, v2))
+            score = 1 + matcher._assign(source, 0, v2, depth, caps, 0, -1, 0)
+            w = vinv[far2]
+            matcher.rollback(0)
+            results.append((score, fresh if w < 0 else EdgeOutcome(fresh.label, number[w])))
+        return results
+
+    def vertex_step(self, state: TraversalState, event, outcome) -> list[tuple[int, int]]:
+        """Per background, the weight of the matches vertex_matches finds
+        for the step that predict outcome, and of all of them."""
+        incoming = event.incoming
+        if incoming is None:  # every background vertex, at score 0
+            return [(side.roots[outcome], side.graph.vertex_count) for side in self.sides]
+        depth = self.depth
+        key, _ = self._context([depth, incoming.label], incoming.head, depth - 1, incoming.tail)
+        charged = []
+        for bi, side in enumerate(self.sides):
+            entry = side.vertex_memo.get(key)
+            if entry is None:
+                entry = side.vertex_memo[key] = _entry(
+                    self.library.vertex_entries, self.vertex_results(incoming, bi))
+            hit = entry[entry.index(outcome) + 1] if outcome in entry else 0
+            charged.append((hit, sum(entry[1::2])))
+        return charged
+
+    def edge_step(self, state: TraversalState, event, outcome) -> list[tuple[int, int]]:
+        """Per background, the weight of the matches edge_matches finds for
+        the step that predict outcome, and of all of them; then makes the
+        edge known, as the traversal closes it."""
+        source, depth = event.source, self.depth
+        key, number = self._context([depth], source, depth)
+        ball = list(number)
+        # The outcome as an entry codes it.  A loop closure out of the ball,
+        # where no match binds, codes as a target of -1, which gets no weight.
+        if outcome.target is not None:
+            outcome = EdgeOutcome(outcome.label, number.get(outcome.target, -1))
+        legal = {None: True}  # per target, whether the decoder could act on it
+        charged = []
+        for bi, side in enumerate(self.sides):
+            entry = side.edge_memo.get(key)
+            if entry is None:
+                entry = side.edge_memo[key] = _entry(
+                    self.library.edge_entries, self.edge_results(source, event.edge, bi, number))
+            # The actual outcome is legal, so its weight counts in the total.
+            hit = entry[entry.index(outcome) + 1] if outcome in entry else 0
+            total = 0
+            for predicted, weight in zip(entry[::2], entry[1::2]):
+                n = predicted.target
+                if n not in legal:
+                    legal[n] = state.is_loop_candidate(source, ball[n])
+                if legal[n]:
+                    total += weight
+            charged.append((hit, total))
+        self.target.add(event.edge)
+        return charged
 
 
 # -- public matching entry points -------------------------------------------------
@@ -680,14 +717,8 @@ def _own_pricer(state: TraversalState, backgrounds: Sequence[Graph], depth: int)
     return _Pricer(state.graph, backgrounds, depth, closed)
 
 
-def vertex_matches(
-    state: TraversalState,
-    backgrounds: Sequence[Graph],
-    incoming,
-    depth: int,
-    *,
-    _pricer: _Pricer | None = None,
-) -> list[ScoredMatch]:
+def vertex_matches(state: TraversalState, backgrounds: Sequence[Graph], incoming,
+                   depth: int) -> list[ScoredMatch]:
     """Scored predictions for the vertex about to be revealed.
 
     incoming is the reversed arrival edge (unknown vertex -> source), or
@@ -703,18 +734,15 @@ def vertex_matches(
                 for bi, bg in enumerate(backgrounds) for v2 in range(bg.vertex_count)]
     if not backgrounds:
         return []
-    return (_pricer or _own_pricer(state, backgrounds, depth)).vertex_step(incoming)
+    pricer = _own_pricer(state, backgrounds, depth)
+    return [ScoredMatch((bi, v2, e2), score, predicted)
+            for bi, side in enumerate(pricer.sides)
+            for (v2, e2, *_), (score, predicted) in zip(side.arrivals.get(incoming.label, ()),
+                                                        pricer.vertex_results(incoming, bi))]
 
 
-def edge_matches(
-    state: TraversalState,
-    backgrounds: Sequence[Graph],
-    source: int,
-    pending_edge: int,
-    depth: int,
-    *,
-    _pricer: _Pricer | None = None,
-) -> list[ScoredMatch]:
+def edge_matches(state: TraversalState, backgrounds: Sequence[Graph], source: int,
+                 pending_edge: int, depth: int) -> list[ScoredMatch]:
     """Scored predictions for the edge about to be revealed from source.
 
     Every oriented background edge leaving a vertex with the source's
@@ -727,8 +755,13 @@ def edge_matches(
     """
     if not backgrounds:
         return []
-    pricer = _pricer or _own_pricer(state, backgrounds, depth)
-    return pricer.edge_step(state, source, pending_edge)
+    pricer = _own_pricer(state, backgrounds, depth)
+    label, ids = state.graph.labels[source], range(state.graph.vertex_count)
+    return [ScoredMatch((bi, v2, e2), score, predicted)
+            for bi, side in enumerate(pricer.sides)
+            for (v2, e2, *_), (score, predicted) in zip(
+                side.leaving.get(label, ()), pricer.edge_results(source, pending_edge, bi, ids))
+            if predicted.target is None or state.is_loop_candidate(source, predicted.target)]
 
 
 # -- whole-graph information content ----------------------------------------------
@@ -809,11 +842,11 @@ def _walk(g: Graph, cells: list[list[Graph]], degrees: Mapping[Any, int], depth:
     The caller has checked the input, and alphabet is the edge alphabet
     _checked_alphabet returned.  Returns the first cell's step log and,
     per cell, every step's bits.  The pricer sees the cells' backgrounds
-    one after another, so a step makes one vertex_matches or edge_matches
-    call for all the cells and charges each cell the integer weight sums
-    of its own backgrounds' matches: every sum is exact, so the bits are
-    those of pricing that cell alone.  With no backgrounds a step makes
-    no call and charges every cell both sums as 0, the uniform price.
+    one after another, so a step makes one vertex_step or edge_step call
+    for all the cells and charges each cell the integer weight sums of
+    its own backgrounds: every sum is exact, so the bits are those of
+    pricing that cell alone.  With no backgrounds a step makes no call
+    and charges every cell both sums as 0, the uniform price.
     """
     backgrounds = [bg for bgs in cells for bg in bgs]
     cell_of = [c for c, bgs in enumerate(cells) for _ in bgs]
@@ -826,35 +859,25 @@ def _walk(g: Graph, cells: list[list[Graph]], degrees: Mapping[Any, int], depth:
     # one matcher for the walk; the target side they share starts with no
     # edge known and learns each edge as the traversal closes it.
     pricer = _Pricer(g, backgrounds, depth, library=library)
-    target, first = pricer.target, bits[0]
+    first = bits[0]
 
-    # A step with backgrounds passes the pricer to the module's
-    # vertex_matches or edge_matches instead of calling its methods, with
-    # backgrounds (and a vertex step's incoming) positional:
-    # perfbench/run.py wraps those two names and reads those arguments.
     def step(state: TraversalState, event) -> StepRecord:
         if isinstance(event, VertexEvent):
             kind, outcome = "V", VertexOutcome(event.label, event.degree)
             size = size_initial if event.incoming is None else size_later
-            if backgrounds:
-                matches = vertex_matches(state, backgrounds, event.incoming, depth, _pricer=pricer)
+            price = pricer.vertex_step
         else:
             kind, outcome = "E", EdgeOutcome(event.label, event.target)
             size = edge_labels * (1 + state.loop_candidate_count(event.source))
-            if backgrounds:
-                matches = edge_matches(state, backgrounds, event.source, event.edge, depth,
-                                       _pricer=pricer)
-                target.add(event.edge)  # traverse closes the edge as this returns
+            price = pricer.edge_step
         if not backgrounds:
             for cell in bits:
                 cell.append(_step_bits(0, 0, size))
         else:
             hits, totals = [0] * len(bits), [0] * len(bits)
-            for candidate, score, predicted in matches:
-                c = cell_of[candidate[0]]
-                totals[c] += score + 1
-                if predicted == outcome:
-                    hits[c] += score + 1
+            for c, (hit, total) in zip(cell_of, price(state, event, outcome)):
+                hits[c] += hit
+                totals[c] += total
             for hit, total, cell in zip(hits, totals, bits):
                 cell.append(_step_bits(hit, total, size))
         return StepRecord(len(first) - 1, kind, outcome, first[-1])

@@ -1,10 +1,10 @@
 """Steps priced with no backgrounds, and the records a traversal yields.
 
 A step with no backgrounds can find no match, so information_content
-prices it from the size of its outcome space alone, without calling the
-matchers; the bits must still be those of the uniform distribution that
-scored_matches_to_model builds from no matches.  With a background, each
-step makes its one matcher call, with the backgrounds positional.
+prices it from the size of its outcome space alone, without running a
+pricer step; the bits must still be those of the uniform distribution
+that scored_matches_to_model builds from no matches.  With a background,
+each step runs its one pricer step, over that background.
 """
 
 import pytest
@@ -62,13 +62,13 @@ def uniform_bits(g, degrees):
 
 
 def recorded_calls(monkeypatch):
-    """Patch the module's matchers to record each call's positional arguments."""
-    calls = {"vertex_matches": [], "edge_matches": []}
+    """Patch the pricer's step methods to record the backgrounds of each call."""
+    calls = {"vertex_step": [], "edge_step": []}
     for name, log in calls.items():
-        def record(*args, _original=getattr(graphmml.context, name), _log=log, **kwargs):
-            _log.append(args)
-            return _original(*args, **kwargs)
-        monkeypatch.setattr(graphmml.context, name, record)
+        def record(pricer, *args, _original=getattr(graphmml.context._Pricer, name), _log=log):
+            _log.append([side.graph for side in pricer.sides])
+            return _original(pricer, *args)
+        monkeypatch.setattr(graphmml.context._Pricer, name, record)
     return calls
 
 
@@ -81,16 +81,12 @@ def test_cold_steps_charge_the_uniform_price_without_matching(data, g, bg, depth
     with pytest.MonkeyPatch.context() as monkeypatch:
         calls = recorded_calls(monkeypatch)
         cold = information_content(g, [], degrees, depth, edge_alphabet=ALPHABET)
-        assert calls == {"vertex_matches": [], "edge_matches": []}
+        assert calls == {"vertex_step": [], "edge_step": []}
         assert [step.bits for step in cold.steps] == uniform_bits(g, degrees)
 
         warm = information_content(g, [bg], degrees, depth, edge_alphabet=ALPHABET)
     kinds = [step.kind for step in warm.steps]
-    assert len(calls["vertex_matches"]) == kinds.count("V") == g.vertex_count
-    assert len(calls["edge_matches"]) == kinds.count("E") == g.edge_count
-    # The arguments the benchmark's tracer reads are positional: the
-    # backgrounds, and a vertex step's incoming edge after them.
-    assert all(len(args) == 4 for args in calls["vertex_matches"])
-    assert all(len(args) == 5 for args in calls["edge_matches"])
-    for args in calls["vertex_matches"] + calls["edge_matches"]:
-        assert args[1] == [bg]
+    assert len(calls["vertex_step"]) == kinds.count("V") == g.vertex_count
+    assert len(calls["edge_step"]) == kinds.count("E") == g.edge_count
+    for backgrounds in calls["vertex_step"] + calls["edge_step"]:
+        assert len(backgrounds) == 1 and backgrounds[0] is bg

@@ -28,6 +28,7 @@ from graphmml import (
     EdgeOutcome,
     PredictiveModel,
     ScoredMatch,
+    VertexEvent,
     VertexOutcome,
     build_graph,
     chain_information,
@@ -629,22 +630,44 @@ class TestStepMatchesAgainstPlainReference:
         assert len(checked) == 15 and all(checked)
 
 
-def rebuilt_every_step(matches, depth, calls):
-    """A vertex_matches or edge_matches that prices from the state alone,
-    after checking that information_content's pricer agrees with it, that
-    its target side is as current as rebuilt data and that every matcher
+def match_sums(matches, outcome, count):
+    """Per background index below count, the weight of the matches that
+    predict outcome and of all of them, as (hit, total)."""
+    sums = [[0, 0] for _ in range(count)]
+    for (bi, *_), score, predicted in matches:
+        sums[bi][1] += score + 1
+        if predicted == outcome:
+            sums[bi][0] += score + 1
+    return [tuple(pair) for pair in sums]
+
+
+def step_matches(matches, pricer, state, event):
+    """The step's matches from vertex_matches or edge_matches (or a stand-in
+    with their arguments), given the pricer's backgrounds at its depth."""
+    backgrounds = [side.graph for side in pricer.sides]
+    if isinstance(event, VertexEvent):
+        return matches[0](state, backgrounds, event.incoming, pricer.depth)
+    return matches[1](state, backgrounds, event.source, event.edge, pricer.depth)
+
+
+def rebuilt_every_step(step, depth, calls):
+    """A pricer step method that charges each background the sums over the
+    matches vertex_matches or edge_matches rebuild from the state alone,
+    after checking that the pricer's own charges equal them, that its
+    target side is as current as rebuilt data and that every matcher
     reads that side."""
 
-    def call(state, *args, _pricer, **kwargs):
-        rebuilt = matches(state, *args, **kwargs)
-        assert matches(state, *args, _pricer=_pricer, **kwargs) == rebuilt
+    def call(pricer, state, event, outcome):
         g = state.graph
         closed = {e for e in range(g.edge_count) if state.is_closed(e)}
         fresh = graphmml.context._Side(g, depth, closed)
-        kept = _pricer.target
+        kept = pricer.target
         assert (kept.slots, kept.bounds, kept.caps) == (fresh.slots, fresh.bounds, fresh.caps)
         assert all(m.slots1 is kept.slots and m.bounds1 is kept.bounds and m.caps1 is kept.caps
-                   for m in _pricer.matchers)
+                   for m in pricer.matchers)
+        matches = step_matches((vertex_matches, edge_matches), pricer, state, event)
+        rebuilt = match_sums(matches, outcome, len(pricer.sides))
+        assert step(pricer, state, event, outcome) == rebuilt
         calls.append(1)
         return rebuilt
 
@@ -693,9 +716,9 @@ class TestIncrementalTargetSide:
         degrees = tight_degrees([g, *backgrounds])
         kept = information_content(g, backgrounds, degrees, depth)
         calls = []
-        for name in ("vertex_matches", "edge_matches"):
-            monkeypatch.setattr(graphmml.context, name, rebuilt_every_step(
-                getattr(graphmml.context, name), depth, calls))
+        for name in ("vertex_step", "edge_step"):
+            monkeypatch.setattr(graphmml.context._Pricer, name, rebuilt_every_step(
+                getattr(graphmml.context._Pricer, name), depth, calls))
         from_state = information_content(g, backgrounds, degrees, depth)
         assert len(calls) == len(kept.steps)
         assert [s.bits for s in kept.steps] == [s.bits for s in from_state.steps]
@@ -721,52 +744,53 @@ class TestIncrementalTargetSide:
         assert built == ({"sides": k + 1, "components": 1} if k else {})
 
 
-def memo_checked(kind, matches, plain, tally):
-    """matches, vertex_matches (kind "V") or edge_matches (kind "E"),
-    checking the memoising pricer information_content passes it, step by
-    step, against a memo-less pricer and the plain reference.  tally
+def memo_checked(kind, step, tally):
+    """step, the pricer's vertex_step (kind "V") or edge_step (kind "E"),
+    checking the charges of the memoising pricer information_content
+    calls it on, step by step, against the sums over a memo-less
+    pricer's matches, which must equal the plain reference's.  tally
     counts, per background with candidates, whether its memo answered the
-    step (True) or the step searched and stored its results (False), and
-    the edge-step hits that predict a loop closure."""
+    step (True) or the step searched and stored its sums (False), and the
+    edge-step hits whose background predicts a loop closure."""
 
-    def call(state, backgrounds, *args, _pricer):
-        if kind == "V" and args[0] is None:  # a root step has no context
-            return matches(state, backgrounds, *args, _pricer=_pricer)
+    def call(pricer, state, event, outcome):
+        if kind == "V" and event.incoming is None:  # a root step has no context
+            return step(pricer, state, event, outcome)
         if kind == "V":
-            label = args[0].label
-            asked = [(s.vertex_memo, label in s.arrivals) for s in _pricer.sides]
+            label = event.incoming.label
+            asked = [(s.vertex_memo, label in s.arrivals) for s in pricer.sides]
         else:
-            label = state.graph.labels[args[0]]
-            asked = [(s.edge_memo, label in s.leaving) for s in _pricer.sides]
+            label = state.graph.labels[event.source]
+            asked = [(s.edge_memo, label in s.leaving) for s in pricer.sides]
         sizes = [len(memo) for memo, _ in asked]
-        got = matches(state, backgrounds, *args, _pricer=_pricer)
+        charged = step(pricer, state, event, outcome)
         # Built for this step alone, a pricer's memos start empty: it searches.
-        assert got == matches(state, backgrounds, *args)
-        assert got == plain(state, backgrounds, *args)
+        got = step_matches((vertex_matches, edge_matches), pricer, state, event)
+        assert got == step_matches((plain_vertex_matches, plain_edge_matches), pricer, state, event)
+        assert charged == match_sums(got, outcome, len(pricer.sides))
         for bi, ((memo, candidates), size) in enumerate(zip(asked, sizes)):
             if candidates:
                 hit = len(memo) == size
                 tally[kind, hit] += 1
                 tally["loop hits"] += hit and kind == "E" and any(
                     m.candidate[0] == bi and m.outcome.target is not None for m in got)
-        return got
+        return charged
 
     return call
 
 
 def check_memo(monkeypatch):
     tally = Counter()
-    for kind, name, plain in (("V", "vertex_matches", plain_vertex_matches),
-                              ("E", "edge_matches", plain_edge_matches)):
-        matches = getattr(graphmml.context, name)
-        monkeypatch.setattr(graphmml.context, name, memo_checked(kind, matches, plain, tally))
+    for kind, name in (("V", "vertex_step"), ("E", "edge_step")):
+        step = getattr(graphmml.context._Pricer, name)
+        monkeypatch.setattr(graphmml.context._Pricer, name, memo_checked(kind, step, tally))
     return tally
 
 
 class TestContextMemo:
     """A step's searches read only the target's known ball around the
-    root, so a background's results for a context key serve every later
-    step with that key: the matches stay those of a search."""
+    root, so a background's weight sums for a context key serve every
+    later step with that key: the charges stay those of a search."""
 
     @pytest.mark.parametrize("depth", [1, 2, 3, 4])
     def test_chain_of_drugs(self, monkeypatch, depth):
@@ -797,12 +821,9 @@ class TestContextMemo:
         assert tally["E", True] > 0 and tally["E", False] > 0
         assert tally["loop hits"] > 0
 
-    def test_entries_are_bytes_while_every_value_fits_in_one(self):
-        compact = graphmml.context._compact
-        assert compact([0, 3, 255]) == b"\x00\x03\xff"
-        assert compact([0, 3, 256]) == (0, 3, 256)
-
-    def test_keys_are_interned_once_per_call(self, monkeypatch):
+    @staticmethod
+    def drug_table_library(monkeypatch):
+        """The one library of a table over the README drugs at depth 3."""
         libraries = []
         library = graphmml.context._Library
 
@@ -813,12 +834,26 @@ class TestContextMemo:
         monkeypatch.setattr(graphmml.context, "_Library", kept_library)
         conditional_table(list(zip(DRUG_SMILES, DRUGS)), tight_degrees(DRUGS), 3)
         (shared,) = libraries
+        return shared
+
+    def test_keys_are_interned_once_per_call(self, monkeypatch):
+        shared = self.drug_table_library(monkeypatch)
         stored = [key for side in shared.sides.values()
                   for memo in (side.vertex_memo, side.edge_memo) for key in memo]
         assert len(stored) > len(shared.keys)
         assert all(shared.keys[key] is key for key in stored)
-        assert all(isinstance(entry, bytes) for side in shared.sides.values()
-                   for memo in (side.vertex_memo, side.edge_memo) for entry in memo.values())
+
+    def test_entries_are_interned_per_kind(self, monkeypatch):
+        # Each entry lists outcomes and weights, and equal entries are one
+        # tuple, in the table of their step kind.
+        shared = self.drug_table_library(monkeypatch)
+        for memo, table in (("vertex_memo", shared.vertex_entries),
+                            ("edge_memo", shared.edge_entries)):
+            stored = [entry for side in shared.sides.values()
+                      for entry in getattr(side, memo).values()]
+            assert len(stored) > len(table)
+            assert all(table[entry] is entry for entry in stored)
+            assert all(type(entry) is tuple for entry in stored)
 
 
 def distribution_bits(g, backgrounds, degrees, depth, edge_alphabet):
