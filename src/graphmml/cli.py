@@ -197,13 +197,10 @@ def _configure_valences(overrides: dict[str, int]):
 
 def _apply_label_overrides(degrees: dict, overrides: dict[str, int]) -> None:
     for key, limit in overrides.items():
-        if key in _ELEMENT_SYMBOLS:
-            if key in degrees:  # element overrides took effect at parse time
-                degrees[key] = limit
-            continue
-        if key not in degrees:
+        if key in degrees:
+            degrees[key] = limit
+        elif key not in _ELEMENT_SYMBOLS:
             raise FileFormatError(f"--valence override for unknown label {key!r}")
-        degrees[key] = limit
 
 
 # -- shared input loader --------------------------------------------------------------
@@ -269,11 +266,8 @@ def _print_rows(rows: list[list[str]], tsv: bool) -> None:
 
 def cmd_info(args) -> int:
     targets, givens, degrees = _load_inputs(args)
-    given_graphs = [g for _, g in givens]
-    # One shared edge alphabet keeps rows comparable across targets.
-    alphabet = frozenset(e.label for _, g in targets + givens for e in g.edges)
-    results = information_contents([g for _, g in targets], given_graphs, degrees, args.depth,
-                                   edge_alphabet=alphabet)
+    results = information_contents([g for _, g in targets], [g for _, g in givens], degrees,
+                                   args.depth)
 
     rows = [["name", "bits", "vertices", "edges"]]
     step_blocks: list[tuple[str, tuple]] = []

@@ -293,11 +293,13 @@ class _Matcher:
     winner is still the first alternative to reach the best value, so its
     bindings and every score are those of the unpruned search.
 
-    _assign is the one search core.  _Pricer's candidate loops read the
-    step's target data once, make a candidate's first bindings in place
-    and enter _assign directly, or score the candidate without a search
-    where none can add to it.  The tests run a search from nothing bound
-    through the same core.
+    _assign is the one search core, and search the one way into it: it
+    binds a candidate's first edge and vertex pair and searches from there.
+    _Pricer's candidate loops call search for each candidate, or score the
+    candidate without a search where none can add to it, and read the
+    bindings it leaves before they roll back to an empty journal; only
+    the matcher writes its maps and journal.  The tests run a search from
+    nothing bound through the same core.
     """
 
     __slots__ = (
@@ -331,6 +333,25 @@ class _Matcher:
                 vmap[a] = -1
                 vinv[b] = -1
         del journal[mark:]
+
+    def search(self, e1: int, e2: int, v1: int, v2: int, depth: int, came_from: int = -1) -> int:
+        """Bind e1 to e2 and v1 to v2, and return the most that a search of
+        the given depth from that pair adds over v1's known slots, with the
+        bindings of its best alternative applied until the caller rolls
+        back to the empty journal it started from.
+
+        v1 has a known slot.  With came_from >= 0, e1 is v1's known slot
+        back to came_from, bound here, so it can add nothing: its share of
+        the caps comes off.
+        """
+        self.emap[e1] = e2
+        self.einv[e2] = e1
+        self.vmap[v1] = v2
+        self.vinv[v2] = v1
+        self.journal.append((~e1, e2))
+        self.journal.append((v1, v2))
+        share, back = (1 + self.bounds1[depth - 1][came_from], e1) if came_from >= 0 else (0, -1)
+        return self._assign(v1, 0, v2, depth, self.caps1[depth][v1], share, back, 0)
 
     def _apply(self, segment: list[tuple[int, int]]) -> None:
         for a, b in segment:
@@ -542,7 +563,10 @@ class _Pricer:
     once per target.  vertex_results and edge_results are the one
     candidate loop of each step kind: the step methods sum their
     results into the memo on a miss, and vertex_matches and edge_matches
-    list them as matches.
+    list them as matches.  Each loop passes every candidate that a search
+    can add to through its matcher's search, reads the far end's binding
+    where the step needs it, and rolls the matcher back; it writes no
+    binding itself.
     """
 
     __slots__ = ("depth", "target", "sides", "matchers", "library")
@@ -598,17 +622,11 @@ class _Pricer:
         """(score, predicted outcome) for each of background bi's candidates
         for the arrival edge incoming, over the known edges, in arrivals
         order."""
-        depth, target, matcher = self.depth, self.target, self.matchers[bi]
+        depth, matcher = self.depth, self.matchers[bi]
         # The arrival edge closed before this step, so it is a known slot of
         # far1, the way back from every search rooted there.
         e1, far1 = incoming.edge, incoming.head
-        root_label = target.graph.labels[far1]
-        if depth > 1:
-            caps = target.caps[depth - 1][far1]
-            share = 1 + target.bounds[depth - 2][incoming.tail]
-        labels2, vmap, vinv, emap, einv = (
-            matcher.labels2, matcher.vmap, matcher.vinv, matcher.emap, matcher.einv)
-        journal = matcher.journal
+        root_label, labels2 = self.target.graph.labels[far1], matcher.labels2
         results = []
         for _, e2, far2, predicted, _ in self.sides[bi].arrivals.get(incoming.label, ()):
             # The edge scores 1 and a far end of far1's label 1 more; only
@@ -618,13 +636,7 @@ class _Pricer:
             elif depth < 2:
                 score = 2
             else:
-                emap[e1] = e2
-                einv[e2] = e1
-                vmap[far1] = far2
-                vinv[far2] = far1
-                journal.append((~e1, e2))
-                journal.append((far1, far2))
-                score = 2 + matcher._assign(far1, 0, far2, depth - 1, caps, share, e1, 0)
+                score = 2 + matcher.search(e1, e2, far1, far2, depth - 1, incoming.tail)
                 matcher.rollback(0)
             results.append((score, predicted))
         return results
@@ -641,18 +653,10 @@ class _Pricer:
         # match, and with none it binds no far end, so the step stays fresh.
         if depth < 1 or not target.slots[source]:
             return [(1, fresh) for *_, fresh in leaving]
-        caps = target.caps[depth][source]
-        vmap, vinv, emap, einv = matcher.vmap, matcher.vinv, matcher.emap, matcher.einv
-        journal = matcher.journal
+        vinv = matcher.vinv
         results = []
         for v2, e2, far2, _, fresh in leaving:
-            emap[pending_edge] = e2
-            einv[e2] = pending_edge
-            vmap[source] = v2
-            vinv[v2] = source
-            journal.append((~pending_edge, e2))
-            journal.append((source, v2))
-            score = 1 + matcher._assign(source, 0, v2, depth, caps, 0, -1, 0)
+            score = 1 + matcher.search(pending_edge, e2, source, v2, depth)
             w = vinv[far2]
             matcher.rollback(0)
             results.append((score, fresh if w < 0 else EdgeOutcome(fresh.label, number[w])))
@@ -916,17 +920,19 @@ def information_contents(
     backgrounds: Sequence[Graph],
     degrees: Mapping[Any, int],
     depth: int = 3,
-    *,
-    edge_alphabet: Iterable | None = None,
 ) -> list[InfoResult]:
     """information_content of each graph, in order, given the same backgrounds.
 
-    The graphs share one library, so each background is indexed once and
-    its memo serves them all.  Its depth is capped over the graphs alone:
-    no pricer reads a level past its own target's largest component.
+    Every graph is priced over one edge alphabet, the union of the edge
+    labels over the graphs and the backgrounds, so the totals are
+    comparable.  The graphs share one library, so each background is
+    indexed once and its memo serves them all.  Its depth is capped over
+    the graphs alone: no pricer reads a level past its own target's
+    largest component.
     """
+    alphabet = _shared_edge_alphabet([*graphs, *backgrounds])
     library = _Library(depth, graphs) if backgrounds else None
-    return [information_content(g, backgrounds, degrees, depth, edge_alphabet=edge_alphabet,
+    return [information_content(g, backgrounds, degrees, depth, edge_alphabet=alphabet,
                                 _library=library) for g in graphs]
 
 

@@ -42,10 +42,6 @@ class Element(str, enum.Enum):
     CHLORINE = "Cl"
     IODINE = "I"
 
-    @property
-    def symbol(self) -> str:
-        return self.value
-
 
 class Bond(str, enum.Enum):
     NONE = "none"

@@ -416,6 +416,37 @@ class TestMatcherPruning:
         assert result.total == pytest.approx(152.31725663244262, abs=1e-9)
 
 
+class TestMatcherSearch:
+    def test_every_step_leaves_each_matcher_unbound(self, monkeypatch):
+        # search leaves its best bindings applied, and the candidate loops
+        # roll them back: every step's searches start from nothing bound.
+        calls = Counter()
+        search = graphmml.context._Matcher.search
+
+        def counting_search(self, *args):
+            calls["search"] += 1
+            return search(self, *args)
+
+        monkeypatch.setattr(graphmml.context._Matcher, "search", counting_search)
+        for kind in ("vertex_step", "edge_step"):
+            step = getattr(graphmml.context._Pricer, kind)
+
+            def checked_step(self, state, event, outcome, step=step, kind=kind):
+                charged = step(self, state, event, outcome)
+                for m in self.matchers:
+                    assert m.journal == []
+                    assert set(m.vmap) | set(m.vinv) | set(m.emap) | set(m.einv) <= {-1}
+                calls[kind] += 1
+                return charged
+
+            monkeypatch.setattr(graphmml.context._Pricer, kind, checked_step)
+        named, degrees = list(zip(DRUG_SMILES, DRUGS)), tight_degrees(DRUGS)
+        conditional_table(named[:3], degrees, 2)
+        chain_information(named, degrees, 3)
+        information_content(DRUGS[0], DRUGS[1:], degrees, 3)
+        assert calls["search"] and calls["vertex_step"] and calls["edge_step"]
+
+
 class TestSideIndexes:
     def test_background_lists_the_candidates_of_each_label_in_id_and_slot_order(self):
         for g in [*DRUGS, make_k33(), relabelled(grid(4, 4), 0.35, 11)]:
@@ -1324,14 +1355,22 @@ class TestTableAndChain:
         alone = [information_content(g, given, degrees, 3, edge_alphabet=alphabet)
                  for g in DRUGS]
         built, depths = self.count_sides(monkeypatch)
-        shared = graphmml.context.information_contents(DRUGS, given, degrees, 3,
-                                                       edge_alphabet=alphabet)
+        shared = graphmml.context.information_contents(DRUGS, given, degrees, 3)
         assert shared == alone
         assert built == {"background": 1, "target": 4} and set(depths) == {3}
         built.clear()
         assert graphmml.context.information_contents(DRUGS[:2], [], degrees, 3) == [
             information_content(g, [], degrees, 3) for g in DRUGS[:2]]
         assert not built
+
+    def test_info_targets_share_one_edge_alphabet(self):
+        # With no backgrounds, each target still prices its edge steps over
+        # the edge labels of every target, as one info command's rows do.
+        single = build_graph(False, ["C"] * 3, [(0, 1, "s"), (1, 2, "s")])
+        double = build_graph(False, ["C"] * 2, [(0, 1, "d")])
+        degrees, union = {"C": 2}, {"s", "d"}
+        assert graphmml.context.information_contents([single, double], [], degrees, 3) == [
+            information_content(g, [], degrees, 3, edge_alphabet=union) for g in (single, double)]
 
     def test_huge_depth_table_builds_no_side_deeper_than_the_largest_component(
             self, monkeypatch, k33, near_k33, utility_degrees):
