@@ -126,31 +126,26 @@ def _load_molecules(text: str, path: str, valences) -> list[tuple[str, Graph]]:
     return records
 
 
-def _observed_degrees(g: Graph) -> dict[Any, int]:
-    # Edge-list files declare no degree limits; use each label's largest
-    # observed degree (at least 1, the smallest legal limit).
-    limits: dict[Any, int] = {}
-    for v in range(g.vertex_count):
-        label = g.labels[v]
-        limits[label] = max(limits.get(label, 1), g.degree(v))
-    return limits
+def _read_text(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise FileFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
 
 def _read_input(path: str) -> tuple[str, bool]:
     """An input file's text, and whether it is an edge list (else molecules)."""
-    text = Path(path).read_text()
+    text = _read_text(path)
     first = next((line for _, line in _meaningful_lines(text)), "")
     return text, first in ("undirected", "directed")
 
 
-def load_graph_file(path: str, valences) -> tuple[list[tuple[str, Graph]], dict[Any, int]]:
-    """Read one input file into named graphs plus their degree limits."""
+def load_graph_file(path: str, valences) -> list[tuple[str, Graph]]:
+    """Read one input file into named graphs."""
     text, edge_list = _read_input(path)
     if edge_list:
-        g = _load_edge_list(text, path)
-        return [(Path(path).stem, g)], _observed_degrees(g)
-    records = _load_molecules(text, path, valences)
-    return records, {element: valences[element] for _, g in records for element in g.labels}
+        return [(Path(path).stem, _load_edge_list(text, path))]
+    return _load_molecules(text, path, valences)
 
 
 # -- valence configuration ---------------------------------------------------------
@@ -174,7 +169,7 @@ def _parse_limit(entry: str, where: str) -> tuple[str, int]:
 def _valence_overrides(args) -> dict[str, int]:
     overrides: dict[str, int] = {}
     if args.valence_file:
-        text = Path(args.valence_file).read_text()
+        text = _read_text(args.valence_file)
         for lineno, line in _meaningful_lines(text):
             key, limit = _parse_limit(line, f"{args.valence_file}:{lineno}")
             overrides[key] = limit
@@ -195,49 +190,52 @@ def _configure_valences(overrides: dict[str, int]):
     return valences
 
 
-def _apply_label_overrides(degrees: dict, overrides: dict[str, int]) -> None:
+def _degree_limits(graphs: list[Graph], valences, overrides: dict[str, int]) -> dict[Any, int]:
+    """Each vertex label's degree limit over all the graphs of one command.
+
+    An element's limit is its configured valence; any other label's is its
+    largest degree in any graph, and at least 1; a label in several inputs
+    keeps the largest.  Each override then replaces a present label's limit,
+    and one for a label that is neither present nor an element is an error.
+    """
+    limits: dict[Any, int] = {}
+    for g in graphs:
+        for label, slots in zip(g.labels, g.adjacency):
+            limit = valences[label] if isinstance(label, Element) else len(slots) or 1
+            if limit > limits.get(label, 0):
+                limits[label] = limit
     for key, limit in overrides.items():
-        if key in degrees:
-            degrees[key] = limit
+        if key in limits:
+            limits[key] = limit
         elif key not in _ELEMENT_SYMBOLS:
             raise FileFormatError(f"--valence override for unknown label {key!r}")
+    return limits
 
 
 # -- shared input loader --------------------------------------------------------------
-
-
-def _merge_degrees(into: dict, new: dict) -> None:
-    for label, limit in new.items():
-        into[label] = max(into.get(label, limit), limit)
 
 
 def _load_inputs(args):
     """The FILE graphs, the --given backgrounds and the degree limits of one
     command, read with --valence/--valence-file applied.
 
-    Element limits apply while molecules are read; the other overrides then
-    replace edge-list labels' observed limits, and one for a label that is
-    neither an element nor in any input is an error.
+    Element limits apply while molecules are read; the degree limits are
+    decided once every input is read.
     """
     overrides = _valence_overrides(args)
     valences = _configure_valences(overrides)
     targets: list[tuple[str, Graph]] = []
-    givens: list[tuple[str, Graph]] = []
-    degrees: dict[Any, int] = {}
     seen: set[str] = set()
     for path in args.files:
-        records, limits = load_graph_file(path, valences)
+        records = load_graph_file(path, valences)
         for name, _ in records:
             if name in seen:
                 raise FileFormatError(f"duplicate graph name {name!r} across inputs")
             seen.add(name)
         targets += records
-        _merge_degrees(degrees, limits)
-    for path in getattr(args, "given", None) or []:
-        records, limits = load_graph_file(path, valences)
-        givens += records
-        _merge_degrees(degrees, limits)
-    _apply_label_overrides(degrees, overrides)
+    givens = [record for path in getattr(args, "given", None) or []
+              for record in load_graph_file(path, valences)]
+    degrees = _degree_limits([g for _, g in targets + givens], valences, overrides)
     if getattr(args, "depth", 0) < 0:
         raise FileFormatError("depth must be non-negative")
     if getattr(args, "jobs", 1) < 1:
@@ -432,6 +430,10 @@ def _add_common(sub, *, depth=True, given=False, steps=False, jobs=False) -> Non
                          help="also dump the per-step cost log")
     sub.add_argument("--format", choices=("tsv", "human"), default="human",
                      help="tsv is the stable machine-readable contract")
+    _add_valence(sub)
+
+
+def _add_valence(sub) -> None:
     sub.add_argument("--valence", action="append", metavar="LABEL=N",
                      help="override a degree limit, e.g. C=4 (repeatable; wins over --valence-file)")
     sub.add_argument("--valence-file", metavar="FILE",
@@ -473,8 +475,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("parse", help="dump molecule files as edge-list text")
     p.add_argument("files", nargs="+", metavar="FILE", help="molecule input files")
-    p.add_argument("--valence", action="append", metavar="LABEL=N")
-    p.add_argument("--valence-file", metavar="FILE")
+    _add_valence(p)
     p.set_defaults(func=cmd_parse)
 
     return parser

@@ -86,8 +86,8 @@ _BRACKET = re.compile(
     r"""\[
         (?P<symbol>Br|Cl|[HCNOPSI]|[cnos])
         (?P<chiral>@@|@)?
-        (?P<hcount>H\d*)?
-        (?P<charge>\+\d+|-\d+|\++|-+)?
+        (?P<hcount>H[0-9]*)?
+        (?P<charge>\+[0-9]+|-[0-9]+|\++|-+)?
         \]""",
     re.VERBOSE,
 )
@@ -163,15 +163,16 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
         elif ch in _BOND_SYMBOLS:
             tokens.append((_T_BOND, _BOND_SYMBOLS[ch], i))
             i += 1
-        elif ch.isdigit():
+        elif "0" <= ch <= "9":
             if ch == "0":
                 raise SmilesError(f"ring closure digit 0 at position {i} (use %nn)")
             tokens.append((_T_RING, int(ch), i))
             i += 1
         elif ch == "%":
-            if not text[i + 1 : i + 3].isdigit():
+            pair = text[i + 1 : i + 3]
+            if len(pair) != 2 or not (pair.isascii() and pair.isdigit()):
                 raise SmilesError(f"'%' must be followed by two digits at position {i}")
-            tokens.append((_T_RING, int(text[i + 1 : i + 3]), i))
+            tokens.append((_T_RING, int(pair), i))
             i += 3
         elif ch == "(":
             tokens.append((_T_OPEN, None, i))

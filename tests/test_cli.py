@@ -14,6 +14,8 @@ import pytest
 
 import graphmml
 from graphmml import (
+    Element,
+    build_graph,
     chain_information,
     conditional_table,
     information_content,
@@ -381,6 +383,17 @@ class TestParseCommand:
         code, _, err = run(["parse", files.k33], capsys)
         assert code == 2 and "edge-list" in err
 
+    def test_help_describes_the_valence_flags_as_info_does(self, capsys):
+        texts = []
+        for command in ("info", "parse"):
+            with pytest.raises(SystemExit):
+                main([command, "--help"])
+            texts.append(" ".join(capsys.readouterr().out.split()))
+        for described in ("--valence LABEL=N override a degree limit, e.g. C=4 (repeatable; "
+                          "wins over --valence-file)",
+                          "--valence-file FILE file of LABEL=N lines with degree limits"):
+            assert all(described in text for text in texts)
+
 
 class TestExitCodes:
     def test_malformed_molecule(self, capsys, tmp_path):
@@ -388,6 +401,22 @@ class TestExitCodes:
         bad.write_text("broken C1CC\n")
         code, _, err = run(["info", bad], capsys)
         assert code == 2 and "ring" in err
+
+    @pytest.mark.parametrize("smiles", ["C1CC%1", "C\u0661CC\u0661", "[CH\u0663]", "C\u00b2"])
+    def test_smiles_digit_faults_name_the_file_and_line(self, smiles, capsys, tmp_path):
+        bad = tmp_path / "digits.smi"
+        bad.write_text(f"fine CC\nbroken {smiles}\n", encoding="utf-8")
+        code, out, err = run(["info", bad], capsys)
+        assert code == 2 and out == ""
+        assert err.startswith(f"graphmml: {bad}:2 (broken): ")
+
+    def test_input_that_is_not_utf8(self, files, capsys, tmp_path):
+        bad = tmp_path / "bad.smi"
+        bad.write_bytes(b"mol C\xffC\n")
+        code, out, err = run(["info", bad], capsys)
+        assert code == 2 and out == "" and f"{bad}: not UTF-8" in err
+        code, out, err = run(["info", files.k33, *K33_FLAGS, "--valence-file", bad], capsys)
+        assert code == 2 and out == "" and f"{bad}: not UTF-8" in err
 
     def test_missing_file(self, capsys):
         code, _, err = run(["info", "does-not-exist.txt"], capsys)
@@ -473,6 +502,55 @@ class TestValenceConfiguration:
              "--format", "tsv"], capsys)
         assert code == 0
         assert out.splitlines()[1].startswith("neo\t")
+
+    @pytest.fixture
+    def shared_labels(self, tmp_path):
+        """Three inputs sharing labels: propane's carbons, an edge list with
+        C at degree 2 beside X, and one in which X reaches degree 3."""
+        paths = [tmp_path / "propane.smi"]
+        paths[0].write_text("propane CCC\n")
+        graphs = {"propane": read_molecule("CCC")[0]}
+        for name, labels, edges in [("xcx", ["X", "C", "X"], [(0, 1, "x"), (1, 2, "x")]),
+                                    ("star", ["X"] * 4, [(0, v, "x") for v in (1, 2, 3)])]:
+            paths.append(tmp_path / f"{name}.graph")
+            paths[-1].write_text(edge_list_text(labels, edges))
+            graphs[name] = build_graph(False, labels, edges)
+        return paths, graphs
+
+    @staticmethod
+    def info_rows(argv, capsys):
+        code, out, _ = run(["info", *argv, "--format", "tsv"], capsys)
+        assert code == 0
+        return ["\t".join(line.split("\t")[:2]) for line in out.splitlines()[1:]]
+
+    @staticmethod
+    def library_rows(graphs, degrees):
+        alphabet = {e.label for g in graphs.values() for e in g.edges}
+        return [f"{name}\t{information_content(g, [], degrees, 3, edge_alphabet=alphabet).total:.3f}"
+                for name, g in graphs.items()]
+
+    def test_limits_are_decided_across_inputs(self, shared_labels, capsys):
+        paths, graphs = shared_labels
+        rows = self.info_rows(paths, capsys)
+        # Carbon keeps its valence over the edge list's C at degree 2, and X
+        # its degree in the star over its degree 1 in xcx.
+        assert rows == self.library_rows(graphs, {Element.CARBON: 4, "X": 3})
+        assert rows != self.library_rows(graphs, {Element.CARBON: 2, "X": 3})
+        assert rows != self.library_rows(graphs, {Element.CARBON: 4, "X": 4})
+
+    @pytest.mark.parametrize("label, in_file, flag, degrees", [
+        ("X", 6, 4, {Element.CARBON: 4, "X": 4}),
+        ("C", 6, 5, {Element.CARBON: 5, "X": 3}),
+    ])
+    def test_flag_wins_over_file_for_any_label(self, shared_labels, label, in_file, flag,
+                                               degrees, capsys, tmp_path):
+        paths, graphs = shared_labels
+        config = tmp_path / "limits.cfg"
+        config.write_text(f"{label}={in_file}\n")
+        rows = self.info_rows([*paths, "--valence-file", config, "--valence", f"{label}={flag}"],
+                              capsys)
+        assert rows == self.library_rows(graphs, degrees)
+        assert rows != self.library_rows(graphs, {**degrees, label: in_file})
 
 
 SUBCOMMANDS = ["info", "table", "chain", "tree", "ordering", "parse"]

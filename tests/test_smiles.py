@@ -145,6 +145,10 @@ class TestRejectedInput:
         "C0",          # digit zero is reserved
         "C.C",         # disconnected parts are not accepted
         "C%1C",        # percent needs two digits
+        "C1CC%1",      # ... also at the end of the string
+        "C\u0661CC\u0661",  # ring digits are ASCII only
+        "[CH\u0663]",  # so are hydrogen counts
+        "C\u00b2",     # a superscript digit is no ring digit
         "[C",          # unterminated bracket
         "[Xx]",        # unknown bracket symbol
         "C/C=C/C",     # geometry markers are not supported
