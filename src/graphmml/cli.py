@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import argparse
 import functools
+import math
 import sys
 from pathlib import Path
 from typing import Any, Sequence
@@ -32,7 +33,6 @@ from .codes import (
     automorphism_count,
     general_tree_decode,
     general_tree_encode,
-    ordering_surplus_bits,
     strict_binary_tree_decode,
 )
 from .context import (
@@ -66,6 +66,15 @@ def _meaningful_lines(text: str):
             yield lineno, line
 
 
+def _ascii_int(text: str) -> int:
+    """text as a number if it is ASCII digits alone, as SMILES digits are,
+    else ValueError: int() would also take other scripts' digits, a sign
+    and underscores."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} must be ASCII digits")
+    return int(text)
+
+
 def _load_edge_list(text: str, path: str) -> Graph:
     directed: bool | None = None
     labels: dict[int, str] = {}
@@ -81,12 +90,12 @@ def _load_edge_list(text: str, path: str) -> Graph:
         parts = line.split()
         try:
             if parts[0] == "v" and len(parts) == 3:
-                vid = int(parts[1])
+                vid = _ascii_int(parts[1])
                 if vid in labels:
                     raise FileFormatError(f"{path}:{lineno}: vertex {vid} declared twice")
                 labels[vid] = parts[2]
             elif parts[0] == "e" and len(parts) == 4:
-                edges.append((int(parts[1]), int(parts[2]), parts[3]))
+                edges.append((_ascii_int(parts[1]), _ascii_int(parts[2]), parts[3]))
             else:
                 raise FileFormatError(
                     f"{path}:{lineno}: expected 'v <id> <label>' or 'e <u> <v> <label>'"
@@ -94,7 +103,7 @@ def _load_edge_list(text: str, path: str) -> Graph:
         except ValueError as exc:
             if isinstance(exc, FileFormatError):
                 raise
-            raise FileFormatError(f"{path}:{lineno}: {exc}") from exc
+            raise FileFormatError(f"{path}:{lineno}: vertex id {exc}") from exc
     if directed is None:
         raise FileFormatError(f"{path}: empty edge-list file")
     if sorted(labels) != list(range(len(labels))):
@@ -158,9 +167,9 @@ def _parse_limit(entry: str, where: str) -> tuple[str, int]:
     if not sep or not key or not value:
         raise FileFormatError(f"{where}: expected '<label>=<limit>', got {entry!r}")
     try:
-        limit = int(value)
+        limit = _ascii_int(value)
     except ValueError as exc:
-        raise FileFormatError(f"{where}: limit {value!r} is not an integer") from exc
+        raise FileFormatError(f"{where}: limit {exc}") from exc
     if limit < 1:
         raise FileFormatError(f"{where}: limit for {key!r} must be at least 1")
     return key, limit
@@ -388,7 +397,10 @@ def cmd_ordering(args) -> int:
     rows = [["name", "automorphisms", "surplus_bits"]]
     for name, g in named:
         count = automorphism_count(g)
-        rows.append([name, str(count), _bits(ordering_surplus_bits(g))])
+        # ordering_surplus_bits(g), from the count already made: counting is
+        # the slow part.
+        surplus = math.log2(math.factorial(g.vertex_count) // count)
+        rows.append([name, str(count), _bits(surplus)])
     _print_rows(rows, args.format == "tsv")
     return EXIT_OK
 

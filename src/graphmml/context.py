@@ -181,9 +181,10 @@ class _Side:
     """Matcher data for one graph, over all its edges or only the known ones.
 
     slots[v] lists v's known edges in adjacency order as (edge, far end,
-    label).  bounds[d][v] is an upper bound on a depth-d match score
-    rooted at v, and caps[d][v][i] one on what slots[v][i:] can still add
-    to it.  add() keeps all three current as edges become known.  A side
+    label).  For each d up to the side's depth, len(bounds) - 1,
+    bounds[d][v] is an upper bound on a depth-d match score rooted at v,
+    and caps[d][v][i] one on what slots[v][i:] can still add to it.
+    add() keeps all three current as edges become known.  A side
     over all its edges is a background, which the matcher also looks up
     by label: buckets[v] groups slots[v] by label as (edge, far end)
     pairs in the same order.  The candidate loops list their candidates from
@@ -191,19 +192,18 @@ class _Side:
     share one (v, edge, far end, v's VertexOutcome, the edge's fresh
     EdgeOutcome) tuple per slot: arrivals[label] lists the slots of that
     edge label, and leaving[label] the slots of the vertices of that
-    label.  vertex_memo and edge_memo map a step's context key to the
-    weight its candidates here give each outcome (see _Pricer), and
-    roots counts the vertices of each VertexOutcome, for root steps.  A
-    side over known edges has none of these.
+    label; roots counts the vertices of each VertexOutcome, for root
+    steps.  A side over known edges has none of these.  deepen() adds
+    levels to bounds and caps in place, so a matcher that holds the two
+    lists reads the new levels too.
     """
 
-    __slots__ = ("graph", "depth", "known", "slots", "buckets", "arrivals", "leaving",
-                 "vertex_memo", "edge_memo", "roots", "bounds", "caps")
+    __slots__ = ("graph", "known", "slots", "buckets", "arrivals", "leaving", "roots",
+                 "bounds", "caps")
 
     def __init__(self, g: Graph, depth: int, known: Container[int] | None = None):
         n = g.vertex_count
         self.graph = g
-        self.depth = depth
         self.known = [known is None or e in known for e in range(g.edge_count)]
         self.slots: list[tuple[tuple[int, int, Any], ...]] = [()] * n
         for v in range(n):
@@ -213,8 +213,6 @@ class _Side:
         self.arrivals: dict[Any, list[tuple]] | None = {} if background else None
         self.leaving: dict[Any, list[tuple]] | None = {} if background else None
         self.roots: Counter | None = Counter() if background else None
-        self.vertex_memo: dict[tuple, tuple] | None = {} if background else None
-        self.edge_memo: dict[tuple, tuple] | None = {} if background else None
         if background:
             fresh = {label: EdgeOutcome(label, None) for _, _, label in g.edges}
             for v, here in enumerate(self.slots):
@@ -228,10 +226,19 @@ class _Side:
                     self.arrivals.setdefault(label, []).append(slot)
                     leaving.append(slot)
                 self.buckets.append(buckets)
-        self.bounds = [[1] * n for _ in range(depth + 1)]
+        self.bounds = [[1] * n]
         # caps[0] is never read: a depth-0 match follows no edges.
-        self.caps: list = [None] + [[None] * n for _ in range(depth)]
-        for d in range(1, depth + 1):
+        self.caps: list = [None]
+        self.deepen(depth)
+
+    def deepen(self, depth: int) -> None:
+        """Add the levels of bounds and caps up to depth, if they are not
+        there yet.  Level d reads only level d - 1, so they are the levels
+        of a side built at depth."""
+        n = self.graph.vertex_count
+        for d in range(len(self.bounds), depth + 1):
+            self.bounds.append([1] * n)
+            self.caps.append([None] * n)
             self._refresh(d, range(n))
 
     def _reslot(self, v: int) -> None:
@@ -263,9 +270,9 @@ class _Side:
         self._reslot(u)
         self._reslot(w)
         ball = frontier = {u, w}
-        for d in range(1, self.depth + 1):
+        for d in range(1, len(self.bounds)):
             self._refresh(d, ball)
-            if d < self.depth:
+            if d + 1 < len(self.bounds):
                 frontier = {far for v in frontier for _, far, _ in self.slots[v]} - ball
                 ball = ball | frontier
 
@@ -473,10 +480,6 @@ class _Matcher:
         return best
 
 
-def _largest_component(g: Graph) -> int:
-    return max((c.vertex_count for c in connected_components(g)), default=0)
-
-
 def _entry(entries: dict[tuple, tuple], results: Iterable[tuple[int, Any]]) -> tuple:
     """A memo entry from a step's (score, predicted outcome) results,
     interned in entries: each outcome they predict, then the weight their
@@ -498,32 +501,34 @@ _HIDDEN = object()
 
 
 class _Library:
-    """Background sides shared by the pricers of one batch call, of one
-    worker's share of it, or of one info command's targets.
+    """Background sides and their memos, shared by the pricers of one
+    batch call, of one worker's share of it, or of one info call's
+    targets.  It starts empty and fills as pricers read it.
 
-    depth is capped at the largest component of any of the targets the
-    library will price, so no pricer's capped depth is deeper, and a
-    matcher never reads the levels past its own: a background's size
-    does not count.  side(bg) builds bg's side the first time a pricer
-    asks for it, so each background is indexed once and its memos serve
-    every cell the library prices.  keys interns the context keys, so a
-    key that several sides' memos hold is stored once, and vertex_entries
-    and edge_entries intern the memos' entries alike.
+    side(bg, depth) builds bg's side the first time a pricer asks for it,
+    at that pricer's depth, and deepens it in place when a deeper pricer
+    asks later, so each background is indexed once and no side is deeper
+    than the deepest pricer that reads it.  vertex_memo and edge_memo map
+    a step's context key to each side's entry there: the weight that
+    side's candidates give each outcome (see _Pricer).  A key is stored
+    once, however many sides have an entry under it, and vertex_entries
+    and edge_entries intern the entries alike.
     """
 
-    __slots__ = ("depth", "sides", "keys", "vertex_entries", "edge_entries")
+    __slots__ = ("sides", "vertex_memo", "edge_memo", "vertex_entries", "edge_entries")
 
-    def __init__(self, depth: int, graphs: Iterable[Graph] = ()):
-        self.depth = min(depth, max(map(_largest_component, graphs), default=depth))
+    def __init__(self):
         self.sides: dict[int, _Side] = {}
-        self.keys: dict[tuple, tuple] = {}
+        self.vertex_memo: dict[tuple, dict[_Side, tuple]] = {}
+        self.edge_memo: dict[tuple, dict[_Side, tuple]] = {}
         self.vertex_entries: dict[tuple, tuple] = {}
         self.edge_entries: dict[tuple, tuple] = {}
 
-    def side(self, bg: Graph) -> _Side:
+    def side(self, bg: Graph, depth: int) -> _Side:
         side = self.sides.get(id(bg))
         if side is None:
-            side = self.sides[id(bg)] = _Side(bg, self.depth)
+            side = self.sides[id(bg)] = _Side(bg, depth)
+        side.deepen(depth)
         return side
 
 
@@ -531,15 +536,14 @@ class _Pricer:
     """The matcher state of one traversal of g, built once and kept current.
 
     With backgrounds it holds the capped depth, one target side over g's
-    known edges, a side and a matcher per background around it, and the
-    table that interns context keys; edge_step makes each edge known on
-    the target side as the traversal closes it.  A table row's walk (see
+    known edges, and per background a matcher between the target side
+    and the background's side, which the caller's library gives it at
+    that depth; edge_step makes each edge known on the target side as
+    the traversal closes it.  A table row's walk (see
     _walk) passes the backgrounds of all the row's cells, so the target
     side, each step's context key and each step's call serve every cell
-    of the row.  The background sides and the key table always come from
-    a library: the caller's when one is given, or one the pricer builds
-    at its own capped depth.  With no backgrounds it builds no side, and
-    its step methods are never called.
+    of the row.  With no backgrounds it builds no side, and its step
+    methods are never called.
 
     The depth is capped at g's largest component's vertex count.  Each
     level of a match's recursion binds a vertex of g that no outer level
@@ -552,15 +556,15 @@ class _Pricer:
     A step's searches read only the target's known ball of radius r
     around the root: depth from the source for an edge step, depth - 1
     from the vertex the arrival edge leads back to for a vertex step.
-    The step codes that ball as its context key (see _context), and each
-    background side memoises, by key, the weight its candidates give
-    each outcome, so a step whose context some earlier step of the call
-    had runs no search on that background and costs one pass over its
-    distinct outcomes.  An entry lists each outcome the candidates
-    predict, each followed by its weight; an edge step's loop closure names its
-    target by the target's number in the ball, and counts only while
-    that vertex can still take a loop closure, which the step checks
-    once per target.  vertex_results and edge_results are the one
+    The step codes that ball as its context key (see _context), and the
+    library memoises, by key and background side, the weight the side's
+    candidates give each outcome, so a step whose context some earlier
+    step of the call had runs no search on that background and costs one
+    pass over its distinct outcomes.  An entry lists each outcome the
+    candidates predict, each followed by its weight; an edge step's loop
+    closure names its target by the target's number in the ball, and
+    counts only while that vertex can still take a loop closure, which
+    the step checks once per target.  vertex_results and edge_results are the one
     candidate loop of each step kind: the step methods sum their
     results into the memo on a miss, and vertex_matches and edge_matches
     list them as matches.  Each loop passes every candidate that a search
@@ -571,20 +575,20 @@ class _Pricer:
 
     __slots__ = ("depth", "target", "sides", "matchers", "library")
 
-    def __init__(self, g: Graph, backgrounds: Sequence[Graph], depth: int, known=(),
-                 library: _Library | None = None):
+    def __init__(self, g: Graph, backgrounds: Sequence[Graph], depth: int, library: _Library,
+                 known=()):
         if backgrounds:
-            depth = min(depth, _largest_component(g))
+            depth = min(depth, max((c.vertex_count for c in connected_components(g)), default=0))
         self.depth = depth
-        self.library = library or _Library(depth)
+        self.library = library
         self.target = _Side(g, depth, known) if backgrounds else None
-        self.sides = [self.library.side(bg) for bg in backgrounds]
+        self.sides = [library.side(bg, depth) for bg in backgrounds]
         self.matchers = [_Matcher(self.target, side) for side in self.sides]
 
-    def _context(self, key: list, root: int, radius: int,
-                 hidden: int = -1) -> tuple[tuple, dict[int, int]]:
-        """The context key: key followed by the code of the target's known
-        ball around root, interned.
+    def _context(self, memos: dict, key: list, root: int, radius: int,
+                 hidden: int = -1) -> tuple[dict, dict[int, int]]:
+        """The step's memo in memos, each side's entry by the context key:
+        key followed by the code of the target's known ball around root.
 
         The vertices are numbered in breadth-first order from root over
         the known slots, out to radius.  A vertex inside the radius adds
@@ -595,7 +599,8 @@ class _Pricer:
         the same candidates, search them the same way and bind the same
         numbered vertices.  hidden's label is coded as _HIDDEN.  Also
         returns the map from each ball vertex to its number, which lists
-        the vertices in number order.
+        the vertices in number order.  A key met for the first time gets
+        an empty memo.
         """
         labels, slots = self.target.graph.labels, self.target.slots
         number = {root: 0}
@@ -615,8 +620,7 @@ class _Pricer:
             start = end
         for v in order[start:]:
             key.append(_HIDDEN if v == hidden else labels[v])
-        key = tuple(key)
-        return self.library.keys.setdefault(key, key), number
+        return memos.setdefault(tuple(key), {}), number
 
     def vertex_results(self, incoming, bi: int) -> list[tuple[int, VertexOutcome]]:
         """(score, predicted outcome) for each of background bi's candidates
@@ -669,12 +673,13 @@ class _Pricer:
         if incoming is None:  # every background vertex, at score 0
             return [(side.roots[outcome], side.graph.vertex_count) for side in self.sides]
         depth = self.depth
-        key, _ = self._context([depth, incoming.label], incoming.head, depth - 1, incoming.tail)
+        memo, _ = self._context(self.library.vertex_memo, [depth, incoming.label], incoming.head,
+                                depth - 1, incoming.tail)
         charged = []
         for bi, side in enumerate(self.sides):
-            entry = side.vertex_memo.get(key)
+            entry = memo.get(side)
             if entry is None:
-                entry = side.vertex_memo[key] = _entry(
+                entry = memo[side] = _entry(
                     self.library.vertex_entries, self.vertex_results(incoming, bi))
             hit = entry[entry.index(outcome) + 1] if outcome in entry else 0
             charged.append((hit, sum(entry[1::2])))
@@ -685,7 +690,7 @@ class _Pricer:
         the step that predict outcome, and of all of them; then makes the
         edge known, as the traversal closes it."""
         source, depth = event.source, self.depth
-        key, number = self._context([depth], source, depth)
+        memo, number = self._context(self.library.edge_memo, [depth], source, depth)
         ball = list(number)
         # The outcome as an entry codes it.  A loop closure out of the ball,
         # where no match binds, codes as a target of -1, which gets no weight.
@@ -694,9 +699,9 @@ class _Pricer:
         legal = {None: True}  # per target, whether the decoder could act on it
         charged = []
         for bi, side in enumerate(self.sides):
-            entry = side.edge_memo.get(key)
+            entry = memo.get(side)
             if entry is None:
-                entry = side.edge_memo[key] = _entry(
+                entry = memo[side] = _entry(
                     self.library.edge_entries, self.edge_results(source, event.edge, bi, number))
             # The actual outcome is legal, so its weight counts in the total.
             hit = entry[entry.index(outcome) + 1] if outcome in entry else 0
@@ -718,7 +723,7 @@ class _Pricer:
 def _own_pricer(state: TraversalState, backgrounds: Sequence[Graph], depth: int) -> _Pricer:
     """A pricer for one step alone, over the state's closed edges."""
     closed = {e for e in range(state.graph.edge_count) if state.is_closed(e)}
-    return _Pricer(state.graph, backgrounds, depth, closed)
+    return _Pricer(state.graph, backgrounds, depth, _Library(), closed)
 
 
 def vertex_matches(state: TraversalState, backgrounds: Sequence[Graph], incoming,
@@ -795,10 +800,6 @@ def outcome_text(outcome: VertexOutcome | EdgeOutcome) -> str:
     return f"edge {label_text(outcome.label)} closes {outcome.target}"
 
 
-def _shared_edge_alphabet(graphs: Iterable[Graph]) -> frozenset:
-    return frozenset(e.label for g in graphs for e in g.edges)
-
-
 def _checked_alphabet(graphs: list[tuple[str, Graph]], degrees: Mapping[Any, int],
                       depth: int, edge_alphabet: Iterable | None) -> frozenset:
     """The edge alphabet of pricing the (what, graph) pairs' graphs, once
@@ -828,7 +829,7 @@ def _checked_alphabet(graphs: list[tuple[str, Graph]], degrees: Mapping[Any, int
                     f"maximum {degrees[label]} for label {label_text(label)}"
                 )
 
-    present = _shared_edge_alphabet(g for _, g in graphs)
+    present = frozenset(e.label for _, g in graphs for e in g.edges)
     alphabet = present if edge_alphabet is None else frozenset(edge_alphabet)
     missing = present - alphabet
     if missing:
@@ -840,7 +841,7 @@ def _checked_alphabet(graphs: list[tuple[str, Graph]], degrees: Mapping[Any, int
 
 
 def _walk(g: Graph, cells: list[list[Graph]], degrees: Mapping[Any, int], depth: int,
-          alphabet: frozenset, library: _Library | None) -> tuple[list, list]:
+          alphabet: frozenset, library: _Library) -> tuple[list, list]:
     """One traversal of g that prices it given each cell's backgrounds.
 
     The caller has checked the input, and alphabet is the edge alphabet
@@ -859,11 +860,10 @@ def _walk(g: Graph, cells: list[list[Graph]], degrees: Mapping[Any, int], depth:
     size_later = sum(degrees.values())
     size_initial = size_later + len(degrees)
     edge_labels = len(alphabet)
-    # Each background's index, from the library or the pricer's own, gets
-    # one matcher for the walk; the target side they share starts with no
-    # edge known and learns each edge as the traversal closes it.
-    pricer = _Pricer(g, backgrounds, depth, library=library)
-    first = bits[0]
+    # Each background's index, from the library, gets one matcher for the
+    # walk; the target side they share starts with no edge known and learns
+    # each edge as the traversal closes it.
+    pricer = _Pricer(g, backgrounds, depth, library)
 
     def step(state: TraversalState, event) -> StepRecord:
         if isinstance(event, VertexEvent):
@@ -884,9 +884,23 @@ def _walk(g: Graph, cells: list[list[Graph]], degrees: Mapping[Any, int], depth:
                 totals[c] += total
             for hit, total, cell in zip(hits, totals, bits):
                 cell.append(_step_bits(hit, total, size))
-        return StepRecord(len(first) - 1, kind, outcome, first[-1])
+        return StepRecord(len(bits[0]) - 1, kind, outcome, bits[0][-1])
 
     return traverse(g, step, step), bits
+
+
+def _information(graphs: Sequence[Graph], backgrounds: Sequence[Graph],
+                 degrees: Mapping[Any, int], depth: int,
+                 edge_alphabet: Iterable | None) -> list[InfoResult]:
+    """Each graph's InfoResult given the backgrounds, once every graph and
+    background is checked, through one library."""
+    backgrounds = list(backgrounds)
+    checks = [("the graph", g) for g in graphs]
+    checks += [(f"background {bi}", bg) for bi, bg in enumerate(backgrounds)]
+    alphabet = _checked_alphabet(checks, degrees, depth, edge_alphabet)
+    library = _Library()
+    walks = [_walk(g, [backgrounds], degrees, depth, alphabet, library) for g in graphs]
+    return [InfoResult(total=sum(bits, 0.0), steps=tuple(steps)) for steps, (bits,) in walks]
 
 
 def information_content(
@@ -896,7 +910,6 @@ def information_content(
     depth: int = 3,
     *,
     edge_alphabet: Iterable | None = None,
-    _library: _Library | None = None,
 ) -> InfoResult:
     """Bits to transmit g to a receiver who already knows the backgrounds.
 
@@ -904,15 +917,9 @@ def information_content(
     component, and sums the negative log probability of every step's
     actual outcome under models built from the backgrounds.  An empty
     background list gives the unconditional estimate, and an empty g costs
-    0 bits.  The step log accounts for the total exactly.  A caller that
-    prices several graphs passes one _library, capped over all of them,
-    so each background is indexed once and its memo serves every call.
+    0 bits.  The step log accounts for the total exactly.
     """
-    backgrounds = list(backgrounds)
-    checks = [("the graph", g)] + [(f"background {bi}", bg) for bi, bg in enumerate(backgrounds)]
-    alphabet = _checked_alphabet(checks, degrees, depth, edge_alphabet)
-    steps, (bits,) = _walk(g, [backgrounds], degrees, depth, alphabet, _library)
-    return InfoResult(total=sum(bits, 0.0), steps=tuple(steps))
+    return _information([g], backgrounds, degrees, depth, edge_alphabet)[0]
 
 
 def information_contents(
@@ -923,17 +930,14 @@ def information_contents(
 ) -> list[InfoResult]:
     """information_content of each graph, in order, given the same backgrounds.
 
+    Every graph and background is checked once, before any is priced.
     Every graph is priced over one edge alphabet, the union of the edge
     labels over the graphs and the backgrounds, so the totals are
     comparable.  The graphs share one library, so each background is
-    indexed once and its memo serves them all.  Its depth is capped over
-    the graphs alone: no pricer reads a level past its own target's
-    largest component.
+    indexed once, no deeper than the deepest of their walks needs, and
+    its memo serves them all.
     """
-    alphabet = _shared_edge_alphabet([*graphs, *backgrounds])
-    library = _Library(depth, graphs) if backgrounds else None
-    return [information_content(g, backgrounds, degrees, depth, edge_alphabet=alphabet,
-                                _library=library) for g in graphs]
+    return _information(graphs, backgrounds, degrees, depth, None)
 
 
 # -- batched computations ----------------------------------------------------------
@@ -980,22 +984,20 @@ def _batch(named_graphs: Sequence[tuple[str, Graph]], degrees: Mapping[Any, int]
     Every graph is checked once, before any cell, library or worker is
     made, and a bad one is named in the message.  Every cell shares one
     edge-label alphabet, the union over all the graphs, so the numbers
-    are comparable.  The library depth is capped once, at the largest
-    component of any of the graphs.  The cells run in this process, or
-    in w = min(jobs, cells, CPUs) worker processes when that is more
-    than one: worker k prices cells k, k + w, k + 2w, ... through its
-    own copy of the still empty library, so it too indexes each
-    background once and walks each row once.  Round-robin shares even
-    out a chain, whose later cells carry more backgrounds.
+    are comparable.  The cells run in this process, or in
+    w = min(jobs, cells, CPUs) worker processes when that is more than
+    one: worker k prices cells k, k + w, k + 2w, ... through its own copy
+    of the still empty library, so it too indexes each background once
+    and walks each row once.  Round-robin shares even out a chain, whose
+    later cells carry more backgrounds.
     """
     named = list(named_graphs)
     if not named:
         raise ContextError(f"the {what} needs at least one graph")
     checks = [(f"graph {name!r}", g) for name, g in named]
     alphabet = _checked_alphabet(checks, degrees, depth, None)
-    graphs = [g for _, g in named]
-    cells = pairs(graphs)
-    settings = dict(degrees), depth, alphabet, _Library(depth, graphs)
+    cells = pairs([g for _, g in named])
+    settings = dict(degrees), depth, alphabet, _Library()
     workers = min(jobs, len(cells), os.cpu_count() or 1)
     if workers <= 1:
         totals = _price(cells, *settings)

@@ -279,6 +279,56 @@ class TestTableAndChainCommands:
         assert out == block
 
 
+class TestWorkPerCommand:
+    """Over the README drugs, each walk splits its target into components
+    once, and each input graph is checked once, before any walk."""
+
+    @pytest.mark.parametrize("command, given, passes, checked", [
+        ("table", False, 4, 4),
+        ("chain", False, 3, 4),  # the first item has no background to match
+        ("info", True, 4, 8),
+    ], ids=["table", "chain", "info"])
+    def test_counts(self, files, capsys, monkeypatch, command, given, passes, checked):
+        counts = {"passes": 0, "checked": 0}
+        components = graphmml.context.connected_components
+        check = graphmml.context._checked_alphabet
+
+        def counting_components(g):
+            counts["passes"] += 1
+            return components(g)
+
+        def counting_check(graphs, *args):
+            counts["checked"] += len(graphs)
+            return check(graphs, *args)
+
+        monkeypatch.setattr(graphmml.context, "connected_components", counting_components)
+        monkeypatch.setattr(graphmml.context, "_checked_alphabet", counting_check)
+        argv = [command, files.drugs, *(["--given", files.drugs] if given else [])]
+        assert run(argv, capsys)[0] == 0
+        assert counts == {"passes": passes, "checked": checked}
+
+    @pytest.mark.parametrize("targets, given, message", [
+        (["bond", "path"], ["bond"],
+         "graph vertex 1 has degree 2, above the declared maximum 1 for label X"),
+        (["bond"], ["path"],
+         "background 0 vertex 1 has degree 2, above the declared maximum 1 for label X"),
+    ], ids=["second target", "background"])
+    def test_info_names_a_bad_later_target_or_background(self, capsys, monkeypatch, tmp_path,
+                                                         targets, given, message):
+        # The message is the one a check per target gave, and no target is
+        # walked before it.
+        for name, n in (("bond", 2), ("path", 3)):
+            (tmp_path / f"{name}.graph").write_text(
+                edge_list_text(["X"] * n, [(i, i + 1, "s") for i in range(n - 1)]))
+        walks = []
+        monkeypatch.setattr(graphmml.context, "_walk", lambda *args: walks.append(args))
+        argv = ["info", *(tmp_path / f"{name}.graph" for name in targets), "--valence", "X=1"]
+        argv += [option for name in given for option in ("--given", tmp_path / f"{name}.graph")]
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (3, "", f"graphmml: {message}\n")
+        assert walks == []
+
+
 class TestTreeCommand:
     def test_strict_round_trip(self, capsys):
         code, out, _ = run(["tree", "encode", "strict", "(F (L) (L))"], capsys)
@@ -330,6 +380,24 @@ class TestOrderingCommand:
             "bond\t2\t0.000",
             "k33\t6\t6.907",
         ]
+
+    def test_counts_each_graph_once(self, files, capsys, monkeypatch):
+        # The surplus comes from the printed count, not from a second search.
+        paths = [files.square, files.k4, files.bond, files.k33]
+        graphs = [graphmml.cli.load_graph_file(str(path), {})[0][1] for path in paths]
+        surplus = [f"{graphmml.ordering_surplus_bits(g):.3f}" for g in graphs]
+        counted = []
+        count = graphmml.codes.automorphism_count
+
+        def counting(g):
+            counted.append(g.vertex_count)
+            return count(g)
+
+        monkeypatch.setattr(graphmml.codes, "automorphism_count", counting)
+        monkeypatch.setattr(graphmml.cli, "automorphism_count", counting)
+        code, out, _ = run(["ordering", *paths, "--format", "tsv"], capsys)
+        assert code == 0 and counted == [g.vertex_count for g in graphs]
+        assert [row.split("\t")[2] for row in out.splitlines()[1:]] == surplus
 
     def test_too_large_for_brute_force(self, files, capsys):
         code, _, err = run(["ordering", files.drugs], capsys)
@@ -440,6 +508,29 @@ class TestExitCodes:
         assert run(["info", files.k33, "--valence", "Utility"], capsys)[0] == 2
         assert run(["info", files.k33, "--valence", "Utility=zero"], capsys)[0] == 2
         assert run(["info", files.k33, "--valence", "Utility=0"], capsys)[0] == 2
+
+    @pytest.mark.parametrize("lines, lineno, vid", [
+        ("v \u0660 X\nv 1 X\ne 0 1 s", 2, "\u0660"),
+        ("v 0 X\nv +1 X\ne 0 1 s", 3, "+1"),
+        ("v 0 X\nv 1 X\ne 0 1_0 s", 4, "1_0"),
+    ], ids=["arabic-indic", "signed", "underscored"])
+    def test_edge_list_ids_are_ascii_digits(self, lines, lineno, vid, capsys, tmp_path):
+        path = tmp_path / "ids.graph"
+        path.write_text(f"undirected\n{lines}\n", encoding="utf-8")
+        code, out, err = run(["info", path], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"graphmml: {path}:{lineno}: vertex id {vid!r} must be ASCII digits\n"
+
+    @pytest.mark.parametrize("limit", ["\u0663", "1_0"], ids=["arabic-indic", "underscored"])
+    def test_valence_limits_are_ascii_digits(self, limit, files, capsys, tmp_path):
+        code, out, err = run(["info", files.k33, "--valence", f"House={limit}"], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"graphmml: --valence: limit {limit!r} must be ASCII digits\n"
+        config = tmp_path / "valences.cfg"
+        config.write_text(f"House={limit}\n", encoding="utf-8")
+        code, out, err = run(["info", files.k33, "--valence-file", config], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"graphmml: {config}:1: limit {limit!r} must be ASCII digits\n"
 
     def test_duplicate_names(self, capsys, tmp_path):
         dup = tmp_path / "dup.txt"

@@ -469,10 +469,24 @@ class TestSideIndexes:
             for v, _, _, outcome, _ in shared.values():
                 assert outcomes.setdefault(v, outcome) is outcome
 
+    def test_a_side_deepened_in_place_equals_one_built_at_that_depth(self):
+        # Matchers hold the side's bounds and caps lists, so deepening adds
+        # to those same lists, and never takes a level away.
+        for g in [*DRUGS, make_k33(), relabelled(grid(4, 4), 0.35, 11)]:
+            for known in (None, set(range(0, g.edge_count, 2))):
+                side = graphmml.context._Side(g, 1, known)
+                bounds, caps = side.bounds, side.caps
+                side.deepen(4)
+                built = graphmml.context._Side(g, 4, known)
+                assert side.bounds is bounds and side.caps is caps
+                assert (bounds, caps) == (built.bounds, built.caps)
+                side.deepen(2)
+                assert (bounds, caps) == (built.bounds, built.caps)
+
     def test_target_side_builds_no_label_lookups(self, k33):
         side = graphmml.context._Side(k33, 3, ())
         assert side.buckets is None and side.arrivals is None and side.leaving is None
-        assert side.vertex_memo is None and side.edge_memo is None
+        assert side.roots is None
 
 
 class KnownPart:
@@ -775,33 +789,36 @@ class TestIncrementalTargetSide:
         assert built == ({"sides": k + 1, "components": 1} if k else {})
 
 
-def memo_checked(kind, step, tally):
+def memo_checked(kind, step, tally, searched):
     """step, the pricer's vertex_step (kind "V") or edge_step (kind "E"),
     checking the charges of the memoising pricer information_content
     calls it on, step by step, against the sums over a memo-less
     pricer's matches, which must equal the plain reference's.  tally
-    counts, per background with candidates, whether its memo answered the
-    step (True) or the step searched and stored its sums (False), and the
-    edge-step hits whose background predicts a loop closure."""
+    counts, per background with candidates, whether the library's memo
+    answered the step (True) or the step searched and stored its sums
+    (False), and the edge-step hits whose background predicts a loop
+    closure.  searched lists the background of each search, as the
+    pricer's vertex_results and edge_results are called."""
 
     def call(pricer, state, event, outcome):
         if kind == "V" and event.incoming is None:  # a root step has no context
             return step(pricer, state, event, outcome)
         if kind == "V":
             label = event.incoming.label
-            asked = [(s.vertex_memo, label in s.arrivals) for s in pricer.sides]
+            listed = [label in s.arrivals for s in pricer.sides]
         else:
             label = state.graph.labels[event.source]
-            asked = [(s.edge_memo, label in s.leaving) for s in pricer.sides]
-        sizes = [len(memo) for memo, _ in asked]
+            listed = [label in s.leaving for s in pricer.sides]
+        searched.clear()
         charged = step(pricer, state, event, outcome)
-        # Built for this step alone, a pricer's memos start empty: it searches.
+        missed = set(searched)
+        # Built for this step alone, a pricer's library starts empty: it searches.
         got = step_matches((vertex_matches, edge_matches), pricer, state, event)
         assert got == step_matches((plain_vertex_matches, plain_edge_matches), pricer, state, event)
         assert charged == match_sums(got, outcome, len(pricer.sides))
-        for bi, ((memo, candidates), size) in enumerate(zip(asked, sizes)):
+        for bi, candidates in enumerate(listed):
             if candidates:
-                hit = len(memo) == size
+                hit = bi not in missed
                 tally[kind, hit] += 1
                 tally["loop hits"] += hit and kind == "E" and any(
                     m.candidate[0] == bi and m.outcome.target is not None for m in got)
@@ -811,10 +828,23 @@ def memo_checked(kind, step, tally):
 
 
 def check_memo(monkeypatch):
-    tally = Counter()
+    tally, searched = Counter(), []
+    pricer = graphmml.context._Pricer
+    vertex_results, edge_results = pricer.vertex_results, pricer.edge_results
+
+    def searching_vertex(self, incoming, bi):
+        searched.append(bi)
+        return vertex_results(self, incoming, bi)
+
+    def searching_edge(self, source, pending_edge, bi, number):
+        searched.append(bi)
+        return edge_results(self, source, pending_edge, bi, number)
+
+    monkeypatch.setattr(pricer, "vertex_results", searching_vertex)
+    monkeypatch.setattr(pricer, "edge_results", searching_edge)
     for kind, name in (("V", "vertex_step"), ("E", "edge_step")):
-        step = getattr(graphmml.context._Pricer, name)
-        monkeypatch.setattr(graphmml.context._Pricer, name, memo_checked(kind, step, tally))
+        step = getattr(pricer, name)
+        monkeypatch.setattr(pricer, name, memo_checked(kind, step, tally, searched))
     return tally
 
 
@@ -867,21 +897,23 @@ class TestContextMemo:
         (shared,) = libraries
         return shared
 
-    def test_keys_are_interned_once_per_call(self, monkeypatch):
+    def test_each_key_holds_the_entries_of_every_side_asked(self, monkeypatch):
+        # The library stores a context key once per step kind, with the
+        # entry of each background side a step with that key asked for: a
+        # table row's step asks every side at once.
         shared = self.drug_table_library(monkeypatch)
-        stored = [key for side in shared.sides.values()
-                  for memo in (side.vertex_memo, side.edge_memo) for key in memo]
-        assert len(stored) > len(shared.keys)
-        assert all(shared.keys[key] is key for key in stored)
+        sides = set(shared.sides.values())
+        for memos in (shared.vertex_memo, shared.edge_memo):
+            assert memos and all(memo and set(memo) <= sides for memo in memos.values())
+            assert max(map(len, memos.values())) == len(sides) == len(DRUGS)
 
     def test_entries_are_interned_per_kind(self, monkeypatch):
         # Each entry lists outcomes and weights, and equal entries are one
         # tuple, in the table of their step kind.
         shared = self.drug_table_library(monkeypatch)
-        for memo, table in (("vertex_memo", shared.vertex_entries),
-                            ("edge_memo", shared.edge_entries)):
-            stored = [entry for side in shared.sides.values()
-                      for entry in getattr(side, memo).values()]
+        for memos, table in ((shared.vertex_memo, shared.vertex_entries),
+                             (shared.edge_memo, shared.edge_entries)):
+            stored = [entry for memo in memos.values() for entry in memo.values()]
             assert len(stored) > len(table)
             assert all(table[entry] is entry for entry in stored)
             assert all(type(entry) is tuple for entry in stored)
@@ -1318,6 +1350,30 @@ class TestTableAndChain:
         monkeypatch.setattr(graphmml.context, "_Side", counting_side)
         return built, depths
 
+    def test_a_side_built_shallow_is_deepened_for_a_later_row(
+            self, monkeypatch, k33, near_k33, utility_degrees):
+        # The first row's target has 2 vertices, so its walk builds every
+        # background side at depth 2; the later rows walk at depth 5 and
+        # deepen those sides in place.
+        named = [("stub", cable_stub()), ("k33", k33), ("near", near_k33)]
+        alphabet = {e.label for _, g in named for e in g.edges}
+        alone = tuple(tuple(information_content(a, [b], utility_degrees, 5,
+                                                edge_alphabet=alphabet).total
+                            for _, b in named) for _, a in named)
+        deepened = []
+        deepen = graphmml.context._Side.deepen
+
+        def recording_deepen(side, depth):
+            if len(side.bounds) > 1 and depth >= len(side.bounds):
+                deepened.append((side.graph, len(side.bounds) - 1, depth))
+            deepen(side, depth)
+
+        monkeypatch.setattr(graphmml.context._Side, "deepen", recording_deepen)
+        built, depths = self.count_sides(monkeypatch)
+        assert conditional_table(named, utility_degrees, 5).bits == alone
+        assert built == {"background": 3, "target": 3} and depths == [2, 2, 2, 2, 5, 5]
+        assert deepened == [(g, 2, 5) for _, g in named]
+
     def test_info_caps_its_library_over_the_targets_alone(self, monkeypatch):
         # A 6-vertex ring given a 1,500-vertex chain: no pricer reads a level
         # past the ring's 6 vertices, so no background side is built deeper.
@@ -1351,7 +1407,7 @@ class TestTableAndChain:
 
     def test_info_targets_index_each_given_once(self, monkeypatch):
         degrees, given = tight_degrees(DRUGS), [DRUGS[2]]
-        alphabet = graphmml.context._shared_edge_alphabet(DRUGS)
+        alphabet = {e.label for g in DRUGS for e in g.edges}
         alone = [information_content(g, given, degrees, 3, edge_alphabet=alphabet)
                  for g in DRUGS]
         built, depths = self.count_sides(monkeypatch)
