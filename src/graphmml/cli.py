@@ -136,8 +136,10 @@ def _load_molecules(text: str, path: str, valences) -> list[tuple[str, Graph]]:
 
 
 def _read_text(path: str) -> str:
+    """The file's UTF-8 text, less one leading byte-order mark.  Decoded
+    with the mark, so a decoding error names the file's own byte offset."""
     try:
-        return Path(path).read_text(encoding="utf-8")
+        return Path(path).read_text(encoding="utf-8").removeprefix("\ufeff")
     except UnicodeDecodeError as exc:
         raise FileFormatError(f"{path}: not UTF-8 text ({exc.reason} at byte {exc.start})") from exc
 
@@ -406,19 +408,23 @@ def cmd_ordering(args) -> int:
 
 
 def cmd_parse(args) -> int:
-    valences = _configure_valences(_valence_overrides(args))
+    overrides = _valence_overrides(args)
+    valences = _configure_valences(overrides)
+    records: list[tuple[str, Graph]] = []
     for path in args.files:
         text, edge_list = _read_input(path)
         if edge_list:
             raise FileFormatError(f"{path}: already an edge-list file")
-        for name, g in _load_molecules(text, path, valences):
-            print(f"# {name}")
-            print("undirected")
-            for v in range(g.vertex_count):
-                print(f"v {v} {label_text(g.labels[v])}")
-            for e in g.edges:
-                print(f"e {e.u} {e.v} {label_text(e.label)}")
-            print()
+        records += _load_molecules(text, path, valences)
+    _degree_limits([g for _, g in records], valences, overrides)  # refuses unknown labels
+    for name, g in records:
+        print(f"# {name}")
+        print("undirected")
+        for v in range(g.vertex_count):
+            print(f"v {v} {label_text(g.labels[v])}")
+        for e in g.edges:
+            print(f"e {e.u} {e.v} {label_text(e.label)}")
+        print()
     return EXIT_OK
 
 

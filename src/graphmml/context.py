@@ -11,9 +11,11 @@ its score plus one to the outcome it predicts, and the actual outcome's
 negative log2 share of the total weight is the step's cost.
 information_content computes that share with one division, from each
 background's weight sums per outcome and the number of possible
-outcomes, without listing the matches or the outcomes;
-scored_matches_to_model builds the full distribution from vertex_matches
-or edge_matches under the same rule.
+outcomes, without listing the matches or the outcomes.  The tests'
+reference for that division is scored_matches_to_model: it returns the
+full distribution, a dict from outcome to probability, that the matches
+vertex_matches or edge_matches list give under the same rule, and -log2
+of the actual outcome's probability is the step's bits.
 
 With no backgrounds every step falls back to a uniform distribution, so
 the unconditional cost is still well defined.  The traversal covers every
@@ -111,37 +113,9 @@ def edge_outcome_space(
 ESCAPE = 0.5
 
 
-@dataclass(frozen=True)
-class PredictiveModel:
-    """Finite distribution over an outcome space; prices outcomes in bits."""
-
-    probabilities: dict
-
-    def __post_init__(self) -> None:
-        if not self.probabilities:
-            raise ContextError("a predictive model needs a non-empty outcome space")
-        total = sum(self.probabilities.values())
-        if abs(total - 1.0) > 1e-9:
-            raise ContextError(f"probabilities sum to {total!r}, not 1")
-        if any(p <= 0.0 for p in self.probabilities.values()):
-            raise ContextError("every outcome must have positive probability")
-
-    @property
-    def outcome_space(self) -> tuple:
-        return tuple(self.probabilities)
-
-    def nl_pr(self, outcome) -> float:
-        """Negative log2 probability of the outcome, in bits."""
-        p = self.probabilities.get(outcome)
-        if p is None:
-            raise ContextError(f"outcome {outcome!r} is outside the outcome space")
-        return -math.log2(p)
-
-
-def scored_matches_to_model(
-    matches: Iterable[ScoredMatch], outcome_space: Sequence
-) -> PredictiveModel:
-    """Turn scored matches into a distribution over the outcome space.
+def scored_matches_to_model(matches: Iterable[ScoredMatch], outcome_space: Sequence) -> dict:
+    """The distribution the scored matches give over the outcome space, as
+    a dict from each outcome to its probability.
 
     Each match adds (score + 1) weight to the outcome it predicts, so
     zero-score matches still count; every outcome also gets ESCAPE weight
@@ -160,16 +134,17 @@ def scored_matches_to_model(
             )
         weights[match.outcome] += match.score + 1
     total = sum(weights.values())
-    return PredictiveModel({o: w / total for o, w in weights.items()})
+    return {o: w / total for o, w in weights.items()}
 
 
 def _step_bits(hit: int, total: int, size: int) -> float:
     """Bits for an outcome, one of size possible outcomes, under the weight
     rule, when the step's matches weigh total and those predicting it hit.
 
-    The same number scored_matches_to_model(...).nl_pr(outcome) gives, bit
-    for bit: every weight is a multiple of 1/2, so both sums are exact and
-    the one division rounds as the distribution's does.
+    The same number as -log2 of the outcome's probability in the
+    distribution scored_matches_to_model returns, bit for bit: every weight
+    is a multiple of 1/2, so both sums are exact and the one division
+    rounds as the distribution's does.
     """
     return -math.log2((ESCAPE + hit) / (ESCAPE * size + total))
 
@@ -741,8 +716,6 @@ def vertex_matches(state: TraversalState, backgrounds: Sequence[Graph], incoming
     if incoming is None:
         return [ScoredMatch((bi, v2), 0, VertexOutcome(bg.labels[v2], bg.degree(v2)))
                 for bi, bg in enumerate(backgrounds) for v2 in range(bg.vertex_count)]
-    if not backgrounds:
-        return []
     pricer = _own_pricer(state, backgrounds, depth)
     return [ScoredMatch((bi, v2, e2), score, predicted)
             for bi, side in enumerate(pricer.sides)
@@ -762,8 +735,6 @@ def edge_matches(state: TraversalState, backgrounds: Sequence[Graph], source: in
     a loop.  A match whose implied loop target is not a legal candidate
     predicts nothing a decoder could act on and is dropped.
     """
-    if not backgrounds:
-        return []
     pricer = _own_pricer(state, backgrounds, depth)
     label, ids = state.graph.labels[source], range(state.graph.vertex_count)
     return [ScoredMatch((bi, v2, e2), score, predicted)
@@ -814,6 +785,10 @@ def _checked_alphabet(graphs: list[tuple[str, Graph]], degrees: Mapping[Any, int
             raise ContextError(
                 f"declared maximum degree for {label_text(label)} must be a positive integer"
             )
+    try:  # a root step's outcome count, the largest, is priced as a float
+        float(sum(degrees.values()) + len(degrees))
+    except OverflowError:
+        raise ContextError("declared maximum degrees are too large to price") from None
     if depth < 0:
         raise ContextError("depth must be non-negative")
     for what, g in graphs:
@@ -889,12 +864,12 @@ def _walk(g: Graph, cells: list[list[Graph]], degrees: Mapping[Any, int], depth:
     return traverse(g, step, step), bits
 
 
-def _information(graphs: Sequence[Graph], backgrounds: Sequence[Graph],
+def _information(graphs: Iterable[Graph], backgrounds: Iterable[Graph],
                  degrees: Mapping[Any, int], depth: int,
                  edge_alphabet: Iterable | None) -> list[InfoResult]:
     """Each graph's InfoResult given the backgrounds, once every graph and
     background is checked, through one library."""
-    backgrounds = list(backgrounds)
+    graphs, backgrounds = list(graphs), list(backgrounds)
     checks = [("the graph", g) for g in graphs]
     checks += [(f"background {bi}", bg) for bi, bg in enumerate(backgrounds)]
     alphabet = _checked_alphabet(checks, degrees, depth, edge_alphabet)
@@ -923,8 +898,8 @@ def information_content(
 
 
 def information_contents(
-    graphs: Sequence[Graph],
-    backgrounds: Sequence[Graph],
+    graphs: Iterable[Graph],
+    backgrounds: Iterable[Graph],
     degrees: Mapping[Any, int],
     depth: int = 3,
 ) -> list[InfoResult]:

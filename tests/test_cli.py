@@ -407,6 +407,10 @@ class TestOrderingCommand:
     def test_label_overrides_apply_as_in_pricing_commands(self, files, capsys):
         code, out, _ = run(["ordering", files.k33, *K33_FLAGS, "--format", "tsv"], capsys)
         assert code == 0 and out.splitlines()[1] == "k33\t6\t6.907"
+        # It prices nothing, so no limit is too large for it.
+        huge = ["--valence", f"House={'9' * 400}"]
+        assert run(["ordering", files.k33, *K33_FLAGS, *huge, "--format", "tsv"], capsys) == (
+            code, out, "")
         code, out, err = run(["ordering", files.k33, "--valence", "Zz=1"], capsys)
         assert code == 2 and out == "" and "'Zz'" in err
 
@@ -485,6 +489,11 @@ class TestExitCodes:
         assert code == 2 and out == "" and f"{bad}: not UTF-8" in err
         code, out, err = run(["info", files.k33, *K33_FLAGS, "--valence-file", bad], capsys)
         assert code == 2 and out == "" and f"{bad}: not UTF-8" in err
+        # After a byte-order mark the offset is still the file's own.
+        bad.write_bytes(b"\xef\xbb\xbfmol C\xffC\n")
+        code, out, err = run(["info", bad], capsys)
+        assert (code, out) == (2, "")
+        assert err == f"graphmml: {bad}: not UTF-8 text (invalid start byte at byte 8)\n"
 
     def test_missing_file(self, capsys):
         code, _, err = run(["info", "does-not-exist.txt"], capsys)
@@ -503,6 +512,20 @@ class TestExitCodes:
 
     def test_unknown_override_label(self, files, capsys):
         assert run(["info", files.k33, "--valence", "Bogus=3"], capsys)[0] == 2
+        # Every command that reads --valence refuses it before it prints.
+        for command in ("info", "table", "chain", "ordering", "parse"):
+            code, out, err = run([command, files.drugs, "--valence", "Zz=1"], capsys)
+            assert (code, out) == (2, "")
+            assert err == "graphmml: --valence override for unknown label 'Zz'\n"
+
+    @pytest.mark.parametrize("command", ["info", "table", "chain"])
+    def test_degree_limit_too_large_to_price(self, command, files, capsys):
+        huge = "9" * 400
+        code, out, err = run([command, files.drugs, "--valence", f"C={huge}"], capsys)
+        assert (code, out) == (3, "")
+        assert err == "graphmml: declared maximum degrees are too large to price\n"
+        code, out, _ = run([command, files.drugs, "--valence", f"C=1{'0' * 300}"], capsys)
+        assert code == 0 and out
 
     def test_malformed_override(self, files, capsys):
         assert run(["info", files.k33, "--valence", "Utility"], capsys)[0] == 2
@@ -579,6 +602,42 @@ class TestExitCodes:
         assert code == 4 and captured.out == ""
         assert captured.err.count("\n") == 1 and captured.err.startswith("graphmml: ")
         assert "--depth" in captured.err and "Traceback" not in captured.err
+
+
+class TestByteOrderMark:
+    """A leading UTF-8 byte-order mark is no part of any input file."""
+
+    BOM = b"\xef\xbb\xbf"
+
+    def test_edge_list(self, files, capsys, tmp_path):
+        marked = tmp_path / "k33.graph"
+        marked.write_bytes(self.BOM + files.k33.read_bytes())
+        expected = run(["info", files.k33, *K33_FLAGS, "--format", "tsv"], capsys)
+        assert expected[0] == 0
+        assert run(["info", marked, *K33_FLAGS, "--format", "tsv"], capsys) == expected
+
+    def test_molecule_file(self, files, capsys, tmp_path):
+        marked = tmp_path / "drugs.txt"  # its first line is a comment
+        marked.write_bytes(self.BOM + files.drugs.read_bytes())
+        expected = run(["info", files.drugs, "--format", "tsv"], capsys)
+        assert expected[0] == 0
+        assert run(["info", marked, "--format", "tsv"], capsys) == expected
+        single = tmp_path / "single.smi"
+        single.write_bytes(self.BOM + f"viagra {DRUG_SMILES['viagra']}\n".encode())
+        code, out, _ = run(["info", single, "--format", "tsv"], capsys)
+        assert code == 0 and out.splitlines()[1].split("\t")[0] == "viagra"
+        code, out, _ = run(["parse", single], capsys)
+        assert code == 0 and out.startswith("# viagra\n")
+
+    def test_valence_file(self, files, capsys, tmp_path):
+        config = tmp_path / "valences.cfg"
+        config.write_bytes(self.BOM + b"Utility=4\nHouse=3\n")
+        expected = run(["info", files.k33, *K33_FLAGS], capsys)
+        assert expected[0] == 0
+        assert run(["info", files.k33, "--valence-file", config], capsys) == expected
+        config.write_bytes(self.BOM + b"C=5\n")
+        expected = run(["info", files.drugs, "--valence", "C=5"], capsys)
+        assert run(["info", files.drugs, "--valence-file", config], capsys) == expected
 
 
 class TestValenceConfiguration:

@@ -7,6 +7,8 @@ that scored_matches_to_model builds from no matches.  With a background,
 each step runs its one pricer step, over that background.
 """
 
+import math
+
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
@@ -20,13 +22,11 @@ from graphmml import (
     StepRecord,
     VertexEvent,
     VertexOutcome,
-    edge_outcome_space,
     information_content,
-    loop_candidates,
-    scored_matches_to_model,
     traverse,
-    vertex_outcome_space,
 )
+from graphmml.context import edge_outcome_space, scored_matches_to_model, vertex_outcome_space
+from graphmml.graph import loop_candidates
 from test_table_rows import labelled_graph
 
 ALPHABET = ("x", "y")
@@ -52,11 +52,13 @@ def uniform_bits(g, degrees):
     """Each step's bits under no matches, from the outcome spaces listed in full."""
     def on_vertex(state, event):
         space = vertex_outcome_space(degrees, initial=event.incoming is None)
-        return scored_matches_to_model([], space).nl_pr(VertexOutcome(event.label, event.degree))
+        outcome = VertexOutcome(event.label, event.degree)
+        return -math.log2(scored_matches_to_model([], space)[outcome])
 
     def on_edge(state, event):
         space = edge_outcome_space(ALPHABET, loop_candidates(state, event.source))
-        return scored_matches_to_model([], space).nl_pr(EdgeOutcome(event.label, event.target))
+        outcome = EdgeOutcome(event.label, event.target)
+        return -math.log2(scored_matches_to_model([], space)[outcome])
 
     return traverse(g, on_vertex, on_edge)
 

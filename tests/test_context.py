@@ -26,24 +26,25 @@ import graphmml.context
 from graphmml import (
     ContextError,
     EdgeOutcome,
-    PredictiveModel,
-    ScoredMatch,
     VertexEvent,
     VertexOutcome,
     build_graph,
     chain_information,
     conditional_table,
-    edge_matches,
-    edge_outcome_space,
     information_content,
     label_text,
-    loop_candidates,
     read_molecule,
-    scored_matches_to_model,
     traverse,
+)
+from graphmml.context import (
+    ScoredMatch,
+    edge_matches,
+    edge_outcome_space,
+    scored_matches_to_model,
     vertex_matches,
     vertex_outcome_space,
 )
+from graphmml.graph import loop_candidates
 from conftest import (
     DRUG_SMILES, UTILITY_DEGREES, grid, hex_sheet, make_k33, make_near_k33,
     rails_first_ladder, random_connected_graph, relabelled,
@@ -123,41 +124,24 @@ class TestOutcomeSpaces:
         )
 
 
-class TestPredictiveModel:
-    def test_probabilities_must_normalize(self):
-        with pytest.raises(ContextError):
-            PredictiveModel({VertexOutcome("a", 1): 0.5})
-        with pytest.raises(ContextError):
-            PredictiveModel({})
-        with pytest.raises(ContextError):
-            PredictiveModel({VertexOutcome("a", 1): 1.5, VertexOutcome("b", 1): -0.5})
-
-    def test_nl_pr(self):
-        model = PredictiveModel({VertexOutcome("a", 1): 0.25, VertexOutcome("b", 1): 0.75})
-        assert model.nl_pr(VertexOutcome("a", 1)) == pytest.approx(2.0)
-        with pytest.raises(ContextError):
-            model.nl_pr(VertexOutcome("c", 1))
-
-
 class TestScoredMatchesToModel:
     def test_no_matches_gives_uniform(self):
         space = vertex_outcome_space({"a": 2})
-        model = scored_matches_to_model([], space)
-        assert model.nl_pr(VertexOutcome("a", 1)) == pytest.approx(1.0)
+        dist = scored_matches_to_model([], space)
+        assert dist == {VertexOutcome("a", 1): 0.5, VertexOutcome("a", 2): 0.5}
 
     def test_single_match_weighting(self):
-        from graphmml import ScoredMatch
-
         space = vertex_outcome_space({"a": 3})  # three outcomes
         match = ScoredMatch((0, 0), 4, VertexOutcome("a", 2))
-        model = scored_matches_to_model([match], space)
+        dist = scored_matches_to_model([match], space)
         # escape 0.5 per outcome, plus score 4 + smoothing 1 on the hit
-        assert model.nl_pr(VertexOutcome("a", 2)) == pytest.approx(-math.log2(5.5 / 6.5))
-        assert model.nl_pr(VertexOutcome("a", 1)) == pytest.approx(-math.log2(0.5 / 6.5))
+        assert list(dist) == list(space)
+        assert dist[VertexOutcome("a", 2)] == pytest.approx(5.5 / 6.5)
+        for miss in (VertexOutcome("a", 1), VertexOutcome("a", 3)):
+            assert dist[miss] == pytest.approx(0.5 / 6.5)
+        assert sum(dist.values()) == pytest.approx(1.0)
 
     def test_match_outside_space_rejected(self):
-        from graphmml import ScoredMatch
-
         space = vertex_outcome_space({"a": 1})
         bad = ScoredMatch((0, 0), 1, VertexOutcome("b", 1))
         with pytest.raises(ContextError):
@@ -927,14 +911,14 @@ def distribution_bits(g, backgrounds, degrees, depth, edge_alphabet):
         space = vertex_outcome_space(degrees, initial=event.incoming is None)
         matches = vertex_matches(state, backgrounds, event.incoming, depth)
         outcome = VertexOutcome(event.label, event.degree)
-        return scored_matches_to_model(matches, space).nl_pr(outcome)
+        return -math.log2(scored_matches_to_model(matches, space)[outcome])
 
     def on_edge(state, event):
         candidates = loop_candidates(state, event.source)
         space = edge_outcome_space(edge_alphabet, candidates)
         matches = edge_matches(state, backgrounds, event.source, event.edge, depth)
         outcome = EdgeOutcome(event.label, event.target)
-        return scored_matches_to_model(matches, space).nl_pr(outcome)
+        return -math.log2(scored_matches_to_model(matches, space)[outcome])
 
     return traverse(g, on_vertex, on_edge)
 
@@ -1229,6 +1213,16 @@ class TestInformationContent:
         huge = information_content(benzene, [benzene], degrees, 10**9)
         assert [s.bits for s in huge.steps] == [s.bits for s in capped.steps]
 
+    def test_degree_limits_too_large_for_a_float(self):
+        # A root step's outcome count, the sum of the limits plus one per
+        # label, is priced as a float.
+        lone = build_graph(False, ["X"], [])
+        for degrees in ({"X": 10**400}, {"X": 10**308, "Y": 10**308}):
+            with pytest.raises(ContextError, match="too large to price"):
+                information_content(lone, [], degrees)
+        result = information_content(lone, [], {"X": 10**300})
+        assert result.total == pytest.approx(math.log2(10**300 + 1))
+
     def test_single_vertex_graph(self):
         lone = build_graph(False, ["Utility"], [])
         result = information_content(lone, [], {"Utility": 4}, 3)
@@ -1419,6 +1413,13 @@ class TestTableAndChain:
             information_content(g, [], degrees, 3) for g in DRUGS[:2]]
         assert not built
 
+    def test_info_targets_may_be_one_shot_iterables(self):
+        degrees, given = tight_degrees(DRUGS), [DRUGS[2]]
+        expected = graphmml.context.information_contents(DRUGS, given, degrees, 3)
+        assert len(expected) == len(DRUGS)
+        got = graphmml.context.information_contents(iter(DRUGS), iter(given), degrees, 3)
+        assert got == expected
+
     def test_info_targets_share_one_edge_alphabet(self):
         # With no backgrounds, each target still prices its edge steps over
         # the edge labels of every target, as one info command's rows do.
@@ -1465,6 +1466,20 @@ class TestPublicNames:
                    "VertexStatus", "Component"}
         assert removed.isdisjoint(graphmml.__all__)
         assert not any(hasattr(graphmml, name) for name in removed)
+
+    def test_reference_names_live_in_their_modules(self):
+        # The full-distribution layer and the plain listings of matches and
+        # loop candidates are references for the tests, not library API.
+        assert not hasattr(graphmml.context, "PredictiveModel")
+        references = {
+            graphmml.context: ("ScoredMatch", "scored_matches_to_model", "vertex_outcome_space",
+                               "edge_outcome_space", "vertex_matches", "edge_matches"),
+            graphmml.graph: ("loop_candidates",),
+        }
+        for module, names in references.items():
+            for name in names:
+                assert hasattr(module, name) and not hasattr(graphmml, name)
+                assert name not in graphmml.__all__
 
     def test_every_exported_name_exists(self):
         assert all(hasattr(graphmml, name) for name in graphmml.__all__)

@@ -15,10 +15,10 @@ from graphmml import (
     VertexRangeError,
     build_graph,
     connected_components,
-    loop_candidates,
     max_edges,
     traverse,
 )
+from graphmml.graph import loop_candidates
 from conftest import grid, random_connected_graph, rails_first_ladder, star
 
 

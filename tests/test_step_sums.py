@@ -17,7 +17,8 @@ from hypothesis import example, given, settings, strategies as st
 
 import graphmml.context
 import test_context
-from graphmml import VertexEvent, build_graph, edge_matches, information_content, vertex_matches
+from graphmml import VertexEvent, build_graph, information_content
+from graphmml.context import edge_matches, vertex_matches
 from test_context import match_sums, step_matches
 from test_table_rows import labelled_graph
 
