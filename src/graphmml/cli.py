@@ -22,7 +22,7 @@ import functools
 import math
 import sys
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterable, Sequence
 
 from .codes import (
     GeneralTree,
@@ -69,10 +69,15 @@ def _meaningful_lines(text: str):
 def _ascii_int(text: str) -> int:
     """text as a number if it is ASCII digits alone, as SMILES digits are,
     else ValueError: int() would also take other scripts' digits, a sign
-    and underscores."""
+    and underscores.  int() refuses a text of more digits than the
+    interpreter's limit, and one it refuses is read as two halves."""
     if not (text.isascii() and text.isdigit()):
         raise ValueError(f"{text!r} must be ASCII digits")
-    return int(text)
+    try:
+        return int(text)
+    except ValueError:
+        half = len(text) // 2
+        return _ascii_int(text[:half]) * 10 ** (len(text) - half) + _ascii_int(text[half:])
 
 
 def _load_edge_list(text: str, path: str) -> Graph:
@@ -92,7 +97,7 @@ def _load_edge_list(text: str, path: str) -> Graph:
             if parts[0] == "v" and len(parts) == 3:
                 vid = _ascii_int(parts[1])
                 if vid in labels:
-                    raise FileFormatError(f"{path}:{lineno}: vertex {vid} declared twice")
+                    raise FileFormatError(f"{path}:{lineno}: vertex {parts[1]} declared twice")
                 labels[vid] = parts[2]
             elif parts[0] == "e" and len(parts) == 4:
                 edges.append((_ascii_int(parts[1]), _ascii_int(parts[2]), parts[3]))
@@ -106,8 +111,15 @@ def _load_edge_list(text: str, path: str) -> Graph:
             raise FileFormatError(f"{path}:{lineno}: vertex id {exc}") from exc
     if directed is None:
         raise FileFormatError(f"{path}: empty edge-list file")
-    if sorted(labels) != list(range(len(labels))):
-        raise FileFormatError(f"{path}: vertex ids must be exactly 0..{len(labels) - 1}")
+    # The n declared ids are distinct, so they are 0..n-1 unless one is n
+    # or more, and an edge's ends are among them unless one is.  The first
+    # line with such an id is named, and the id, which may be too long to
+    # print, is not.
+    n = len(labels)
+    if max(labels, default=-1) >= n or any(u >= n or v >= n for u, v, _ in edges):
+        stray = next(lineno for lineno, line in _meaningful_lines(text)
+                     if any(_ascii_int(vid) >= n for vid in line.split()[1:-1]))
+        raise FileFormatError(f"{path}:{stray}: vertex ids must be exactly 0..{n - 1}")
     try:
         return build_graph(directed, [labels[i] for i in range(len(labels))], edges)
     except GraphError as exc:
@@ -226,6 +238,20 @@ def _degree_limits(graphs: list[Graph], valences, overrides: dict[str, int]) -> 
 # -- shared input loader --------------------------------------------------------------
 
 
+def _named_once(files: Iterable[list[tuple[str, Graph]]]) -> list[tuple[str, Graph]]:
+    """The named graphs of the files, read one file at a time, once no name
+    repeats across them."""
+    records: list[tuple[str, Graph]] = []
+    seen: set[str] = set()
+    for file_records in files:
+        for name, g in file_records:
+            if name in seen:
+                raise FileFormatError(f"duplicate graph name {name!r} across inputs")
+            seen.add(name)
+            records.append((name, g))
+    return records
+
+
 def _load_inputs(args):
     """The FILE graphs, the --given backgrounds and the degree limits of one
     command, read with --valence/--valence-file applied.
@@ -235,15 +261,7 @@ def _load_inputs(args):
     """
     overrides = _valence_overrides(args)
     valences = _configure_valences(overrides)
-    targets: list[tuple[str, Graph]] = []
-    seen: set[str] = set()
-    for path in args.files:
-        records = load_graph_file(path, valences)
-        for name, _ in records:
-            if name in seen:
-                raise FileFormatError(f"duplicate graph name {name!r} across inputs")
-            seen.add(name)
-        targets += records
+    targets = _named_once(load_graph_file(path, valences) for path in args.files)
     givens = [record for path in getattr(args, "given", None) or []
               for record in load_graph_file(path, valences)]
     degrees = _degree_limits([g for _, g in targets + givens], valences, overrides)
@@ -410,12 +428,14 @@ def cmd_ordering(args) -> int:
 def cmd_parse(args) -> int:
     overrides = _valence_overrides(args)
     valences = _configure_valences(overrides)
-    records: list[tuple[str, Graph]] = []
-    for path in args.files:
+
+    def molecules(path: str) -> list[tuple[str, Graph]]:
         text, edge_list = _read_input(path)
         if edge_list:
             raise FileFormatError(f"{path}: already an edge-list file")
-        records += _load_molecules(text, path, valences)
+        return _load_molecules(text, path, valences)
+
+    records = _named_once(map(molecules, args.files))
     _degree_limits([g for _, g in records], valences, overrides)  # refuses unknown labels
     for name, g in records:
         print(f"# {name}")

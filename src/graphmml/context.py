@@ -168,12 +168,13 @@ class _Side:
     EdgeOutcome) tuple per slot: arrivals[label] lists the slots of that
     edge label, and leaving[label] the slots of the vertices of that
     label; roots counts the vertices of each VertexOutcome, for root
-    steps.  A side over known edges has none of these.  deepen() adds
-    levels to bounds and caps in place, so a matcher that holds the two
-    lists reads the new levels too.
+    steps.  keys holds what _Pricer.keys builds, lists aligned with
+    arrivals[label] or leaving[label].  A side over known edges has none
+    of these.  deepen() adds levels to bounds and caps in place, so a
+    matcher that holds the two lists reads the new levels too.
     """
 
-    __slots__ = ("graph", "known", "slots", "buckets", "arrivals", "leaving", "roots",
+    __slots__ = ("graph", "known", "slots", "buckets", "arrivals", "leaving", "roots", "keys",
                  "bounds", "caps")
 
     def __init__(self, g: Graph, depth: int, known: Container[int] | None = None):
@@ -188,6 +189,7 @@ class _Side:
         self.arrivals: dict[Any, list[tuple]] | None = {} if background else None
         self.leaving: dict[Any, list[tuple]] | None = {} if background else None
         self.roots: Counter | None = Counter() if background else None
+        self.keys: dict[tuple, list] | None = {} if background else None
         if background:
             fresh = {label: EdgeOutcome(label, None) for _, _, label in g.edges}
             for v, here in enumerate(self.slots):
@@ -475,6 +477,37 @@ def _entry(entries: dict[tuple, tuple], results: Iterable[tuple[int, Any]]) -> t
 _HIDDEN = object()
 
 
+def _ball(labels: Sequence, slots: Sequence, root: int, radius: int, hidden: int,
+          key: list) -> dict[int, int]:
+    """Append to key the code of the ball of radius around root over the
+    slots, and return the map from each ball vertex to its number.
+
+    The vertices are numbered in breadth-first order from root, out to
+    radius, and the map lists them in number order.  A vertex inside the
+    radius adds its label, its slot count and each slot as (edge label,
+    far end's number), in slot order; a vertex on the radius adds its
+    label alone.  hidden's label is coded as _HIDDEN.
+    """
+    number = {root: 0}
+    order = [root]
+    start = 0
+    for _ in range(radius):
+        end = len(order)
+        for v in order[start:end]:
+            here = slots[v]
+            key += (_HIDDEN if v == hidden else labels[v], len(here))
+            for _, far, label in here:
+                n = number.get(far)
+                if n is None:
+                    n = number[far] = len(order)
+                    order.append(far)
+                key += (label, n)
+        start = end
+    for v in order[start:]:
+        key.append(_HIDDEN if v == hidden else labels[v])
+    return number
+
+
 class _Library:
     """Background sides and their memos, shared by the pricers of one
     batch call, of one worker's share of it, or of one info call's
@@ -487,10 +520,13 @@ class _Library:
     a step's context key to each side's entry there: the weight that
     side's candidates give each outcome (see _Pricer).  A key is stored
     once, however many sides have an entry under it, and vertex_entries
-    and edge_entries intern the entries alike.
+    and edge_entries intern the entries alike.  ids numbers the tokens of
+    the sides' class codes, and interned interns the codes and label sets
+    of _Pricer.keys.
     """
 
-    __slots__ = ("sides", "vertex_memo", "edge_memo", "vertex_entries", "edge_entries")
+    __slots__ = ("sides", "vertex_memo", "edge_memo", "vertex_entries", "edge_entries", "ids",
+                 "interned")
 
     def __init__(self):
         self.sides: dict[int, _Side] = {}
@@ -498,6 +534,8 @@ class _Library:
         self.edge_memo: dict[tuple, dict[_Side, tuple]] = {}
         self.vertex_entries: dict[tuple, tuple] = {}
         self.edge_entries: dict[tuple, tuple] = {}
+        self.ids: dict = {}
+        self.interned: dict = {}
 
     def side(self, bg: Graph, depth: int) -> _Side:
         side = self.sides.get(id(bg))
@@ -546,9 +584,21 @@ class _Pricer:
     can add to through its matcher's search, reads the far end's binding
     where the step needs it, and rolls the matcher back; it writes no
     binding itself.
+
+    A search can add to a candidate only where one of the target root's
+    known slots, less the bound arrival edge, has a label that one of the
+    background root's slots other than e2 carries; any other candidate
+    scores 1 on an edge step, fresh, and 2 on a vertex step whose far ends'
+    labels agree, without a search.  On a step with two or more
+    backgrounds, classes maps each class code (see keys) that the step has
+    searched to its result, so each class is searched once across all the
+    step's backgrounds and its other members reuse the score and, on an
+    edge step, the bound far end's number.  A step with one background
+    makes no code: its candidates seldom share a class, and the codes
+    would cost more than they save.
     """
 
-    __slots__ = ("depth", "target", "sides", "matchers", "library")
+    __slots__ = ("depth", "target", "sides", "matchers", "library", "classes")
 
     def __init__(self, g: Graph, backgrounds: Sequence[Graph], depth: int, library: _Library,
                  known=()):
@@ -559,64 +609,83 @@ class _Pricer:
         self.target = _Side(g, depth, known) if backgrounds else None
         self.sides = [library.side(bg, depth) for bg in backgrounds]
         self.matchers = [_Matcher(self.target, side) for side in self.sides]
+        self.classes: dict = {}
 
     def _context(self, memos: dict, key: list, root: int, radius: int,
                  hidden: int = -1) -> tuple[dict, dict[int, int]]:
         """The step's memo in memos, each side's entry by the context key:
-        key followed by the code of the target's known ball around root.
+        key followed by the _ball code of the target's known ball around
+        root, and the ball's numbering.
 
-        The vertices are numbered in breadth-first order from root over
-        the known slots, out to radius.  A vertex inside the radius adds
-        its label, its slot count and each slot as (edge label, far end's
-        number), in slot order; a vertex on the radius adds its label
-        alone.  That is all a search rooted there reads, and the code
-        rebuilds the ball up to the numbering: two steps with one key see
-        the same candidates, search them the same way and bind the same
-        numbered vertices.  hidden's label is coded as _HIDDEN.  Also
-        returns the map from each ball vertex to its number, which lists
-        the vertices in number order.  A key met for the first time gets
-        an empty memo.
+        That code is all a search rooted there reads, and it rebuilds the
+        ball up to the numbering: two steps with one key see the same
+        candidates, search them the same way and bind the same numbered
+        vertices.  A key met for the first time gets an empty memo.
         """
-        labels, slots = self.target.graph.labels, self.target.slots
-        number = {root: 0}
-        order = [root]
-        start = 0
-        for _ in range(radius):
-            end = len(order)
-            for v in order[start:end]:
-                here = slots[v]
-                key += (_HIDDEN if v == hidden else labels[v], len(here))
-                for _, far, label in here:
-                    n = number.get(far)
-                    if n is None:
-                        n = number[far] = len(order)
-                        order.append(far)
-                    key += (label, n)
-            start = end
-        for v in order[start:]:
-            key.append(_HIDDEN if v == hidden else labels[v])
+        number = _ball(self.target.graph.labels, self.target.slots, root, radius, hidden, key)
         return memos.setdefault(tuple(key), {}), number
+
+    def keys(self, side: _Side, vertex: bool, label, depth: int = -1) -> list:
+        """Per candidate in side's arrivals[label] (vertex) or leaving[label],
+        in order, made on the first call and kept in side.keys.
+
+        A candidate's root is far2 for a vertex step and v2 for an edge
+        step, and its bound edge e2 is one of the root's slots.  With depth
+        -1, the set of labels on the root's other slots.  Else its class
+        code: e2's slot position at the root, then the _ball code of the
+        root's ball, of radius depth for an edge step and depth - 1 for a
+        vertex step.  That is what a search from the root reads, so
+        candidates with equal codes score alike and bind equally numbered
+        far ends.  A code is a str of each token's number in the library's
+        ids, and the library interns the codes and label sets.
+        """
+        listed = side.keys.get((vertex, label, depth))
+        if listed is None:
+            ids, interned, slots = self.library.ids, self.library.interned, side.slots
+            listed = side.keys[vertex, label, depth] = []
+            balls: dict[int, str] = {}  # each root's ball code
+            for v2, e2, far2, *_ in (side.arrivals if vertex else side.leaving).get(label, ()):
+                root = far2 if vertex else v2
+                if depth < 0:
+                    item = frozenset([name for e, _, name in slots[root] if e != e2])
+                else:
+                    if root not in balls:
+                        tokens: list = []
+                        _ball(side.graph.labels, slots, root, depth - vertex, -1, tokens)
+                        balls[root] = "".join([chr(ids.setdefault(t, len(ids))) for t in tokens])
+                    item = chr([e for e, _, _ in slots[root]].index(e2)) + balls[root]
+                listed.append(interned.setdefault(item, item))
+        return listed
 
     def vertex_results(self, incoming, bi: int) -> list[tuple[int, VertexOutcome]]:
         """(score, predicted outcome) for each of background bi's candidates
         for the arrival edge incoming, over the known edges, in arrivals
         order."""
-        depth, matcher = self.depth, self.matchers[bi]
-        # The arrival edge closed before this step, so it is a known slot of
-        # far1, the way back from every search rooted there.
-        e1, far1 = incoming.edge, incoming.head
-        root_label, labels2 = self.target.graph.labels[far1], matcher.labels2
-        results = []
-        for _, e2, far2, predicted, _ in self.sides[bi].arrivals.get(incoming.label, ()):
-            # The edge scores 1 and a far end of far1's label 1 more; only
-            # below depth 2 does a search have nothing to add.
+        depth, target, matcher, side = self.depth, self.target, self.matchers[bi], self.sides[bi]
+        e1, far1, label = incoming.edge, incoming.head, incoming.label
+        root_label, labels2 = target.graph.labels[far1], matcher.labels2
+        # The edge scores 1 and a far end of far1's label 1 more.  The
+        # arrival edge closed before this step, so it is a known slot of
+        # far1, bound as the way back: from depth 2 a search adds to the
+        # score only where another of far1's known slots can pair.
+        known = {name for e, _, name in target.slots[far1] if e != e1} if depth > 1 else set()
+        # With one background each candidate is a class of its own, and no
+        # code is made.
+        codes = (self.keys(side, True, label, depth) if known and len(self.sides) > 1
+                 else itertools.count())
+        classes, results = self.classes, []
+        for (_, e2, far2, predicted, _), beside, code in zip(
+                side.arrivals.get(label, ()), self.keys(side, True, label), codes):
             if labels2[far2] != root_label:
                 score = 1
-            elif depth < 2:
+            elif known.isdisjoint(beside):
                 score = 2
             else:
-                score = 2 + matcher.search(e1, e2, far1, far2, depth - 1, incoming.tail)
-                matcher.rollback(0)
+                score = classes.get(code)
+                if score is None:
+                    score = classes[code] = 2 + matcher.search(
+                        e1, e2, far1, far2, depth - 1, incoming.tail)
+                    matcher.rollback(0)
             results.append((score, predicted))
         return results
 
@@ -626,19 +695,28 @@ class _Pricer:
         for the pending edge, over the known edges, in leaving order.  A
         loop closure's target is number[w] for the vertex w the
         candidate's far end is bound to."""
-        depth, target, matcher = self.depth, self.target, self.matchers[bi]
-        leaving = self.sides[bi].leaving.get(target.graph.labels[source], ())
+        depth, target, matcher, side = self.depth, self.target, self.matchers[bi], self.sides[bi]
+        label = target.graph.labels[source]
         # The source's own pair scores 1; a search adds what its known edges
-        # match, and with none it binds no far end, so the step stays fresh.
-        if depth < 1 or not target.slots[source]:
-            return [(1, fresh) for *_, fresh in leaving]
-        vinv = matcher.vinv
-        results = []
-        for v2, e2, far2, _, fresh in leaving:
-            score = 1 + matcher.search(pending_edge, e2, source, v2, depth)
-            w = vinv[far2]
-            matcher.rollback(0)
-            results.append((score, fresh if w < 0 else EdgeOutcome(fresh.label, number[w])))
+        # match, and where none can pair it binds no far end, so the step
+        # stays fresh.
+        known = {name for *_, name in target.slots[source]} if depth > 0 else set()
+        codes = (self.keys(side, False, label, depth) if known and len(self.sides) > 1
+                 else itertools.count())
+        classes, vinv, results = self.classes, matcher.vinv, []
+        for (v2, e2, far2, _, fresh), beside, code in zip(
+                side.leaving.get(label, ()), self.keys(side, False, label), codes):
+            if known.isdisjoint(beside):
+                result = 1, fresh
+            else:
+                result = classes.get(code)
+                if result is None:
+                    score = 1 + matcher.search(pending_edge, e2, source, v2, depth)
+                    w = vinv[far2]
+                    matcher.rollback(0)
+                    result = classes[code] = (
+                        score, fresh if w < 0 else EdgeOutcome(fresh.label, number[w]))
+            results.append(result)
         return results
 
     def vertex_step(self, state: TraversalState, event, outcome) -> list[tuple[int, int]]:
@@ -650,6 +728,7 @@ class _Pricer:
         depth = self.depth
         memo, _ = self._context(self.library.vertex_memo, [depth, incoming.label], incoming.head,
                                 depth - 1, incoming.tail)
+        self.classes = {}
         charged = []
         for bi, side in enumerate(self.sides):
             entry = memo.get(side)
@@ -667,6 +746,7 @@ class _Pricer:
         source, depth = event.source, self.depth
         memo, number = self._context(self.library.edge_memo, [depth], source, depth)
         ball = list(number)
+        self.classes = {}
         # The outcome as an entry codes it.  A loop closure out of the ball,
         # where no match binds, codes as a target of -1, which gets no weight.
         if outcome.target is not None:

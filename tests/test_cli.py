@@ -451,6 +451,16 @@ class TestParseCommand:
         bits = molecule_out.splitlines()[1].split("\t")[1]
         assert edge_list_out.splitlines()[1].split("\t")[1] == bits
 
+    def test_a_name_repeated_across_files_is_refused(self, capsys, tmp_path):
+        # As info, table and chain refuse it, and before anything is printed.
+        first, second = tmp_path / "a.smi", tmp_path / "b.smi"
+        first.write_text("a C\nb CC\n")
+        second.write_text("c CCC\na CO\n")
+        for command in ("parse", "info", "table", "chain"):
+            code, out, err = run([command, first, second], capsys)
+            assert (code, out) == (2, "")
+            assert err == "graphmml: duplicate graph name 'a' across inputs\n"
+
     def test_edge_list_input_is_refused(self, files, capsys):
         code, _, err = run(["parse", files.k33], capsys)
         assert code == 2 and "edge-list" in err
@@ -526,6 +536,38 @@ class TestExitCodes:
         assert err == "graphmml: declared maximum degrees are too large to price\n"
         code, out, _ = run([command, files.drugs, "--valence", f"C=1{'0' * 300}"], capsys)
         assert code == 0 and out
+
+    @pytest.mark.parametrize("digits", [400, 5_000])
+    def test_limits_of_any_length_are_read(self, digits, capsys, tmp_path):
+        # int() refuses more than 4,300 digits at once; a longer limit
+        # behaves as a 400-digit one does, and its advice never shows.
+        acid = tmp_path / "acid.smi"
+        acid.write_text("acetic CC(=O)O\n")
+        flag = f"C={'9' * digits}"
+        for command in ("info", "table", "chain"):
+            code, out, err = run([command, acid, "--valence", flag], capsys)
+            assert (code, out) == (3, "")
+            assert err == "graphmml: declared maximum degrees are too large to price\n"
+        for command in ("parse", "ordering"):
+            code, out, err = run([command, acid, "--valence", flag], capsys)
+            assert code == 0 and out and err == ""
+
+    def test_a_long_limit_is_read_exactly(self):
+        text = "1" + "0" * 1_999 + "7" * 3_000
+        assert graphmml.cli._ascii_int(text) == 10 ** 4_999 + 7 * (10 ** 3_000 - 1) // 9
+
+    @pytest.mark.parametrize("lines, lineno", [
+        ("v 0 X\nv {huge} X\ne 0 1 s", 3),
+        ("v 0 X\nv 1 X\ne 0 {huge} s", 4),
+        ("v 0 X\nv 1 X\nv {huge} X\nv {huge} X", 5),
+    ], ids=["vertex", "edge end", "declared twice"])
+    def test_edge_list_ids_of_any_length_name_their_line(self, lines, lineno, capsys, tmp_path):
+        path = tmp_path / "huge.graph"
+        path.write_text(f"undirected\n{lines.format(huge='9' * 5_000)}\n", encoding="utf-8")
+        code, out, err = run(["info", path], capsys)
+        assert (code, out) == (2, "")
+        assert err.startswith(f"graphmml: {path}:{lineno}: ")
+        assert "sys." not in err and "limit" not in err
 
     def test_malformed_override(self, files, capsys):
         assert run(["info", files.k33, "--valence", "Utility"], capsys)[0] == 2

@@ -14,6 +14,7 @@ bit, with the full distributions that scored_matches_to_model builds.
 """
 
 import concurrent.futures
+import functools
 import math
 import os
 import pickle
@@ -901,6 +902,140 @@ class TestContextMemo:
             assert len(stored) > len(table)
             assert all(table[entry] is entry for entry in stored)
             assert all(type(entry) is tuple for entry in stored)
+
+
+def check_classes(monkeypatch):
+    """Wrap the pricer's candidate loops so that, on a step with two or
+    more backgrounds, each candidate's result is checked against its own
+    full search, whatever class served it.  Returns a tally: per step and
+    class code, the background of each member ("members"), and
+    the count of candidates scored without a search ("skipped"), whose
+    full search must add nothing."""
+    tally = {"members": {}, "skipped": 0, "steps": []}
+    pricer = graphmml.context._Pricer
+    vertex_results, edge_results = pricer.vertex_results, pricer.edge_results
+
+    def record(self, bi, code, known, beside, added):
+        if known.isdisjoint(beside):
+            assert added == 0
+            tally["skipped"] += 1
+        else:
+            tally["steps"].append(self.classes)  # kept alive, so ids stay unique
+            tally["members"].setdefault((id(self.classes), code), []).append(bi)
+
+    def checked_vertex(self, incoming, bi):
+        got = vertex_results(self, incoming, bi)
+        if len(self.sides) > 1:
+            side, matcher, depth = self.sides[bi], self.matchers[bi], self.depth
+            e1, far1, label = incoming.edge, incoming.head, incoming.label
+            known = {name for e, _, name in self.target.slots[far1] if e != e1}
+            for (_, e2, far2, predicted, _), beside, code, result in zip(
+                    side.arrivals.get(label, ()), self.keys(side, True, label),
+                    self.keys(side, True, label, depth), got, strict=True):
+                if matcher.labels2[far2] != self.target.graph.labels[far1] or depth < 2:
+                    continue  # no search can add to these
+                added = matcher.search(e1, e2, far1, far2, depth - 1, incoming.tail)
+                matcher.rollback(0)
+                assert result == (2 + added, predicted)
+                record(self, bi, code, known, beside, added)
+        return got
+
+    def checked_edge(self, source, pending_edge, bi, number):
+        got = edge_results(self, source, pending_edge, bi, number)
+        if len(self.sides) > 1 and self.depth > 0 and self.target.slots[source]:
+            side, matcher, depth = self.sides[bi], self.matchers[bi], self.depth
+            label = self.target.graph.labels[source]
+            known = {name for *_, name in self.target.slots[source]}
+            for (v2, e2, far2, _, fresh), beside, code, result in zip(
+                    side.leaving.get(label, ()), self.keys(side, False, label),
+                    self.keys(side, False, label, depth), got, strict=True):
+                added = matcher.search(pending_edge, e2, source, v2, depth)
+                w = matcher.vinv[far2]
+                matcher.rollback(0)
+                predicted = fresh if w < 0 else EdgeOutcome(fresh.label, number[w])
+                assert result == (1 + added, predicted)
+                record(self, bi, code, known, beside, added)
+        return got
+
+    monkeypatch.setattr(pricer, "vertex_results", checked_vertex)
+    monkeypatch.setattr(pricer, "edge_results", checked_edge)
+    return tally
+
+
+SHARING_CASES = [
+    *[(f"{kind} of drugs", kind, depth) for kind in ("table", "chain") for depth in (2, 3, 4)],
+    *[(f"{name} | itself, relabelled", g, depth)
+      for name, g in (("4x4 grid", relabelled(grid(4, 4), 0.3, 5)),
+                      ("6-rung ladder", relabelled(grid(2, 6), 0.3, 5)),
+                      ("2x3 hexagon sheet", relabelled(hex_sheet(2, 3), 0.3, 5)))
+      for depth in (2, 3)],
+]
+
+
+class TestClassSharing:
+    """A step with two or more backgrounds searches each class of
+    candidates once, and scores a candidate that no known slot can pair
+    without a search: every result stays that of the candidate's own
+    search."""
+
+    @pytest.mark.parametrize("case", SHARING_CASES, ids=lambda case: f"{case[0]} depth {case[2]}")
+    def test_every_member_gets_its_own_search_result(self, monkeypatch, case):
+        _, what, depth = case
+        if what in ("table", "chain"):
+            batch = conditional_table if what == "table" else chain_information
+            price = functools.partial(
+                batch, list(zip(DRUG_SMILES, DRUGS)), tight_degrees(DRUGS), depth)
+        else:
+            # Each step has two backgrounds: the lattice and a relabelled copy.
+            backgrounds = [what, relabelled(what, 0.3, 6)]
+            price = functools.partial(information_content, what, backgrounds,
+                                      tight_degrees(backgrounds), depth)
+        expected = price()
+        tally = check_classes(monkeypatch)
+        check_memo(monkeypatch)  # and the charges against the plain reference
+        assert price() == expected
+        assert tally["skipped"] > 0
+        # A class with two members had its one search serve both, but no two
+        # of the drug chain's backgrounds share a ball of radius 4.
+        shared = max(map(len, tally["members"].values())) > 1
+        assert shared == (case[0] != "chain of drugs" or depth < 4)
+
+    def test_drug_batches_search_each_class_once(self, monkeypatch):
+        calls = Counter()
+        search = graphmml.context._Matcher.search
+
+        def counting_search(self, *args):
+            calls["search"] += 1
+            return search(self, *args)
+
+        monkeypatch.setattr(graphmml.context._Matcher, "search", counting_search)
+        named, degrees = list(zip(DRUG_SMILES, DRUGS)), tight_degrees(DRUGS)
+        table = conditional_table(named, degrees, 3)
+        # Searching every candidate, the table made 14,303 calls.
+        assert 0 < calls["search"] <= 9_000
+        assert table.bits[1] == (
+            154.4143645828676, 127.48554812431253, 155.58950783379876, 162.48333295005332)
+        calls.clear()
+        chain = chain_information(named, degrees, 3)
+        # Searching every candidate, the chain made 4,992 calls.
+        assert 0 < calls["search"] <= 3_300
+        assert chain.total == 565.8211092723557
+
+    def test_one_background_steps_make_no_class_code(self, monkeypatch):
+        keys = graphmml.context._Pricer.keys
+        depths = []
+
+        def recording_keys(self, side, vertex, label, depth=-1):
+            depths.append(depth)
+            return keys(self, side, vertex, label, depth)
+
+        monkeypatch.setattr(graphmml.context._Pricer, "keys", recording_keys)
+        g = relabelled(grid(3, 3), 0.3, 5)
+        information_content(g, [g], tight_degrees([g]), 3)
+        assert depths and set(depths) == {-1}  # label sets only
+        depths.clear()
+        information_content(g, [g, g], tight_degrees([g]), 3)
+        assert 3 in depths
 
 
 def distribution_bits(g, backgrounds, degrees, depth, edge_alphabet):
