@@ -5,122 +5,52 @@ graph in bits, both on its own and relative to background graphs a
 receiver is assumed to know already.  Supporting pieces: combinatorial
 baseline codes, succinct tree codecs, automorphism counting, a SMILES
 reader for molecular graphs, and a command-line front end.
+
+Each top-level name is imported from its module on first use, so
+importing one module, such as graphmml.graph or graphmml.search, loads
+only that module and what it imports.
 """
 
-from .codes import (
-    CodeReport,
-    Fork,
-    GeneralTree,
-    Leaf,
-    SizeLimitError,
-    StrictBinaryTree,
-    TreeCodeError,
-    adaptive_binomial_bits,
-    automorphism_count,
-    directed_row_binomial_bits,
-    general_tree_decode,
-    general_tree_encode,
-    naive_bits,
-    ordering_surplus_bits,
-    strict_binary_tree_decode,
-    strict_binary_tree_encode,
-    undirected_matrix_bits,
-)
-from .context import (
-    ChainResult,
-    ContextError,
-    EdgeOutcome,
-    InfoResult,
-    StepRecord,
-    TableResult,
-    VertexOutcome,
-    chain_information,
-    conditional_table,
-    information_content,
-    label_text,
-    outcome_text,
-)
-from .graph import (
-    DuplicateEdgeError,
-    Edge,
-    EdgeEvent,
-    Graph,
-    GraphError,
-    OrientedEdge,
-    SelfLoopError,
-    TraversalState,
-    VertexEvent,
-    VertexRangeError,
-    build_graph,
-    connected_components,
-    max_edges,
-    traverse,
-)
-from .smiles import (
-    DEFAULT_VALENCES,
-    Bond,
-    Element,
-    SmilesError,
-    ValenceError,
-    infer_implicit_bonds,
-    parse_smiles,
-    read_molecule,
-    smiles_to_graph,
-)
+import importlib
+
+# Each module's top-level names.
+_NAMES = {
+    "codes": (
+        "CodeReport", "Fork", "GeneralTree", "Leaf", "SizeLimitError", "StrictBinaryTree",
+        "TreeCodeError", "adaptive_binomial_bits", "automorphism_count",
+        "directed_row_binomial_bits", "general_tree_decode", "general_tree_encode", "naive_bits",
+        "ordering_surplus_bits", "strict_binary_tree_decode", "strict_binary_tree_encode",
+        "undirected_matrix_bits",
+    ),
+    "context": (
+        "ChainResult", "ContextError", "InfoResult", "StepRecord", "TableResult",
+        "chain_information", "conditional_table", "information_content", "label_text",
+        "outcome_text",
+    ),
+    "graph": (
+        "DuplicateEdgeError", "Edge", "EdgeEvent", "EdgeOutcome", "Graph", "GraphError",
+        "OrientedEdge", "SelfLoopError", "TraversalState", "VertexEvent", "VertexOutcome",
+        "VertexRangeError", "build_graph", "connected_components", "max_edges", "traverse",
+    ),
+    "smiles": (
+        "DEFAULT_VALENCES", "Bond", "Element", "SmilesError", "ValenceError",
+        "infer_implicit_bonds", "parse_smiles", "read_molecule", "smiles_to_graph",
+    ),
+}
+_HOME = {name: module for module, names in _NAMES.items() for name in names}
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "Bond",
-    "ChainResult",
-    "CodeReport",
-    "ContextError",
-    "DEFAULT_VALENCES",
-    "DuplicateEdgeError",
-    "Edge",
-    "EdgeEvent",
-    "EdgeOutcome",
-    "Element",
-    "Fork",
-    "GeneralTree",
-    "Graph",
-    "GraphError",
-    "InfoResult",
-    "Leaf",
-    "OrientedEdge",
-    "SelfLoopError",
-    "SizeLimitError",
-    "SmilesError",
-    "StepRecord",
-    "StrictBinaryTree",
-    "TableResult",
-    "TraversalState",
-    "TreeCodeError",
-    "ValenceError",
-    "VertexEvent",
-    "VertexOutcome",
-    "VertexRangeError",
-    "adaptive_binomial_bits",
-    "automorphism_count",
-    "build_graph",
-    "chain_information",
-    "conditional_table",
-    "connected_components",
-    "directed_row_binomial_bits",
-    "general_tree_decode",
-    "general_tree_encode",
-    "infer_implicit_bonds",
-    "information_content",
-    "label_text",
-    "max_edges",
-    "naive_bits",
-    "ordering_surplus_bits",
-    "outcome_text",
-    "parse_smiles",
-    "read_molecule",
-    "smiles_to_graph",
-    "strict_binary_tree_decode",
-    "strict_binary_tree_encode",
-    "traverse",
-    "undirected_matrix_bits",
-]
+__all__ = sorted(_HOME)
+
+
+def __getattr__(name: str):
+    """A top-level name, imported from its module on first use."""
+    if name not in _HOME:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    value = globals()[name] = getattr(importlib.import_module(f".{_HOME[name]}", __name__), name)
+    return value
+
+
+def __dir__():
+    return sorted({*globals(), *__all__})

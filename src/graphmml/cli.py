@@ -44,7 +44,7 @@ from .context import (
     outcome_text,
 )
 from .graph import Graph, GraphError, build_graph
-from .smiles import DEFAULT_VALENCES, Element, SmilesError, ValenceError, read_molecule
+from .smiles import DEFAULT_VALENCES, Element, SmilesError, ValenceError, _ascii_int, read_molecule
 
 EXIT_OK = 0
 EXIT_FORMAT = 2  # unreadable files, malformed input, bad usage
@@ -64,20 +64,6 @@ def _meaningful_lines(text: str):
         line = raw.strip()
         if line and not line.startswith("#"):
             yield lineno, line
-
-
-def _ascii_int(text: str) -> int:
-    """text as a number if it is ASCII digits alone, as SMILES digits are,
-    else ValueError: int() would also take other scripts' digits, a sign
-    and underscores.  int() refuses a text of more digits than the
-    interpreter's limit, and one it refuses is read as two halves."""
-    if not (text.isascii() and text.isdigit()):
-        raise ValueError(f"{text!r} must be ASCII digits")
-    try:
-        return int(text)
-    except ValueError:
-        half = len(text) // 2
-        return _ascii_int(text[:half]) * 10 ** (len(text) - half) + _ascii_int(text[half:])
 
 
 def _load_edge_list(text: str, path: str) -> Graph:

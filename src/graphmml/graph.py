@@ -6,7 +6,8 @@ which edges were supplied.  `traverse` walks the whole graph depth-first,
 one component after another, and emits a stream of vertex and edge events;
 callbacks are invoked *before* the state change their event causes, so a
 callback sees exactly what a decoder replaying the stream would know at
-that point.
+that point.  VertexOutcome and EdgeOutcome are what each kind of event
+reveals to that decoder.
 """
 
 from __future__ import annotations
@@ -89,7 +90,10 @@ def build_graph(directed: bool, labels: Sequence, edges: Iterable[tuple]) -> Gra
     seen: set[tuple[int, int]] = set()
     for u, v, label in edges:
         if not (0 <= u < n and 0 <= v < n):
-            raise VertexRangeError(f"edge ({u}, {v}) references a vertex outside 0..{n - 1}")
+            # Named by its position: an id of any size is refused, and one of
+            # thousands of digits would not print.
+            raise VertexRangeError(f"edge {len(edge_list)} of the list references a vertex "
+                                   f"outside 0..{n - 1}")
         if u == v:
             raise SelfLoopError(f"self-loop at vertex {u}")
         key = (u, v) if directed else (min(u, v), max(u, v))
@@ -180,6 +184,24 @@ class EdgeEvent(NamedTuple):
     label: Any
     # The visiting vertex the edge loops back to; None when it leads to a
     # vertex not seen before, whose id the decoder assigns itself.
+    target: int | None
+
+
+class VertexOutcome(NamedTuple):
+    """What a vertex step reveals: the new vertex's label and degree."""
+
+    label: Any
+    degree: int
+
+
+class EdgeOutcome(NamedTuple):
+    """What an edge step reveals: the edge's label and where it leads.
+
+    target is None for an edge to a fresh vertex, or the id of the
+    visiting vertex it loops back to.
+    """
+
+    label: Any
     target: int | None
 
 

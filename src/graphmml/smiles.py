@@ -189,21 +189,32 @@ def _tokenize(text: str) -> list[tuple[str, object, int]]:
     return tokens
 
 
+def _ascii_int(text: str) -> int:
+    """text as a number if it is ASCII digits alone, else ValueError: the
+    one reader of every decimal count in the input files and options.
+    int() would also take other scripts' digits, a sign and underscores,
+    and it refuses a text of more digits than the interpreter's limit:
+    one it refuses is read as two halves."""
+    if not (text.isascii() and text.isdigit()):
+        raise ValueError(f"{text!r} must be ASCII digits")
+    try:
+        return int(text)
+    except ValueError:
+        half = len(text) // 2
+        return _ascii_int(text[:half]) * 10 ** (len(text) - half) + _ascii_int(text[half:])
+
+
 def _bracket_atom(m: re.Match) -> tuple[Element, bool, int, str | None, int | None, bool]:
     """An atom token's value: SmilesAtom's fields after `index`, in order."""
     element, aromatic = _ORGANIC.get(m["symbol"]) or (Element.HYDROGEN, False)
-    charge_text = m["charge"]
-    if charge_text is None:
-        charge = 0
-    elif charge_text in ("+", "-") or charge_text.strip("+-") == "":
-        charge = len(charge_text) * (1 if charge_text[0] == "+" else -1)
-    else:
-        charge = int(charge_text)
+    charge_text = m["charge"] or ""  # a sign and digits, repeated signs, or nothing
+    sign = -1 if charge_text.startswith("-") else 1
+    charge = sign * (_ascii_int(charge_text[1:]) if charge_text.strip("+-") else len(charge_text))
     hcount_text = m["hcount"]
     if hcount_text is None:
         h_count = None
     else:
-        h_count = int(hcount_text[1:]) if len(hcount_text) > 1 else 1
+        h_count = _ascii_int(hcount_text[1:]) if len(hcount_text) > 1 else 1
     return (element, aromatic, charge, m["chiral"], h_count, True)
 
 

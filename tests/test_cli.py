@@ -554,7 +554,19 @@ class TestExitCodes:
 
     def test_a_long_limit_is_read_exactly(self):
         text = "1" + "0" * 1_999 + "7" * 3_000
-        assert graphmml.cli._ascii_int(text) == 10 ** 4_999 + 7 * (10 ** 3_000 - 1) // 9
+        assert graphmml.smiles._ascii_int(text) == 10 ** 4_999 + 7 * (10 ** 3_000 - 1) // 9
+
+    @pytest.mark.parametrize("annotation", ["H", "+"], ids=["hydrogens", "charge"])
+    def test_bracket_counts_of_any_length_are_read(self, annotation, capsys, tmp_path):
+        # A 5,000-digit count parses and prices as the same atom with no
+        # count written, and the interpreter's digit limit never shows.
+        plain, huge = tmp_path / "plain.smi", tmp_path / "huge.smi"
+        plain.write_text(f"x [C{annotation}]\n")
+        huge.write_text(f"x [C{annotation}{'9' * 5_000}]\n")
+        for command in ("parse", "info"):
+            expected = run([command, plain], capsys)
+            assert expected[0] == 0
+            assert run([command, huge], capsys) == expected
 
     @pytest.mark.parametrize("lines, lineno", [
         ("v 0 X\nv {huge} X\ne 0 1 s", 3),

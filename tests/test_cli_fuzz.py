@@ -91,6 +91,53 @@ def test_cli_exits_with_a_documented_code_on_edge_lists(tmp_path_factory, text):
         assert code in (EXIT_OK, EXIT_FORMAT, EXIT_VALENCE, EXIT_SIZE), (args, text)
 
 
+# A run of more digits than int() reads at once, its first digit drawn
+# apart so that some runs start with 0.
+digit_run = st.builds(lambda first, rest, n: first + rest * n, st.sampled_from("0123456789"),
+                      st.sampled_from("0123456789"), st.integers(4_301, 6_000))
+
+
+@st.composite
+def long_digit_runs(draw):
+    """A molecule or edge-list file, and its options, with one long digit
+    run: in a bracket atom's H-count or charge, an edge-list vertex id or
+    edge end, or a --valence or --valence-file limit."""
+    digits = draw(digit_run)
+    spot = draw(st.sampled_from(["H", "+", "-", "vertex", "end", "flag", "file"]))
+    molecule = draw(st.booleans()) if spot in ("flag", "file") else spot in ("H", "+", "-")
+    if molecule:
+        bracket = f"[C{spot}{digits}]" if spot in ("H", "+", "-") else "C"
+        name, label, text = "molecules.txt", "C", f"m {bracket}{draw(chain)}\n"
+    else:
+        lines = ["undirected", "v 0 a", "v 1 a", "e 0 1 x"]
+        lines += {"vertex": [f"v {digits} a"], "end": [f"e 1 {digits} x"]}.get(spot, [])
+        name, label, text = "graph.graph", "a", "\n".join(lines) + "\n"
+    options = {"flag": [["--valence", f"{label}={digits}"]],
+               "file": [["--valence-file", f"{label}={digits}\n"]]}.get(spot, [])
+    return name, text, options
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=long_digit_runs())
+def test_long_digit_runs_exit_with_a_documented_code(tmp_path_factory, case):
+    name, text, options = case
+    folder = tmp_path_factory.mktemp("fuzz")
+    path = folder / name
+    path.write_text(text)
+    argv = []
+    for option, value in options:
+        if option == "--valence-file":
+            (folder / "limits.cfg").write_text(value)
+            value = str(folder / "limits.cfg")
+        argv += [option, value]
+    for command in ("info", "parse", "table"):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = main([command, str(path), *argv])
+        assert code in (EXIT_OK, EXIT_FORMAT, EXIT_VALENCE, EXIT_SIZE), (command, case)
+        assert "Traceback" not in err.getvalue() and "set_int_max_str_digits" not in err.getvalue()
+
+
 def _tree_command(argv):
     out = io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):

@@ -19,11 +19,15 @@ import math
 import os
 import pickle
 import random
+import subprocess
+import sys
 from collections import Counter, deque
+from pathlib import Path
 
 import pytest
 
 import graphmml.context
+import graphmml.search
 from graphmml import (
     ContextError,
     EdgeOutcome,
@@ -89,16 +93,16 @@ def match_vertex(g1, v1, g2, v2, depth, known_edges=None):
     All of g2 is known; of g1 only known_edges (default: all of them).
     """
     known = None if known_edges is None else set(known_edges)
-    sides = graphmml.context._Side(g1, depth, known), graphmml.context._Side(g2, depth)
-    return search_vertex(graphmml.context._Matcher(*sides), v1, v2, depth)
+    sides = graphmml.search._Side(g1, depth, known), graphmml.search._Side(g2, depth)
+    return search_vertex(graphmml.search._Matcher(*sides), v1, v2, depth)
 
 
 def match_edge(g1, s1, g2, s2, depth):
     """The library matcher's best score pairing oriented edges s1 and s2."""
     if s1.label != s2.label:
         return 0
-    sides = graphmml.context._Side(g1, depth), graphmml.context._Side(g2, depth)
-    return search_edge(graphmml.context._Matcher(*sides), s1.edge, s1.head, s2.edge, s2.head,
+    sides = graphmml.search._Side(g1, depth), graphmml.search._Side(g2, depth)
+    return search_edge(graphmml.search._Matcher(*sides), s1.edge, s1.head, s2.edge, s2.head,
                        depth)
 
 
@@ -358,13 +362,13 @@ class TestMatcherPruning:
                 tried[0] += entry[0] < 0
                 super().append(entry)
 
-        init = graphmml.context._Matcher.__init__
+        init = graphmml.search._Matcher.__init__
 
         def counting_init(self, *sides):
             init(self, *sides)
             self.journal = Journal()
 
-        monkeypatch.setattr(graphmml.context._Matcher, "__init__", counting_init)
+        monkeypatch.setattr(graphmml.search._Matcher, "__init__", counting_init)
         g = grid(5, 5)
         information_content(g, [g], {"a": 4}, 3)
         # Pruned by ball sizes alone, the search tried 968,828 pairings.
@@ -373,13 +377,13 @@ class TestMatcherPruning:
     @staticmethod
     def count_assign_calls(monkeypatch):
         calls = [0]
-        assign = graphmml.context._Matcher._assign
+        assign = graphmml.search._Matcher._assign
 
         def counting_assign(self, *args):
             calls[0] += 1
             return assign(self, *args)
 
-        monkeypatch.setattr(graphmml.context._Matcher, "_assign", counting_assign)
+        monkeypatch.setattr(graphmml.search._Matcher, "_assign", counting_assign)
         return calls
 
     def test_slots_of_labels_the_background_vertex_lacks_get_no_frame(self, monkeypatch):
@@ -403,16 +407,16 @@ class TestMatcherPruning:
 
 class TestMatcherSearch:
     def test_every_step_leaves_each_matcher_unbound(self, monkeypatch):
-        # search leaves its best bindings applied, and the candidate loops
-        # roll them back: every step's searches start from nothing bound.
+        # search rolls back every binding it makes, so every step's
+        # searches start from nothing bound.
         calls = Counter()
-        search = graphmml.context._Matcher.search
+        search = graphmml.search._Matcher.search
 
-        def counting_search(self, *args):
+        def counting_search(self, *args, **kwargs):
             calls["search"] += 1
-            return search(self, *args)
+            return search(self, *args, **kwargs)
 
-        monkeypatch.setattr(graphmml.context._Matcher, "search", counting_search)
+        monkeypatch.setattr(graphmml.search._Matcher, "search", counting_search)
         for kind in ("vertex_step", "edge_step"):
             step = getattr(graphmml.context._Pricer, kind)
 
@@ -435,7 +439,7 @@ class TestMatcherSearch:
 class TestSideIndexes:
     def test_background_lists_the_candidates_of_each_label_in_id_and_slot_order(self):
         for g in [*DRUGS, make_k33(), relabelled(grid(4, 4), 0.35, 11)]:
-            side = graphmml.context._Side(g, 3)
+            side = graphmml.search._Side(g, 3)
             slots = [(v, s.edge, s.head, s.label) for v in range(g.vertex_count)
                      for s in g.adjacency[v]]
             entries = [(v, e, far, VertexOutcome(g.labels[v], g.degree(v)),
@@ -459,17 +463,17 @@ class TestSideIndexes:
         # to those same lists, and never takes a level away.
         for g in [*DRUGS, make_k33(), relabelled(grid(4, 4), 0.35, 11)]:
             for known in (None, set(range(0, g.edge_count, 2))):
-                side = graphmml.context._Side(g, 1, known)
+                side = graphmml.search._Side(g, 1, known)
                 bounds, caps = side.bounds, side.caps
                 side.deepen(4)
-                built = graphmml.context._Side(g, 4, known)
+                built = graphmml.search._Side(g, 4, known)
                 assert side.bounds is bounds and side.caps is caps
                 assert (bounds, caps) == (built.bounds, built.caps)
                 side.deepen(2)
                 assert (bounds, caps) == (built.bounds, built.caps)
 
     def test_target_side_builds_no_label_lookups(self, k33):
-        side = graphmml.context._Side(k33, 3, ())
+        side = graphmml.search._Side(k33, 3, ())
         assert side.buckets is None and side.arrivals is None and side.leaving is None
         assert side.roots is None
 
@@ -690,7 +694,7 @@ def rebuilt_every_step(step, depth, calls):
     def call(pricer, state, event, outcome):
         g = state.graph
         closed = {e for e in range(g.edge_count) if state.is_closed(e)}
-        fresh = graphmml.context._Side(g, depth, closed)
+        fresh = graphmml.search._Side(g, depth, closed)
         kept = pricer.target
         assert (kept.slots, kept.bounds, kept.caps) == (fresh.slots, fresh.bounds, fresh.caps)
         assert all(m.slots1 is kept.slots and m.bounds1 is kept.bounds and m.caps1 is kept.caps
@@ -905,12 +909,12 @@ class TestContextMemo:
 
 
 def check_classes(monkeypatch):
-    """Wrap the pricer's candidate loops so that, on a step with two or
-    more backgrounds, each candidate's result is checked against its own
-    full search, whatever class served it.  Returns a tally: per step and
-    class code, the background of each member ("members"), and
-    the count of candidates scored without a search ("skipped"), whose
-    full search must add nothing."""
+    """Wrap the pricer's candidate loops so that, on every step, each
+    candidate's result is checked against its own full search, whatever
+    class served it.  Returns a tally: per step and class code, the
+    background of each member ("members"), and the count of candidates
+    scored without a search ("skipped"), whose full search must add
+    nothing."""
     tally = {"members": {}, "skipped": 0, "steps": []}
     pricer = graphmml.context._Pricer
     vertex_results, edge_results = pricer.vertex_results, pricer.edge_results
@@ -925,33 +929,29 @@ def check_classes(monkeypatch):
 
     def checked_vertex(self, incoming, bi):
         got = vertex_results(self, incoming, bi)
-        if len(self.sides) > 1:
-            side, matcher, depth = self.sides[bi], self.matchers[bi], self.depth
-            e1, far1, label = incoming.edge, incoming.head, incoming.label
-            known = {name for e, _, name in self.target.slots[far1] if e != e1}
-            for (_, e2, far2, predicted, _), beside, code, result in zip(
-                    side.arrivals.get(label, ()), self.keys(side, True, label),
-                    self.keys(side, True, label, depth), got, strict=True):
-                if matcher.labels2[far2] != self.target.graph.labels[far1] or depth < 2:
-                    continue  # no search can add to these
-                added = matcher.search(e1, e2, far1, far2, depth - 1, incoming.tail)
-                matcher.rollback(0)
-                assert result == (2 + added, predicted)
-                record(self, bi, code, known, beside, added)
+        side, matcher, depth = self.sides[bi], self.matchers[bi], self.depth
+        e1, far1, label = incoming.edge, incoming.head, incoming.label
+        known = {name for e, _, name in self.target.slots[far1] if e != e1}
+        for (_, e2, far2, predicted, _), beside, code, result in zip(
+                side.arrivals.get(label, ()), self.keys(side, True, label),
+                self.keys(side, True, label, depth), got, strict=True):
+            if matcher.labels2[far2] != self.target.graph.labels[far1] or depth < 2:
+                continue  # no search can add to these
+            added, _ = matcher.search(e1, e2, far1, far2, depth - 1, incoming.tail)
+            assert result == (2 + added, predicted)
+            record(self, bi, code, known, beside, added)
         return got
 
     def checked_edge(self, source, pending_edge, bi, number):
         got = edge_results(self, source, pending_edge, bi, number)
-        if len(self.sides) > 1 and self.depth > 0 and self.target.slots[source]:
+        if self.depth > 0 and self.target.slots[source]:
             side, matcher, depth = self.sides[bi], self.matchers[bi], self.depth
             label = self.target.graph.labels[source]
             known = {name for *_, name in self.target.slots[source]}
             for (v2, e2, far2, _, fresh), beside, code, result in zip(
                     side.leaving.get(label, ()), self.keys(side, False, label),
                     self.keys(side, False, label, depth), got, strict=True):
-                added = matcher.search(pending_edge, e2, source, v2, depth)
-                w = matcher.vinv[far2]
-                matcher.rollback(0)
+                added, w = matcher.search(pending_edge, e2, source, v2, depth, watch=far2)
                 predicted = fresh if w < 0 else EdgeOutcome(fresh.label, number[w])
                 assert result == (1 + added, predicted)
                 record(self, bi, code, known, beside, added)
@@ -964,31 +964,34 @@ def check_classes(monkeypatch):
 
 SHARING_CASES = [
     *[(f"{kind} of drugs", kind, depth) for kind in ("table", "chain") for depth in (2, 3, 4)],
-    *[(f"{name} | itself, relabelled", g, depth)
+    *[(f"{name} | {given}", (g, backgrounds), depth)
       for name, g in (("4x4 grid", relabelled(grid(4, 4), 0.3, 5)),
                       ("6-rung ladder", relabelled(grid(2, 6), 0.3, 5)),
                       ("2x3 hexagon sheet", relabelled(hex_sheet(2, 3), 0.3, 5)))
+      for given, backgrounds in (("itself", [g]),
+                                 ("itself, relabelled", [g, relabelled(g, 0.3, 6)]))
       for depth in (2, 3)],
 ]
 
 
 class TestClassSharing:
-    """A step with two or more backgrounds searches each class of
-    candidates once, and scores a candidate that no known slot can pair
+    """A step searches each class of candidates once, across all its
+    backgrounds, and scores a candidate that no known slot can pair
     without a search: every result stays that of the candidate's own
     search."""
 
     @pytest.mark.parametrize("case", SHARING_CASES, ids=lambda case: f"{case[0]} depth {case[2]}")
     def test_every_member_gets_its_own_search_result(self, monkeypatch, case):
         _, what, depth = case
-        if what in ("table", "chain"):
+        if isinstance(what, str):
             batch = conditional_table if what == "table" else chain_information
             price = functools.partial(
                 batch, list(zip(DRUG_SMILES, DRUGS)), tight_degrees(DRUGS), depth)
         else:
-            # Each step has two backgrounds: the lattice and a relabelled copy.
-            backgrounds = [what, relabelled(what, 0.3, 6)]
-            price = functools.partial(information_content, what, backgrounds,
+            # Each step has the lattice as its one background, or that and a
+            # relabelled copy.
+            g, backgrounds = what
+            price = functools.partial(information_content, g, backgrounds,
                                       tight_degrees(backgrounds), depth)
         expected = price()
         tally = check_classes(monkeypatch)
@@ -996,19 +999,23 @@ class TestClassSharing:
         assert price() == expected
         assert tally["skipped"] > 0
         # A class with two members had its one search serve both, but no two
-        # of the drug chain's backgrounds share a ball of radius 4.
+        # of the drug chain's backgrounds share a ball of radius 4, and no
+        # two candidates of a relabelled lattice that is its own one
+        # background share a ball of radius 3.
         shared = max(map(len, tally["members"].values())) > 1
-        assert shared == (case[0] != "chain of drugs" or depth < 4)
+        alone = (case[0] == "chain of drugs" and depth == 4
+                 or case[0].endswith("itself") and depth == 3)
+        assert shared != alone
 
     def test_drug_batches_search_each_class_once(self, monkeypatch):
         calls = Counter()
-        search = graphmml.context._Matcher.search
+        search = graphmml.search._Matcher.search
 
-        def counting_search(self, *args):
+        def counting_search(self, *args, **kwargs):
             calls["search"] += 1
-            return search(self, *args)
+            return search(self, *args, **kwargs)
 
-        monkeypatch.setattr(graphmml.context._Matcher, "search", counting_search)
+        monkeypatch.setattr(graphmml.search._Matcher, "search", counting_search)
         named, degrees = list(zip(DRUG_SMILES, DRUGS)), tight_degrees(DRUGS)
         table = conditional_table(named, degrees, 3)
         # Searching every candidate, the table made 14,303 calls.
@@ -1020,22 +1027,6 @@ class TestClassSharing:
         # Searching every candidate, the chain made 4,992 calls.
         assert 0 < calls["search"] <= 3_300
         assert chain.total == 565.8211092723557
-
-    def test_one_background_steps_make_no_class_code(self, monkeypatch):
-        keys = graphmml.context._Pricer.keys
-        depths = []
-
-        def recording_keys(self, side, vertex, label, depth=-1):
-            depths.append(depth)
-            return keys(self, side, vertex, label, depth)
-
-        monkeypatch.setattr(graphmml.context._Pricer, "keys", recording_keys)
-        g = relabelled(grid(3, 3), 0.3, 5)
-        information_content(g, [g], tight_degrees([g]), 3)
-        assert depths and set(depths) == {-1}  # label sets only
-        depths.clear()
-        information_content(g, [g, g], tight_degrees([g]), 3)
-        assert 3 in depths
 
 
 def distribution_bits(g, backgrounds, degrees, depth, edge_alphabet):
@@ -1490,14 +1481,14 @@ class TestTableAndChain:
                                                 edge_alphabet=alphabet).total
                             for _, b in named) for _, a in named)
         deepened = []
-        deepen = graphmml.context._Side.deepen
+        deepen = graphmml.search._Side.deepen
 
         def recording_deepen(side, depth):
             if len(side.bounds) > 1 and depth >= len(side.bounds):
                 deepened.append((side.graph, len(side.bounds) - 1, depth))
             deepen(side, depth)
 
-        monkeypatch.setattr(graphmml.context._Side, "deepen", recording_deepen)
+        monkeypatch.setattr(graphmml.search._Side, "deepen", recording_deepen)
         built, depths = self.count_sides(monkeypatch)
         assert conditional_table(named, utility_degrees, 5).bits == alone
         assert built == {"background": 3, "target": 3} and depths == [2, 2, 2, 2, 5, 5]
@@ -1618,3 +1609,23 @@ class TestPublicNames:
 
     def test_every_exported_name_exists(self):
         assert all(hasattr(graphmml, name) for name in graphmml.__all__)
+
+
+class TestLayers:
+    def test_the_search_layer_loads_without_the_pricing_layer(self):
+        # graphmml.search imports only graphmml.graph, and the package loads
+        # a top-level name's module only when the name is first used.
+        src = Path(graphmml.context.__file__).resolve().parents[1]
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, graphmml.search; "
+             "print(sorted(m for m in sys.modules if m.startswith('graphmml')))"],
+            capture_output=True, text=True, env=dict(os.environ, PYTHONPATH=str(src)))
+        assert proc.returncode == 0, proc.stderr
+        assert proc.stdout == "['graphmml', 'graphmml.graph', 'graphmml.search']\n"
+
+    def test_outcomes_are_one_type_wherever_they_are_named(self):
+        # They live beside the traversal events, which the search layer
+        # reads, and the pricing layer and the top level name them too.
+        for name in ("VertexOutcome", "EdgeOutcome"):
+            kind = getattr(graphmml.graph, name)
+            assert getattr(graphmml, name) is getattr(graphmml.context, name) is kind

@@ -69,6 +69,14 @@ class TestBuildGraph:
         with pytest.raises(VertexRangeError):
             build_graph(False, ["a", "b"], [(0, 2, "x")])
 
+    @pytest.mark.parametrize("end", [10**5000, -(10**5000)], ids=["huge", "huge negative"])
+    def test_endpoint_of_any_size_out_of_range(self, end):
+        # An id of 5,001 digits is refused as any other, and the message,
+        # which names the edge by its position, does not print it.
+        with pytest.raises(VertexRangeError) as exc:
+            build_graph(False, ["a", "b"], [(0, 1, "x"), (0, end, "x")])
+        assert str(exc.value) == "edge 1 of the list references a vertex outside 0..1"
+
 
 class TestMaxEdges:
     def test_known_values(self):

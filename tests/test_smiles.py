@@ -117,6 +117,16 @@ class TestBracketAtoms:
         assert parse_smiles("[O-2]").atoms[0].charge == -2
         assert parse_smiles("[N+2]").atoms[0].charge == 2
 
+    def test_counts_of_any_length_are_read(self):
+        # int() refuses more than 4,300 digits at once; the reader does not.
+        nines = "9" * 5_000
+        count = 10 ** 5_000 - 1
+        assert parse_smiles(f"C[CH{nines}]C").atoms[1].h_count == count
+        assert parse_smiles(f"[N+{nines}]").atoms[0].charge == count
+        assert parse_smiles(f"[O-{nines}]").atoms[0].charge == -count
+        # The annotations play no part in the graph.
+        assert graph_of(f"C[CH{nines}]C") == graph_of("C[CH]C")
+
     def test_chirality_markers(self):
         ast = parse_smiles("C[C@@H](N)O")
         assert ast.atoms[1].chirality == "@@"
