@@ -151,27 +151,37 @@ def _entry(entries: dict[tuple, tuple], results: Iterable[tuple[int, Any]]) -> t
 
 
 class _Library:
-    """Background sides and their memos, shared by the pricers of one
-    batch call, of one worker's share of it, or of one info call's
-    targets.  It starts empty and fills as pricers read it.
+    """Background sides, their candidate indexes and class codes, and the
+    memos, shared by the pricers of one batch call, of one worker's share
+    of it, or of one info call's targets.  It starts empty and fills as
+    pricers read it.
 
-    side(bg, depth) builds bg's side the first time a pricer asks for it,
-    at that pricer's depth, and deepens it in place when a deeper pricer
-    asks later, so each background is indexed once and no side is deeper
-    than the deepest pricer that reads it.  vertex_memo and edge_memo map
-    a step's context key to each side's entry there: the weight that
-    side's candidates give each outcome (see _Pricer).  A key is stored
-    once, however many sides have an entry under it, and vertex_entries
-    and edge_entries intern the entries alike.  ids numbers the tokens of
-    the sides' class codes, and interned interns the codes and label sets
-    of _Pricer.keys.
+    side(bg, depth) builds bg's side and index the first time a pricer
+    asks for it, at that pricer's depth, and deepens the side in place
+    when a deeper pricer asks later, so each background is indexed once
+    and no side is deeper than the deepest pricer that reads it.
+    candidates(side, vertex, label) lists, in vertex id order and then
+    slot order, the candidates of a vertex step whose arrival edge has
+    that label, or of an edge step from a vertex of that label, as (v2,
+    e2, far2, predicted outcome, the labels on the root's slots other
+    than e2): a vertex step's root is far2 and it predicts v2's
+    VertexOutcome, an edge step's root is v2 and it predicts e2's fresh
+    EdgeOutcome.  codes keeps the class codes of _Pricer.keys.
+    vertex_memo and edge_memo map a step's context key to each side's
+    entry there: the weight that side's candidates give each outcome (see
+    _Pricer).  A key is stored once, however many sides have an entry
+    under it, and vertex_entries and edge_entries intern the entries
+    alike.  ids numbers the tokens of the class codes, and interned
+    interns the codes and label sets.
     """
 
-    __slots__ = ("sides", "vertex_memo", "edge_memo", "vertex_entries", "edge_entries", "ids",
-                 "interned")
+    __slots__ = ("sides", "index", "codes", "vertex_memo", "edge_memo", "vertex_entries",
+                 "edge_entries", "ids", "interned")
 
     def __init__(self):
         self.sides: dict[int, _Side] = {}
+        self.index: dict[_Side, dict] = {}
+        self.codes: dict[tuple, list] = {}
         self.vertex_memo: dict[tuple, dict[_Side, tuple]] = {}
         self.edge_memo: dict[tuple, dict[_Side, tuple]] = {}
         self.vertex_entries: dict[tuple, tuple] = {}
@@ -183,8 +193,27 @@ class _Library:
         side = self.sides.get(id(bg))
         if side is None:
             side = self.sides[id(bg)] = _Side(bg, depth)
+            # The candidate lists by (vertex, label), in one pass.
+            slots, labels, interned = side.slots, bg.labels, self.interned
+            fresh = {label: EdgeOutcome(label, None) for _, _, label in bg.edges}
+
+            def beside(v, e):  # the labels on v's slots other than e, interned
+                names = frozenset([name for f, _, name in slots[v] if f != e])
+                return interned.setdefault(names, names)
+
+            index = self.index[side] = {}
+            for v, here in enumerate(slots):
+                outcome = VertexOutcome(labels[v], len(here))
+                leaving = index.setdefault((False, labels[v]), [])
+                for e, far, label in here:
+                    # A vertex step's root is far, an edge step's v.
+                    index.setdefault((True, label), []).append((v, e, far, outcome, beside(far, e)))
+                    leaving.append((v, e, far, fresh[label], beside(v, e)))
         side.deepen(depth)
         return side
+
+    def candidates(self, side: _Side, vertex: bool, label) -> Sequence[tuple]:
+        return self.index[side].get((vertex, label), ())
 
 
 class _Pricer:
@@ -215,25 +244,30 @@ class _Pricer:
     library memoises, by key and background side, the weight the side's
     candidates give each outcome, so a step whose context some earlier
     step of the call had runs no search on that background and costs one
-    pass over its distinct outcomes.  An entry lists each outcome the
+    pass over its distinct outcomes.  A root step reads nothing of the
+    target, so all root steps share one key, whose entries list every
+    background vertex at score 0.  An entry lists each outcome the
     candidates predict, each followed by its weight; an edge step's loop
     closure names its target by the target's number in the ball, and
     counts only while that vertex can still take a loop closure, which
-    the step checks once per target.  vertex_results and edge_results are
-    the one candidate loop of each step kind: the step methods sum their
-    results into the memo on a miss, and vertex_matches and edge_matches
-    list them as matches.  Each loop passes every candidate that a search
-    can add to through its matcher's search, which returns the score and,
-    for an edge step, the target vertex bound to the candidate's far end.
+    the step checks once per target.  _entries is the one loop that
+    fetches each side's entry, for every step kind.  vertex_results and
+    edge_results are the one candidate loop of each step kind: _entries
+    sums their results into the memo on a miss, and vertex_matches and
+    edge_matches list them as matches.  Each loop passes every candidate
+    that a search can add to through its matcher's search, which returns
+    the score and, for an edge step, the target vertex bound to the
+    candidate's far end.
 
     A search can add to a candidate only where one of the target root's
     known slots, less the bound arrival edge, has a label that one of the
-    background root's slots other than e2 carries; any other candidate
-    scores 1 on an edge step, fresh, and 2 on a vertex step whose far ends'
-    labels agree, without a search.  classes maps each class code (see
-    keys) that the step has searched to its result, so each class is
-    searched once across all the step's backgrounds and its other members
-    reuse the score and, on an edge step, the bound far end's number.
+    background root's slots other than e2 carries, as the library lists
+    with the candidate; any other candidate scores 1 on an edge step,
+    fresh, and 2 on a vertex step whose far ends' labels agree, without a
+    search.  classes maps each class code (see keys) that the step has
+    searched to its result, so each class is searched once across all the
+    step's backgrounds and its other members reuse the score and, on an
+    edge step, the bound far end's number.
     """
 
     __slots__ = ("depth", "target", "sides", "matchers", "library", "classes")
@@ -263,54 +297,69 @@ class _Pricer:
         number = _ball(self.target.graph.labels, self.target.slots, root, radius, hidden, key)
         return memos.setdefault(tuple(key), {}), number
 
-    def keys(self, side: _Side, vertex: bool, label, depth: int = -1) -> list:
-        """Per candidate in side's arrivals[label] (vertex) or leaving[label],
-        in order, made on the first call and kept in side.keys.
+    def _entries(self, memo: dict, entries: dict, outcome, results) -> list[tuple[int, tuple]]:
+        """Per side, the weight its entry in the step's memo gives outcome,
+        and the entry, made from results(bi) and interned in entries where
+        the memo has none yet."""
+        self.classes = {}
+        listed = []
+        for bi, side in enumerate(self.sides):
+            entry = memo.get(side)
+            if entry is None:
+                entry = memo[side] = _entry(entries, results(bi))
+            listed.append((entry[entry.index(outcome) + 1] if outcome in entry else 0, entry))
+        return listed
+
+    def keys(self, side: _Side, vertex: bool, label) -> list[str]:
+        """The class code of each of side's candidates for a vertex or edge
+        step on label, in order, made on the first call and kept in the
+        library.
 
         A candidate's root is far2 for a vertex step and v2 for an edge
-        step, and its bound edge e2 is one of the root's slots.  With depth
-        -1, the set of labels on the root's other slots.  Else its class
-        code: e2's slot position at the root, then the _ball code of the
+        step, and its bound edge e2 is one of the root's slots.  Its class
+        code is e2's slot position at the root, then the _ball code of the
         root's ball, of radius depth for an edge step and depth - 1 for a
         vertex step.  That is what a search from the root reads, so
         candidates with equal codes score alike and bind equally numbered
         far ends.  A code is a str of each token's number in the library's
-        ids, and the library interns the codes and label sets.
+        ids, interned in the library.
         """
-        listed = side.keys.get((vertex, label, depth))
+        library, depth = self.library, self.depth
+        listed = library.codes.get((side, vertex, label, depth))
         if listed is None:
-            ids, interned, slots = self.library.ids, self.library.interned, side.slots
-            listed = side.keys[vertex, label, depth] = []
+            ids, interned, slots = library.ids, library.interned, side.slots
+            listed = library.codes[side, vertex, label, depth] = []
             balls: dict[int, str] = {}  # each root's ball code
-            for v2, e2, far2, *_ in (side.arrivals if vertex else side.leaving).get(label, ()):
+            for v2, e2, far2, *_ in library.candidates(side, vertex, label):
                 root = far2 if vertex else v2
-                if depth < 0:
-                    item = frozenset([name for e, _, name in slots[root] if e != e2])
-                else:
-                    if root not in balls:
-                        tokens: list = []
-                        _ball(side.graph.labels, slots, root, depth - vertex, -1, tokens)
-                        balls[root] = "".join([chr(ids.setdefault(t, len(ids))) for t in tokens])
-                    item = chr([e for e, _, _ in slots[root]].index(e2)) + balls[root]
-                listed.append(interned.setdefault(item, item))
+                if root not in balls:
+                    tokens: list = []
+                    _ball(side.graph.labels, slots, root, depth - vertex, -1, tokens)
+                    balls[root] = "".join([chr(ids.setdefault(t, len(ids))) for t in tokens])
+                code = chr([e for e, _, _ in slots[root]].index(e2)) + balls[root]
+                listed.append(interned.setdefault(code, code))
         return listed
 
     def vertex_results(self, incoming, bi: int) -> list[tuple[int, VertexOutcome]]:
         """(score, predicted outcome) for each of background bi's candidates
-        for the arrival edge incoming, over the known edges, in arrivals
-        order."""
+        for the arrival edge incoming, over the known edges, in candidate
+        order; for a root, with incoming None, each background vertex's
+        outcome at score 0."""
         depth, target, matcher, side = self.depth, self.target, self.matchers[bi], self.sides[bi]
+        labels2 = side.graph.labels
+        if incoming is None:
+            return [(0, VertexOutcome(labels2[v], len(here))) for v, here in enumerate(side.slots)]
         e1, far1, label = incoming.edge, incoming.head, incoming.label
-        root_label, labels2 = target.graph.labels[far1], side.graph.labels
+        root_label = target.graph.labels[far1]
         # The edge scores 1 and a far end of far1's label 1 more.  The
         # arrival edge closed before this step, so it is a known slot of
         # far1, bound as the way back: from depth 2 a search adds to the
         # score only where another of far1's known slots can pair.
         known = {name for e, _, name in target.slots[far1] if e != e1} if depth > 1 else set()
-        codes = self.keys(side, True, label, depth) if known else itertools.count()
+        codes = self.keys(side, True, label) if known else itertools.count()
         classes, results = self.classes, []
-        for (_, e2, far2, predicted, _), beside, code in zip(
-                side.arrivals.get(label, ()), self.keys(side, True, label), codes):
+        for (_, e2, far2, predicted, beside), code in zip(
+                self.library.candidates(side, True, label), codes):
             if labels2[far2] != root_label:
                 score = 1
             elif known.isdisjoint(beside):
@@ -326,7 +375,7 @@ class _Pricer:
     def edge_results(self, source: int, pending_edge: int, bi: int,
                      number: Mapping[int, int] | Sequence[int]) -> list[tuple[int, EdgeOutcome]]:
         """(score, predicted outcome) for each of background bi's candidates
-        for the pending edge, over the known edges, in leaving order.  A
+        for the pending edge, over the known edges, in candidate order.  A
         loop closure's target is number[w] for the vertex w the
         candidate's far end is bound to."""
         depth, target, matcher, side = self.depth, self.target, self.matchers[bi], self.sides[bi]
@@ -335,10 +384,10 @@ class _Pricer:
         # match, and where none can pair it binds no far end, so the step
         # stays fresh.
         known = {name for *_, name in target.slots[source]} if depth > 0 else set()
-        codes = self.keys(side, False, label, depth) if known else itertools.count()
+        codes = self.keys(side, False, label) if known else itertools.count()
         classes, results = self.classes, []
-        for (v2, e2, far2, _, fresh), beside, code in zip(
-                side.leaving.get(label, ()), self.keys(side, False, label), codes):
+        for (v2, e2, far2, fresh, beside), code in zip(
+                self.library.candidates(side, False, label), codes):
             if known.isdisjoint(beside):
                 result = 1, fresh
             else:
@@ -353,22 +402,13 @@ class _Pricer:
     def vertex_step(self, state: TraversalState, event, outcome) -> list[tuple[int, int]]:
         """Per background, the weight of the matches vertex_matches finds
         for the step that predict outcome, and of all of them."""
-        incoming = event.incoming
-        if incoming is None:  # every background vertex, at score 0
-            return [(side.roots[outcome], side.graph.vertex_count) for side in self.sides]
-        depth = self.depth
-        memo, _ = self._context(self.library.vertex_memo, [depth, incoming.label], incoming.head,
-                                depth - 1, incoming.tail)
-        self.classes = {}
-        charged = []
-        for bi, side in enumerate(self.sides):
-            entry = memo.get(side)
-            if entry is None:
-                entry = memo[side] = _entry(
-                    self.library.vertex_entries, self.vertex_results(incoming, bi))
-            hit = entry[entry.index(outcome) + 1] if outcome in entry else 0
-            charged.append((hit, sum(entry[1::2])))
-        return charged
+        incoming, depth, memos = event.incoming, self.depth, self.library.vertex_memo
+        # A root step reads nothing of the target, so all root steps share the key ().
+        memo = memos.setdefault((), {}) if incoming is None else self._context(
+            memos, [depth, incoming.label], incoming.head, depth - 1, incoming.tail)[0]
+        entries = self._entries(memo, self.library.vertex_entries, outcome,
+                                lambda bi: self.vertex_results(incoming, bi))
+        return [(hit, sum(entry[1::2])) for hit, entry in entries]
 
     def edge_step(self, state: TraversalState, event, outcome) -> list[tuple[int, int]]:
         """Per background, the weight of the matches edge_matches finds for
@@ -377,20 +417,16 @@ class _Pricer:
         source, depth = event.source, self.depth
         memo, number = self._context(self.library.edge_memo, [depth], source, depth)
         ball = list(number)
-        self.classes = {}
         # The outcome as an entry codes it.  A loop closure out of the ball,
         # where no match binds, codes as a target of -1, which gets no weight.
         if outcome.target is not None:
             outcome = EdgeOutcome(outcome.label, number.get(outcome.target, -1))
+        entries = self._entries(memo, self.library.edge_entries, outcome,
+                                lambda bi: self.edge_results(source, event.edge, bi, number))
         legal = {None: True}  # per target, whether the decoder could act on it
         charged = []
-        for bi, side in enumerate(self.sides):
-            entry = memo.get(side)
-            if entry is None:
-                entry = memo[side] = _entry(
-                    self.library.edge_entries, self.edge_results(source, event.edge, bi, number))
-            # The actual outcome is legal, so its weight counts in the total.
-            hit = entry[entry.index(outcome) + 1] if outcome in entry else 0
+        # The actual outcome is legal, so its weight counts in the total.
+        for hit, entry in entries:
             total = 0
             for predicted, weight in zip(entry[::2], entry[1::2]):
                 n = predicted.target
@@ -428,9 +464,10 @@ def vertex_matches(state: TraversalState, backgrounds: Sequence[Graph], incoming
         return [ScoredMatch((bi, v2), 0, VertexOutcome(bg.labels[v2], bg.degree(v2)))
                 for bi, bg in enumerate(backgrounds) for v2 in range(bg.vertex_count)]
     pricer = _own_pricer(state, backgrounds, depth)
+    candidates = pricer.library.candidates
     return [ScoredMatch((bi, v2, e2), score, predicted)
             for bi, side in enumerate(pricer.sides)
-            for (v2, e2, *_), (score, predicted) in zip(side.arrivals.get(incoming.label, ()),
+            for (v2, e2, *_), (score, predicted) in zip(candidates(side, True, incoming.label),
                                                         pricer.vertex_results(incoming, bi))]
 
 
@@ -448,10 +485,11 @@ def edge_matches(state: TraversalState, backgrounds: Sequence[Graph], source: in
     """
     pricer = _own_pricer(state, backgrounds, depth)
     label, ids = state.graph.labels[source], range(state.graph.vertex_count)
+    candidates = pricer.library.candidates
     return [ScoredMatch((bi, v2, e2), score, predicted)
             for bi, side in enumerate(pricer.sides)
             for (v2, e2, *_), (score, predicted) in zip(
-                side.leaving.get(label, ()), pricer.edge_results(source, pending_edge, bi, ids))
+                candidates(side, False, label), pricer.edge_results(source, pending_edge, bi, ids))
             if predicted.target is None or state.is_loop_candidate(source, predicted.target)]
 
 

@@ -5,18 +5,18 @@ edges known so far, and a _Matcher between two sides finds the best
 correspondence rooted at a pair of edges: the most vertices plus edges
 it can pair within a radius.  _ball codes the ball of a given radius
 around a vertex, as the pricing layer's context keys and class codes
-read it.  The module imports only graphmml.graph; the pricing layer in
-graphmml.context builds on it, and only _Matcher.search crosses between
-the two: it returns a search's score and the one binding its caller
-reads, and leaves nothing bound.
+read it.  The module imports only graphmml.graph and knows nothing of
+step outcomes: the pricing layer in graphmml.context keeps its own
+candidate index and class codes per background, and only _Matcher.search
+crosses between the two: it returns a search's score and the one binding
+its caller reads, and leaves nothing bound.
 """
 
 from __future__ import annotations
 
-from collections import Counter
 from typing import Any, Container, Iterable, Sequence
 
-from .graph import EdgeOutcome, Graph, VertexOutcome
+from .graph import Graph
 
 
 class _Side:
@@ -26,23 +26,15 @@ class _Side:
     label).  For each d up to the side's depth, len(bounds) - 1,
     bounds[d][v] is an upper bound on a depth-d match score rooted at v,
     and caps[d][v][i] one on what slots[v][i:] can still add to it.
-    add() keeps all three current as edges become known.  A side
-    over all its edges is a background, which the matcher also looks up
-    by label: buckets[v] groups slots[v] by label as (edge, far end)
-    pairs in the same order.  The pricing layer's candidate loops list
-    their candidates from two more lookups, each in vertex id order and then slot order, that
-    share one (v, edge, far end, v's VertexOutcome, the edge's fresh
-    EdgeOutcome) tuple per slot: arrivals[label] lists the slots of that
-    edge label, and leaving[label] the slots of the vertices of that
-    label; roots counts the vertices of each VertexOutcome, for root
-    steps.  keys holds what _Pricer.keys builds, lists aligned with
-    arrivals[label] or leaving[label].  A side over known edges has none
-    of these.  deepen() adds levels to bounds and caps in place, so a
-    matcher that holds the two lists reads the new levels too.
+    add() keeps all three current as edges become known.  A side over
+    all its edges is a background, which the matcher also looks up by
+    label: buckets[v] groups slots[v] by label as (edge, far end) pairs
+    in the same order.  A side over known edges has no buckets.
+    deepen() adds levels to bounds and caps in place, so a matcher that
+    holds the two lists reads the new levels too.
     """
 
-    __slots__ = ("graph", "known", "slots", "buckets", "arrivals", "leaving", "roots", "keys",
-                 "bounds", "caps")
+    __slots__ = ("graph", "known", "slots", "buckets", "bounds", "caps")
 
     def __init__(self, g: Graph, depth: int, known: Container[int] | None = None):
         n = g.vertex_count
@@ -51,25 +43,12 @@ class _Side:
         self.slots: list[tuple[tuple[int, int, Any], ...]] = [()] * n
         for v in range(n):
             self._reslot(v)
-        background = known is None
-        self.buckets: list[dict[Any, list[tuple[int, int]]]] | None = [] if background else None
-        self.arrivals: dict[Any, list[tuple]] | None = {} if background else None
-        self.leaving: dict[Any, list[tuple]] | None = {} if background else None
-        self.roots: Counter | None = Counter() if background else None
-        self.keys: dict[tuple, list] | None = {} if background else None
-        if background:
-            fresh = {label: EdgeOutcome(label, None) for _, _, label in g.edges}
-            for v, here in enumerate(self.slots):
-                buckets: dict[Any, list[tuple[int, int]]] = {}
-                outcome = VertexOutcome(g.labels[v], len(here))
-                leaving = self.leaving.setdefault(g.labels[v], [])
-                self.roots[outcome] += 1
+        self.buckets: list[dict[Any, list[tuple[int, int]]]] | None = None
+        if known is None:
+            self.buckets = [{} for _ in range(n)]
+            for buckets, here in zip(self.buckets, self.slots):
                 for e, far, label in here:
                     buckets.setdefault(label, []).append((e, far))
-                    slot = (v, e, far, outcome, fresh[label])
-                    self.arrivals.setdefault(label, []).append(slot)
-                    leaving.append(slot)
-                self.buckets.append(buckets)
         self.bounds = [[1] * n]
         # caps[0] is never read: a depth-0 match follows no edges.
         self.caps: list = [None]

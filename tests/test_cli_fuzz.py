@@ -1,6 +1,9 @@
 """Random SMILES-like molecule files, edge-list files and tree texts through
-the command line: every run ends in a documented exit code, never an
-uncaught exception, and valid tree text survives a round trip."""
+the command line, up to the readers' limits: digit runs longer than int()
+reads, branches nested thousands deep, a byte-order mark or a byte that is
+not UTF-8, and depths of 0, 1 and 10**9.  Every run ends in a documented
+exit code, never an uncaught exception, and valid tree text survives a
+round trip."""
 
 import contextlib
 import io
@@ -9,7 +12,7 @@ from pathlib import Path
 import pytest
 
 hypothesis = pytest.importorskip("hypothesis")
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from graphmml.cli import EXIT_FORMAT, EXIT_OK, EXIT_SIZE, EXIT_VALENCE, main
 
@@ -177,3 +180,91 @@ def test_valid_tree_text_round_trips(kind_and_text):
     if kind == "strict":  # strict text lists its codeword's letters in order
         assert word == "".join(c for c in text if c in "LF")
     assert _tree_command(["tree", "decode", kind, word]) == (EXIT_OK, text + "\n")
+
+
+def _run(argv):
+    """The exit code and stderr of one command."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+def _assert_documented(argv, case):
+    code, err = _run(argv)
+    assert code in (EXIT_OK, EXIT_FORMAT, EXIT_VALENCE, EXIT_SIZE), (argv, case)
+    assert "Traceback" not in err, (argv, case)
+
+
+@st.composite
+def deep_branches(draw):
+    """A molecule whose branches nest 500 to 3,000 deep, each opened by an
+    atom and an optional bond; one case in four drops or adds a closing
+    parenthesis."""
+    nesting = draw(st.integers(500, 3_000))
+    atom = draw(st.sampled_from(["C", "C", "N", "O", "Cl", "c"]))
+    bond = draw(st.sampled_from(["", "", "=", "-"]))
+    closing = nesting + draw(st.sampled_from([0, 0, 0, -1, 1]))
+    return f"m {(atom + '(' + bond) * nesting}C{')' * closing}\n"
+
+
+@settings(max_examples=8, deadline=None, derandomize=True)
+@given(text=deep_branches(), depth=st.integers(0, 3))
+@example(text=f"m {'C(' * 3_000}C{')' * 3_000}\n", depth=3)
+def test_deep_branches_exit_with_a_documented_code(tmp_path_factory, text, depth):
+    # Priced cold and given itself at a small depth: a long chain given
+    # itself at a huge depth is the matcher's worst case, not the reader's.
+    path = str(tmp_path_factory.mktemp("fuzz") / "deep.smi")
+    Path(path).write_text(text)
+    for argv in (["info", path], ["info", path, "--given", path, "--depth", str(depth)]):
+        _assert_documented(argv, text[:40])
+
+
+@st.composite
+def odd_bytes(draw):
+    """A molecule or edge-list file as bytes, with a leading byte-order mark
+    or one stray 0xFF byte at a drawn place."""
+    if draw(st.booleans()):
+        text = "".join(f"m{i} {s}\n" for i, s in enumerate(draw(st.lists(chain, min_size=1,
+                                                                           max_size=2))))
+        name = "molecules.txt"
+    else:
+        text, name = draw(edge_list()), "graph.graph"
+    data = text.encode()
+    if draw(st.booleans()):
+        data = b"\xef\xbb\xbf" + data
+    else:
+        at = draw(st.integers(0, len(data)))
+        data = data[:at] + b"\xff" + data[at:]
+    return name, data
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(case=odd_bytes())
+def test_odd_bytes_exit_with_a_documented_code(tmp_path_factory, case):
+    name, data = case
+    path = tmp_path_factory.mktemp("fuzz") / name
+    path.write_bytes(data)
+    for command in ("info", "parse", "table"):
+        _assert_documented([command, str(path)], case)
+
+
+# At most 12 atoms.
+small_chain = st.builds(
+    _chain,
+    st.lists(st.tuples(st.sampled_from(["C", "C", "N", "O", "S"]),
+                       st.sampled_from(["", "=", "(C)"])), min_size=1, max_size=6),
+    st.sampled_from(["", "1"]),
+)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(molecules=st.lists(small_chain, min_size=1, max_size=2),
+       depth=st.sampled_from([0, 1, 10**9]))
+def test_extreme_depths_exit_with_a_documented_code(tmp_path_factory, molecules, depth):
+    # A depth of 10**9 is capped at the size of the largest component.
+    path = str(tmp_path_factory.mktemp("fuzz") / "molecules.txt")
+    Path(path).write_text("".join(f"m{i} {text}\n" for i, text in enumerate(molecules)))
+    for argv in (["info", path], ["info", path, "--given", path], ["table", path],
+                 ["chain", path]):
+        _assert_documented([*argv, "--depth", str(depth)], molecules)

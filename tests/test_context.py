@@ -13,6 +13,7 @@ plain reference.  Its one-division step prices are compared, bit for
 bit, with the full distributions that scored_matches_to_model builds.
 """
 
+import ast
 import concurrent.futures
 import functools
 import math
@@ -437,27 +438,6 @@ class TestMatcherSearch:
 
 
 class TestSideIndexes:
-    def test_background_lists_the_candidates_of_each_label_in_id_and_slot_order(self):
-        for g in [*DRUGS, make_k33(), relabelled(grid(4, 4), 0.35, 11)]:
-            side = graphmml.search._Side(g, 3)
-            slots = [(v, s.edge, s.head, s.label) for v in range(g.vertex_count)
-                     for s in g.adjacency[v]]
-            entries = [(v, e, far, VertexOutcome(g.labels[v], g.degree(v)),
-                        EdgeOutcome(edge_label, None)) for v, e, far, edge_label in slots]
-            assert sorted(side.arrivals) == sorted({label for *_, label in slots})
-            for label, listed in side.arrivals.items():
-                assert listed == [entry for entry in entries if entry[4].label == label]
-            assert sorted(side.leaving) == sorted(set(g.labels))
-            for label, listed in side.leaving.items():
-                assert listed == [entry for entry in entries if g.labels[entry[0]] == label]
-            # One tuple per slot, and each vertex's outcome built once.
-            shared = {entry[:2]: entry for listed in side.arrivals.values() for entry in listed}
-            assert all(shared[entry[:2]] is entry
-                       for listed in side.leaving.values() for entry in listed)
-            outcomes = {}
-            for v, _, _, outcome, _ in shared.values():
-                assert outcomes.setdefault(v, outcome) is outcome
-
     def test_a_side_deepened_in_place_equals_one_built_at_that_depth(self):
         # Matchers hold the side's bounds and caps lists, so deepening adds
         # to those same lists, and never takes a level away.
@@ -472,10 +452,47 @@ class TestSideIndexes:
                 side.deepen(2)
                 assert (bounds, caps) == (built.bounds, built.caps)
 
-    def test_target_side_builds_no_label_lookups(self, k33):
-        side = graphmml.search._Side(k33, 3, ())
-        assert side.buckets is None and side.arrivals is None and side.leaving is None
-        assert side.roots is None
+
+class TestLibraryIndex:
+    def test_background_lists_the_candidates_of_each_label_in_id_and_slot_order(self):
+        for g in [*DRUGS, make_k33(), relabelled(grid(4, 4), 0.35, 11)]:
+            library = graphmml.context._Library()
+            side = library.side(g, 3)
+            slots = [(v, s.edge, s.head, s.label) for v in range(g.vertex_count)
+                     for s in g.adjacency[v]]
+
+            def beside(v, e):
+                return frozenset(s.label for s in g.adjacency[v] if s.edge != e)
+
+            # A vertex step's root is the far end, an edge step's the vertex.
+            arrivals = [(v, e, far, VertexOutcome(g.labels[v], g.degree(v)), beside(far, e))
+                        for v, e, far, _ in slots]
+            leaving = [(v, e, far, EdgeOutcome(label, None), beside(v, e))
+                       for v, e, far, label in slots]
+            edge_labels = {label for *_, label in slots}
+            assert set(library.index[side]) == (
+                {(True, label) for label in edge_labels} | {(False, label) for label in g.labels})
+            for label in edge_labels:
+                assert library.candidates(side, True, label) == [
+                    entry for entry, slot in zip(arrivals, slots) if slot[3] == label]
+            for label in set(g.labels):
+                assert library.candidates(side, False, label) == [
+                    entry for entry in leaving if g.labels[entry[0]] == label]
+            # Each vertex's outcome and each label's fresh outcome are built
+            # once, and each label set is interned.
+            outcomes = {}
+            for candidates in library.index[side].values():
+                for v, _, _, outcome, names in candidates:
+                    assert library.interned[names] is names
+                    key = ("V", v) if type(outcome) is VertexOutcome else ("E", outcome.label)
+                    assert outcomes.setdefault(key, outcome) is outcome
+
+    def test_each_background_is_indexed_once(self, k33):
+        library = graphmml.context._Library()
+        side = library.side(k33, 1)
+        index = library.index[side]
+        assert library.side(k33, 3) is side and library.index[side] is index
+        assert library.candidates(side, True, "Cable") == ()
 
 
 class KnownPart:
@@ -790,14 +807,10 @@ def memo_checked(kind, step, tally, searched):
     pricer's vertex_results and edge_results are called."""
 
     def call(pricer, state, event, outcome):
-        if kind == "V" and event.incoming is None:  # a root step has no context
+        if kind == "V" and event.incoming is None:  # see TestRootSteps
             return step(pricer, state, event, outcome)
-        if kind == "V":
-            label = event.incoming.label
-            listed = [label in s.arrivals for s in pricer.sides]
-        else:
-            label = state.graph.labels[event.source]
-            listed = [label in s.leaving for s in pricer.sides]
+        label = event.incoming.label if kind == "V" else state.graph.labels[event.source]
+        listed = [(kind == "V", label) in pricer.library.index[s] for s in pricer.sides]
         searched.clear()
         charged = step(pricer, state, event, outcome)
         missed = set(searched)
@@ -929,12 +942,14 @@ def check_classes(monkeypatch):
 
     def checked_vertex(self, incoming, bi):
         got = vertex_results(self, incoming, bi)
+        if incoming is None:  # a root: every background vertex, searched by none
+            return got
         side, matcher, depth = self.sides[bi], self.matchers[bi], self.depth
         e1, far1, label = incoming.edge, incoming.head, incoming.label
         known = {name for e, _, name in self.target.slots[far1] if e != e1}
-        for (_, e2, far2, predicted, _), beside, code, result in zip(
-                side.arrivals.get(label, ()), self.keys(side, True, label),
-                self.keys(side, True, label, depth), got, strict=True):
+        for (_, e2, far2, predicted, beside), code, result in zip(
+                self.library.candidates(side, True, label), self.keys(side, True, label), got,
+                strict=True):
             if matcher.labels2[far2] != self.target.graph.labels[far1] or depth < 2:
                 continue  # no search can add to these
             added, _ = matcher.search(e1, e2, far1, far2, depth - 1, incoming.tail)
@@ -948,9 +963,9 @@ def check_classes(monkeypatch):
             side, matcher, depth = self.sides[bi], self.matchers[bi], self.depth
             label = self.target.graph.labels[source]
             known = {name for *_, name in self.target.slots[source]}
-            for (v2, e2, far2, _, fresh), beside, code, result in zip(
-                    side.leaving.get(label, ()), self.keys(side, False, label),
-                    self.keys(side, False, label, depth), got, strict=True):
+            for (v2, e2, far2, fresh, beside), code, result in zip(
+                    self.library.candidates(side, False, label), self.keys(side, False, label),
+                    got, strict=True):
                 added, w = matcher.search(pending_edge, e2, source, v2, depth, watch=far2)
                 predicted = fresh if w < 0 else EdgeOutcome(fresh.label, number[w])
                 assert result == (1 + added, predicted)
@@ -1008,24 +1023,30 @@ class TestClassSharing:
         assert shared != alone
 
     def test_drug_batches_search_each_class_once(self, monkeypatch):
+        # The exact work, so that a change to what is searched shows.
         calls = Counter()
-        search = graphmml.search._Matcher.search
+        search, assign = graphmml.search._Matcher.search, graphmml.search._Matcher._assign
 
         def counting_search(self, *args, **kwargs):
             calls["search"] += 1
             return search(self, *args, **kwargs)
 
+        def counting_assign(self, *args):
+            calls["assign"] += 1
+            return assign(self, *args)
+
         monkeypatch.setattr(graphmml.search._Matcher, "search", counting_search)
+        monkeypatch.setattr(graphmml.search._Matcher, "_assign", counting_assign)
         named, degrees = list(zip(DRUG_SMILES, DRUGS)), tight_degrees(DRUGS)
         table = conditional_table(named, degrees, 3)
         # Searching every candidate, the table made 14,303 calls.
-        assert 0 < calls["search"] <= 9_000
+        assert calls == {"search": 7_768, "assign": 28_352}
         assert table.bits[1] == (
             154.4143645828676, 127.48554812431253, 155.58950783379876, 162.48333295005332)
         calls.clear()
         chain = chain_information(named, degrees, 3)
         # Searching every candidate, the chain made 4,992 calls.
-        assert 0 < calls["search"] <= 3_300
+        assert calls == {"search": 2_838, "assign": 9_521}
         assert chain.total == 565.8211092723557
 
 
@@ -1052,6 +1073,48 @@ def distribution_bits(g, backgrounds, degrees, depth, edge_alphabet):
 LONE_HOUSE = build_graph(False, ["House"], [])
 ISOLATED_HOUSE = build_graph(False, ["Utility", "House", "House"], [(0, 1, "Gas")])
 K33_ALPHABET = ("Elec", "Gas", "H2O")
+
+
+class TestRootSteps:
+    """A root step is a vertex step whose candidates are every background
+    vertex at score 0.  It reads nothing of the target, so every root step
+    of a call, in any component of any target, shares one memo entry per
+    background."""
+
+    def test_roots_share_one_memo_entry_per_background(self, monkeypatch):
+        # The first background has two components, one an isolated House,
+        # so a degree-0 outcome has a match; the targets' roots are a
+        # Utility, an isolated House and a lone House.
+        backgrounds = [ISOLATED_HOUSE, make_k33()]
+        targets = [ISOLATED_HOUSE, LONE_HOUSE]
+        roots = []
+        step = graphmml.context._Pricer.vertex_step
+
+        def checked_step(pricer, state, event, outcome):
+            if event.incoming is not None:
+                return step(pricer, state, event, outcome)
+            memo = pricer.library.vertex_memo
+            before = len(memo), sum(map(len, memo.values()))
+            charged = step(pricer, state, event, outcome)
+            matches = vertex_matches(state, backgrounds, None, pricer.depth)
+            assert charged == match_sums(matches, outcome, len(backgrounds))
+            assert [total for _, total in charged] == [bg.vertex_count for bg in backgrounds]
+            roots.append((outcome, [hit for hit, _ in charged],
+                          len(memo) - before[0], sum(map(len, memo.values())) - before[1]))
+            return charged
+
+        monkeypatch.setattr(graphmml.context._Pricer, "vertex_step", checked_step)
+        results = graphmml.context.information_contents(
+            targets, backgrounds, UTILITY_DEGREES, 3)
+        # The first root step adds one key, with an entry per background;
+        # no later one adds a key or an entry, though the second target's
+        # depth is capped lower.
+        assert roots == [(VertexOutcome("Utility", 1), [1, 0], 1, 2),
+                         (VertexOutcome("House", 0), [1, 0], 0, 0),
+                         (VertexOutcome("House", 0), [1, 0], 0, 0)]
+        for g, result in zip(targets, results):
+            expected = distribution_bits(g, backgrounds, UTILITY_DEGREES, 3, K33_ALPHABET)
+            assert [s.bits for s in result.steps] == expected
 
 
 class TestClosedFormPricing:
@@ -1624,8 +1687,46 @@ class TestLayers:
         assert proc.stdout == "['graphmml', 'graphmml.graph', 'graphmml.search']\n"
 
     def test_outcomes_are_one_type_wherever_they_are_named(self):
-        # They live beside the traversal events, which the search layer
-        # reads, and the pricing layer and the top level name them too.
+        # They live beside the traversal events, and the pricing layer and
+        # the top level name them too.
         for name in ("VertexOutcome", "EdgeOutcome"):
             kind = getattr(graphmml.graph, name)
             assert getattr(graphmml, name) is getattr(graphmml.context, name) is kind
+
+    def test_the_search_layer_knows_no_outcomes(self):
+        # search.py imports Graph alone from the package and never names a
+        # step outcome: the candidate index is the pricing layer's.
+        tree = ast.parse(Path(graphmml.search.__file__).read_text())
+        imported = [(node.level, node.module, alias.name) for node in ast.walk(tree)
+                    if isinstance(node, ast.ImportFrom) and node.module != "__future__"
+                    for alias in node.names]
+        assert [name for level, _, name in imported if level] == ["Graph"]
+        assert all(level or not module.startswith("graphmml") for level, module, _ in imported)
+        names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
+        assert names.isdisjoint({"VertexOutcome", "EdgeOutcome"})
+
+    def test_a_side_holds_only_what_the_matcher_reads(self, k33):
+        fields = ("graph", "known", "slots", "buckets", "bounds", "caps")
+        assert graphmml.search._Side.__slots__ == fields
+        background, target = graphmml.search._Side(k33, 3), graphmml.search._Side(k33, 3, ())
+        for name in ("arrivals", "leaving", "roots", "keys"):
+            assert not hasattr(background, name)
+        assert background.buckets is not None and target.buckets is None
+
+    def test_the_pricing_layer_writes_to_no_side(self):
+        # No statement in context.py assigns to a field of a _Side, or
+        # into one of its lists or dicts.
+        fields = set(graphmml.search._Side.__slots__)
+        tree = ast.parse(Path(graphmml.context.__file__).read_text())
+        targets = []
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Assign):
+                targets += node.targets
+            elif isinstance(node, (ast.AugAssign, ast.AnnAssign)):
+                targets.append(node.target)
+        for target in targets:
+            while isinstance(target, ast.Subscript):
+                target = target.value
+            assert not (isinstance(target, ast.Attribute) and target.attr in fields), (
+                ast.unparse(target))
