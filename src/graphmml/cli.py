@@ -24,17 +24,6 @@ import sys
 from pathlib import Path
 from typing import Any, Iterable, Sequence
 
-from .codes import (
-    GeneralTree,
-    Leaf,
-    SizeLimitError,
-    StrictBinaryTree,
-    TreeCodeError,
-    automorphism_count,
-    general_tree_decode,
-    general_tree_encode,
-    strict_binary_tree_decode,
-)
 from .context import (
     ContextError,
     chain_information,
@@ -109,7 +98,10 @@ def _load_edge_list(text: str, path: str) -> Graph:
     try:
         return build_graph(directed, [labels[i] for i in range(len(labels))], edges)
     except GraphError as exc:
-        raise FileFormatError(f"{path}: {exc}") from exc
+        # A self-loop or repeated edge: name the line of the edge at fault.
+        edge_lines = [lineno for lineno, line in _meaningful_lines(text)
+                      if line.split()[0] == "e"]
+        raise FileFormatError(f"{path}:{edge_lines[exc.edge]}: {exc}") from exc
 
 
 def _load_molecules(text: str, path: str, valences) -> list[tuple[str, Graph]]:
@@ -349,60 +341,60 @@ def _tree_tokens(text: str) -> str:
     return "".join(tokens)
 
 
-def _strict_codeword(text: str) -> str:
-    tokens = _tree_tokens(text)
-    code = tokens.replace("(", "").replace(")", "")
-    if _render_strict(strict_binary_tree_decode(code)).replace(" ", "") != tokens:
-        raise FileFormatError("strict tree text must be (L) or (F <left> <right>)")
-    return code
-
-
-def _render_strict(tree: StrictBinaryTree) -> str:
-    out: list[str] = []
-    stack: list = [tree]  # nodes still to render, and text that follows them
-    while stack:
-        item = stack.pop()
-        if isinstance(item, str):
-            out.append(item)
-        elif isinstance(item, Leaf):
-            out.append("(L)")
-        else:
-            out.append("(F ")
-            stack += [")", item.right, " ", item.left]
-    return "".join(out)
-
-
-def _general_codeword(text: str) -> str:
-    tokens = _tree_tokens(text)
-    if not tokens.startswith("("):
-        raise FileFormatError("general tree text must start with '('")
-    code = tokens[1:].replace("(", "d").replace(")", "u")
-    general_tree_decode(code)  # refuses letters, unbalanced and trailing text
-    return code
-
-
-def _render_general(tree: GeneralTree) -> str:
-    # The codeword descends into every node but the root and ascends out of
-    # every node, so the text is "(" for the root, then d as "(" and u as ")".
-    return "(" + general_tree_encode(tree).replace("d", "(").replace("u", ")")
-
-
 def cmd_tree(args) -> int:
+    # Only this command and ordering read graphmml.codes, so pricing never
+    # loads it.
+    from .codes import Leaf, general_tree_decode, general_tree_encode, strict_binary_tree_decode
+
+    def render_strict(tree) -> str:
+        out: list[str] = []
+        stack: list = [tree]  # nodes still to render, and text that follows them
+        while stack:
+            item = stack.pop()
+            if isinstance(item, str):
+                out.append(item)
+            elif isinstance(item, Leaf):
+                out.append("(L)")
+            else:
+                out.append("(F ")
+                stack += [")", item.right, " ", item.left]
+        return "".join(out)
+
     strict = args.kind == "strict"
     if args.action == "encode":
-        print(_strict_codeword(args.text) if strict else _general_codeword(args.text))
+        tokens = _tree_tokens(args.text)
+        if strict:
+            code = tokens.replace("(", "").replace(")", "")
+            if render_strict(strict_binary_tree_decode(code)).replace(" ", "") != tokens:
+                raise FileFormatError("strict tree text must be (L) or (F <left> <right>)")
+        else:
+            if not tokens.startswith("("):
+                raise FileFormatError("general tree text must start with '('")
+            code = tokens[1:].replace("(", "d").replace(")", "u")
+            general_tree_decode(code)  # refuses letters, unbalanced and trailing text
+        print(code)
     elif strict:
-        print(_render_strict(strict_binary_tree_decode(args.text)))
+        print(render_strict(strict_binary_tree_decode(args.text)))
     else:
-        print(_render_general(general_tree_decode(args.text)))
+        # The codeword descends into every node but the root and ascends out
+        # of every node, so the text is "(" for the root, then d as "(" and
+        # u as ")".
+        code = general_tree_encode(general_tree_decode(args.text))
+        print("(" + code.replace("d", "(").replace("u", ")"))
     return EXIT_OK
 
 
 def cmd_ordering(args) -> int:
+    from .codes import SizeLimitError, automorphism_count
+
     named, _, _ = _load_inputs(args)
     rows = [["name", "automorphisms", "surplus_bits"]]
     for name, g in named:
-        count = automorphism_count(g)
+        try:
+            count = automorphism_count(g)
+        except SizeLimitError as exc:
+            print(f"graphmml: {exc}", file=sys.stderr)
+            return EXIT_SIZE
         # ordering_surplus_bits(g), from the count already made: counting is
         # the slow part.
         surplus = math.log2(math.factorial(g.vertex_count) // count)
@@ -509,9 +501,6 @@ def main(argv: Sequence[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except SizeLimitError as exc:
-        print(f"graphmml: {exc}", file=sys.stderr)
-        return EXIT_SIZE
     except RecursionError:
         print("graphmml: the context match search ran out of stack; try a smaller --depth",
               file=sys.stderr)
@@ -519,6 +508,7 @@ def main(argv: Sequence[str] | None = None) -> int:
     except (ValenceError, ContextError) as exc:
         print(f"graphmml: {exc}", file=sys.stderr)
         return EXIT_VALENCE
-    except (SmilesError, GraphError, TreeCodeError, OSError, ValueError) as exc:
+    # A tree codec's TreeCodeError is a ValueError too.
+    except (SmilesError, GraphError, OSError, ValueError) as exc:
         print(f"graphmml: {exc}", file=sys.stderr)
         return EXIT_FORMAT

@@ -198,14 +198,14 @@ class _Library:
             fresh = {label: EdgeOutcome(label, None) for _, _, label in bg.edges}
 
             def beside(v, e):  # the labels on v's slots other than e, interned
-                names = frozenset([name for f, _, name in slots[v] if f != e])
+                names = frozenset([name for f, _, name, _ in slots[v] if f != e])
                 return interned.setdefault(names, names)
 
             index = self.index[side] = {}
             for v, here in enumerate(slots):
                 outcome = VertexOutcome(labels[v], len(here))
                 leaving = index.setdefault((False, labels[v]), [])
-                for e, far, label in here:
+                for e, far, label, _ in here:
                     # A vertex step's root is far, an edge step's v.
                     index.setdefault((True, label), []).append((v, e, far, outcome, beside(far, e)))
                     leaving.append((v, e, far, fresh[label], beside(v, e)))
@@ -336,7 +336,7 @@ class _Pricer:
                     tokens: list = []
                     _ball(side.graph.labels, slots, root, depth - vertex, -1, tokens)
                     balls[root] = "".join([chr(ids.setdefault(t, len(ids))) for t in tokens])
-                code = chr([e for e, _, _ in slots[root]].index(e2)) + balls[root]
+                code = chr([e for e, *_ in slots[root]].index(e2)) + balls[root]
                 listed.append(interned.setdefault(code, code))
         return listed
 
@@ -355,7 +355,7 @@ class _Pricer:
         # arrival edge closed before this step, so it is a known slot of
         # far1, bound as the way back: from depth 2 a search adds to the
         # score only where another of far1's known slots can pair.
-        known = {name for e, _, name in target.slots[far1] if e != e1} if depth > 1 else set()
+        known = {name for e, _, name, _ in target.slots[far1] if e != e1} if depth > 1 else set()
         codes = self.keys(side, True, label) if known else itertools.count()
         classes, results = self.classes, []
         for (_, e2, far2, predicted, beside), code in zip(
@@ -383,7 +383,7 @@ class _Pricer:
         # The source's own pair scores 1; a search adds what its known edges
         # match, and where none can pair it binds no far end, so the step
         # stays fresh.
-        known = {name for *_, name in target.slots[source]} if depth > 0 else set()
+        known = {name for _, _, name, _ in target.slots[source]} if depth > 0 else set()
         codes = self.keys(side, False, label) if known else itertools.count()
         classes, results = self.classes, []
         for (v2, e2, far2, fresh, beside), code in zip(

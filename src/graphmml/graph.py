@@ -17,7 +17,15 @@ from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 
 class GraphError(ValueError):
-    """Invalid graph construction or use."""
+    """Invalid graph construction or use.
+
+    `edge` is the position in the edge list of the edge at fault, where
+    one is.
+    """
+
+    def __init__(self, message: str, edge: int | None = None):
+        super().__init__(message)
+        self.edge = edge
 
 
 class SelfLoopError(GraphError):
@@ -93,12 +101,12 @@ def build_graph(directed: bool, labels: Sequence, edges: Iterable[tuple]) -> Gra
             # Named by its position: an id of any size is refused, and one of
             # thousands of digits would not print.
             raise VertexRangeError(f"edge {len(edge_list)} of the list references a vertex "
-                                   f"outside 0..{n - 1}")
+                                   f"outside 0..{n - 1}", len(edge_list))
         if u == v:
-            raise SelfLoopError(f"self-loop at vertex {u}")
+            raise SelfLoopError(f"self-loop at vertex {u}", len(edge_list))
         key = (u, v) if directed else (min(u, v), max(u, v))
         if key in seen:
-            raise DuplicateEdgeError(f"duplicate edge between {u} and {v}")
+            raise DuplicateEdgeError(f"duplicate edge between {u} and {v}", len(edge_list))
         seen.add(key)
         eid = len(edge_list)
         edge_list.append(Edge(u, v, label))

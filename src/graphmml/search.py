@@ -10,6 +10,14 @@ step outcomes: the pricing layer in graphmml.context keeps its own
 candidate index and class codes per background, and only _Matcher.search
 crosses between the two: it returns a search's score and the one binding
 its caller reads, and leaves nothing bound.
+
+The search prunes with shares: a share bounds what pairing one slot, an
+edge seen from one end, can add within a depth, by counting the walks
+from it that never turn straight back (see _Side).  A search frame at a
+background vertex also carries a limit, the shares of that vertex's
+edges that no slot has paired there yet, which its slots together cannot
+exceed (see _Matcher).  Both are exact upper bounds, so they prune
+without changing a score or a binding.
 """
 
 from __future__ import annotations
@@ -22,81 +30,98 @@ from .graph import Graph
 class _Side:
     """Matcher data for one graph, over all its edges or only the known ones.
 
-    slots[v] lists v's known edges in adjacency order as (edge, far end,
-    label).  For each d up to the side's depth, len(bounds) - 1,
-    bounds[d][v] is an upper bound on a depth-d match score rooted at v,
-    and caps[d][v][i] one on what slots[v][i:] can still add to it.
-    add() keeps all three current as edges become known.  A side over
-    all its edges is a background, which the matcher also looks up by
-    label: buckets[v] groups slots[v] by label as (edge, far end) pairs
-    in the same order.  A side over known edges has no buckets.
-    deepen() adds levels to bounds and caps in place, so a matcher that
-    holds the two lists reads the new levels too.
+    A slot is an edge as seen from one end, v -> far.  Its id is twice
+    the edge's id, plus 1 when v is the edge's second end, so slot ^ 1
+    is the same edge seen from far.  slots[v] lists v's known slots in
+    adjacency order as (edge, far end, label, slot id).
+
+    For each d up to the side's depth, len(caps) - 1, shares[d][slot] is
+    a share: an upper bound on what pairing the slot adds to a depth-d
+    match whose search has bound v.  That is the edge, its far end and
+    what far's other slots add at depth d - 1: the way back to v is
+    bound, so it adds nothing.  A share thus counts only walks that
+    never turn straight back.  shares[1] are all 2, and from there
+
+        shares[d][v -> far] = 1 + bound(d - 1, far) - shares[d - 1][far -> v]
+
+    where bound(d, v), 1 plus the sum of v's shares at level d, is an
+    upper bound on a depth-d match rooted at v.  caps[d][v][i] is the
+    sum of the shares of slots[v][i:], so bound(d, v) is
+    1 + caps[d][v][0].  A depth-0 match follows no edges: level 0 has
+    every share 0 and every caps[0][v] (0,).  add() keeps all three
+    current as edges become known.
+
+    A side over all its edges is a background, which the matcher also
+    looks up by label: buckets[v] groups slots[v] by label as (edge, far
+    end, slot id) in the same order.  A side over known edges has no
+    buckets.  deepen() adds levels to shares and caps in place, so a
+    matcher that holds the two lists reads the new levels too.
     """
 
-    __slots__ = ("graph", "known", "slots", "buckets", "bounds", "caps")
+    __slots__ = ("graph", "known", "slots", "buckets", "shares", "caps")
 
     def __init__(self, g: Graph, depth: int, known: Container[int] | None = None):
         n = g.vertex_count
         self.graph = g
         self.known = [known is None or e in known for e in range(g.edge_count)]
-        self.slots: list[tuple[tuple[int, int, Any], ...]] = [()] * n
+        self.slots: list[tuple[tuple[int, int, Any, int], ...]] = [()] * n
         for v in range(n):
             self._reslot(v)
-        self.buckets: list[dict[Any, list[tuple[int, int]]]] | None = None
+        self.buckets: list[dict[Any, list[tuple[int, int, int]]]] | None = None
         if known is None:
             self.buckets = [{} for _ in range(n)]
             for buckets, here in zip(self.buckets, self.slots):
-                for e, far, label in here:
-                    buckets.setdefault(label, []).append((e, far))
-        self.bounds = [[1] * n]
-        # caps[0] is never read: a depth-0 match follows no edges.
-        self.caps: list = [None]
+                for e, far, label, slot in here:
+                    buckets.setdefault(label, []).append((e, far, slot))
+        self.shares = [[0] * (2 * g.edge_count)]
+        self.caps: list = [[(0,)] * n]
         self.deepen(depth)
 
     def deepen(self, depth: int) -> None:
-        """Add the levels of bounds and caps up to depth, if they are not
+        """Add the levels of shares and caps up to depth, if they are not
         there yet.  Level d reads only level d - 1, so they are the levels
         of a side built at depth."""
         n = self.graph.vertex_count
-        for d in range(len(self.bounds), depth + 1):
-            self.bounds.append([1] * n)
+        for d in range(len(self.caps), depth + 1):
+            self.shares.append([0] * (2 * self.graph.edge_count))
             self.caps.append([None] * n)
             self._refresh(d, range(n))
 
     def _reslot(self, v: int) -> None:
-        known = self.known
-        self.slots[v] = tuple(
-            (s.edge, s.head, s.label) for s in self.graph.adjacency[v] if known[s.edge])
+        known, edges = self.known, self.graph.edges
+        self.slots[v] = tuple((s.edge, s.head, s.label, 2 * s.edge + (edges[s.edge][0] != v))
+                              for s in self.graph.adjacency[v] if known[s.edge])
 
     def _refresh(self, d: int, vertices: Iterable[int]) -> None:
-        """Recompute level d of bounds and caps at the vertices."""
-        slots = self.slots
-        below, level, caps = self.bounds[d - 1], self.bounds[d], self.caps[d]
+        """Recompute level d of shares and caps at the vertices' slots."""
+        slots, shares, caps = self.slots, self.shares[d], self.caps[d]
+        below, back = self.caps[d - 1], self.shares[d - 1]
         for v in vertices:
             here = slots[v]
             cap = [0] * (len(here) + 1)
             for i in range(len(here) - 1, -1, -1):
-                cap[i] = cap[i + 1] + 1 + below[here[i][1]]
+                _, far, _, slot = here[i]
+                # 1 + bound(d - 1, far) - the way back's share.
+                share = shares[slot] = 2 + below[far][0] - back[slot ^ 1]
+                cap[i] = cap[i + 1] + share
             caps[v] = cap
-            level[v] = 1 + cap[0]
 
     def add(self, edge: int) -> None:
         """Make edge known.
 
-        Its two ends get new slots, so their level-d bounds change, and
-        through them those of every vertex within d - 1 of either end:
-        level d is refreshed on that ball only.
+        Its two ends get new slots, so their level-d shares and caps
+        change, and through them those of every vertex within d - 1 of
+        either end: level d is refreshed on that ball only.
         """
         u, w, _ = self.graph.edges[edge]
         self.known[edge] = True
         self._reslot(u)
         self._reslot(w)
         ball = frontier = {u, w}
-        for d in range(1, len(self.bounds)):
+        for d in range(1, len(self.caps)):
             self._refresh(d, ball)
-            if d + 1 < len(self.bounds):
-                frontier = {far for v in frontier for _, far, _ in self.slots[v]} - ball
+            if d + 1 < len(self.caps):
+                frontier = {far for v in frontier for _, far, _, _ in self.slots[v]} - ball
                 ball = ball | frontier
 
 
@@ -113,15 +138,19 @@ class _Matcher:
     tables are shared, not copied, so a matcher serves every step as the
     target side learns edges.
 
-    The search prunes with upper bounds only, and the bounds account for
-    the bindings made so far: a far end that cannot pair adds only its
-    edge, and a vertex reached over an edge gets nothing back from that
-    edge.  A winning value is the size of a real correspondence, the
-    number of bindings it makes, so an alternative whose bound is at most
-    the best value so far, or below the least value the caller can still
-    use, cannot be the strictly better one and is never tried.  The
-    winner is still the first alternative to reach the best value, so its
-    bindings and every score are those of the unpruned search.
+    The search prunes with upper bounds only, the sides' shares (see
+    _Side), and they account for the bindings made so far.  A frame that
+    pairs v1's slots with v2's edges can add no more than the shares of
+    v1's slots left, less that of the bound way back, nor more than its
+    limit: the shares of v2's edges that no slot has paired at v2, less
+    that of the way back on that side.  Pairing a slot with an edge adds
+    no more than either one's share, and a far end that cannot pair adds
+    only the edge.  A winning value is the size of a real correspondence,
+    the number of bindings it makes, so an alternative whose bound is at
+    most the best value so far, or below the least value the caller can
+    still use, cannot be the strictly better one and is never tried.
+    The winner is still the first alternative to reach the best value,
+    so its bindings and every score are those of the unpruned search.
 
     _assign is the one search core, and search the one way into it from
     outside this module: it binds a candidate's first edge and vertex
@@ -132,18 +161,22 @@ class _Matcher:
     """
 
     __slots__ = (
-        "labels1", "slots1", "bounds1", "caps1", "labels2", "buckets2", "bounds2",
+        "edges1", "labels1", "slots1", "shares1", "caps1",
+        "edges2", "labels2", "buckets2", "shares2", "caps2",
         "vmap", "vinv", "emap", "einv", "journal",
     )
 
     def __init__(self, side1: _Side, side2: _Side):
+        self.edges1 = side1.graph.edges
         self.labels1 = side1.graph.labels
         self.slots1 = side1.slots
-        self.bounds1 = side1.bounds
+        self.shares1 = side1.shares
         self.caps1 = side1.caps
+        self.edges2 = side2.graph.edges
         self.labels2 = side2.graph.labels
         self.buckets2 = side2.buckets
-        self.bounds2 = side2.bounds
+        self.shares2 = side2.shares
+        self.caps2 = side2.caps
         self.vmap = [-1] * side1.graph.vertex_count
         self.vinv = [-1] * side2.graph.vertex_count
         self.emap = [-1] * side1.graph.edge_count
@@ -172,9 +205,11 @@ class _Matcher:
         binding is then rolled back, so each search starts from nothing
         bound.
 
-        v1 has a known slot.  With came_from >= 0, e1 is v1's known slot
-        back to came_from, bound here, so it can add nothing: its share of
-        the caps comes off.
+        v1 has a known slot, and e2 is one of v2's slots: bound here, it
+        adds nothing, so the search's limit starts at the shares of v2's
+        other slots.  With came_from >= 0, e1 is v1's known slot back to
+        came_from, bound here too, so its share of the caps comes off.
+        An edge's slot from one of its ends is read off its ends.
         """
         self.emap[e1] = e2
         self.einv[e2] = e1
@@ -182,8 +217,11 @@ class _Matcher:
         self.vinv[v2] = v1
         self.journal.append((~e1, e2))
         self.journal.append((v1, v2))
-        share, back = (1 + self.bounds1[depth - 1][came_from], e1) if came_from >= 0 else (0, -1)
-        score = self._assign(v1, 0, v2, depth, self.caps1[depth][v1], share, back, 0)
+        share, back = 0, -1
+        if came_from >= 0:
+            share, back = self.shares1[depth][2 * e1 + (self.edges1[e1][0] != v1)], e1
+        limit = self.caps2[depth][v2][0] - self.shares2[depth][2 * e2 + (self.edges2[e2][0] != v2)]
+        score = self._assign(v1, 0, v2, depth, self.caps1[depth][v1], share, back, 0, limit)
         bound = self.vinv[watch] if watch >= 0 else -1
         self._rollback(0)
         return score, bound
@@ -199,7 +237,7 @@ class _Matcher:
         self.journal.extend(segment)
 
     def _assign(self, v1: int, i: int, v2: int, depth: int, caps: list[int],
-                share: int, back: int, need: int) -> int:
+                share: int, back: int, need: int, limit: int) -> int:
         """Best total over injective assignments of v1's slots[i:] to v2's edges.
 
         Each known edge either pairs with an unused background edge of its
@@ -212,12 +250,13 @@ class _Matcher:
         applied.  i is below the slot count.  When share is not 0, the bound
         edge back is one of slots[i:], the way back to the vertex the search
         came from, and can add nothing: share, its part of caps, comes off
-        every cap up to its slot.
+        every cap up to its slot.  limit is the sum of the shares of v2's
+        edges that neither the way back nor an earlier slot of v1 holds.
         """
         slots = self.slots1[v1]
         emap = self.emap
         buckets = self.buckets2[v2]
-        e1, far1, label1 = slots[i]
+        e1, far1, label1, s1 = slots[i]
         # A bound edge pairs with nothing, and an edge of a label v2 lacks
         # pairs with nothing either: leave it out.
         while emap[e1] >= 0 or label1 not in buckets:
@@ -226,11 +265,13 @@ class _Matcher:
             i += 1
             if i == len(slots):
                 return 0
-            e1, far1, label1 = slots[i]
+            e1, far1, label1, s1 = slots[i]
         # Slot i is unbound, so back, if share still counts, lies beyond it.
         # rest is 0 when nothing but the way back follows slot i: every
-        # other slot adds at least 2 to the caps.
+        # other slot's share is at least 2.
         cap = caps[i] - share
+        if cap > limit:
+            cap = limit
         rest = caps[i + 1] - share
         journal = self.journal
         mark = len(journal)
@@ -239,15 +280,14 @@ class _Matcher:
         segment: list = []
         labels2, vmap, vinv, einv = self.labels2, self.vmap, self.vinv, self.einv
         label_far1 = self.labels1[far1]
-        bounds2 = self.bounds2[depth - 1]
+        shares2 = self.shares2[depth]
         # Paired, far1 and its match each have their slot for the pair
-        # bound, the way back, so neither bound counts it.
+        # bound, the way back, so neither share counts it.
         if depth > 1:
-            back1 = 1 + self.bounds1[depth - 2][v1]
-            back2 = 1 + self.bounds2[depth - 2][v2]
-            reach1 = self.bounds1[depth - 1][far1] - back1
+            back1 = self.shares1[depth - 1][s1 ^ 1]
+            reach1 = self.shares1[depth][s1] - 1
             far_caps = self.caps1[depth - 1][far1]
-        for e2, far2 in buckets[label1]:
+        for e2, far2, s2 in buckets[label1]:
             if best >= cap:
                 break  # nothing after this point can improve on best
             if live:
@@ -258,15 +298,20 @@ class _Matcher:
                 continue
             # A far end that cannot pair adds nothing beyond the edge.
             dead = label_far1 != labels2[far2] or vmap[far1] >= 0 or vinv[far2] >= 0
+            share2 = shares2[s2]
             if dead:
                 reach = 0
             elif depth > 1:
-                reach = bounds2[far2] - back2
+                reach = share2 - 1
                 if reach > reach1:
                     reach = reach1
             else:
                 reach = 1
-            if best >= 1 + reach + rest:
+            # What the later slots can add, from v2's edges other than e2.
+            after = limit - share2
+            if after > rest:
+                after = rest
+            if best >= 1 + reach + after:
                 continue  # this pairing cannot improve on best
             emap[e1] = e2
             einv[e2] = e1
@@ -279,24 +324,28 @@ class _Matcher:
                 total = 2
                 if reach > 1:
                     total += self._assign(far1, 0, far2, depth - 1, far_caps, back1, e1,
-                                          best + 1 - total - rest)
-                    if total + rest <= best:  # the rest cannot make up the shortfall
+                                          best + 1 - total - after, share2 - 2)
+                    if total + after <= best:  # the rest cannot make up the shortfall
                         self._rollback(mark)
                         continue
-            if rest:
-                total += self._assign(v1, i + 1, v2, depth, caps, share, back, best + 1 - total)
+            if after > 0:
+                total += self._assign(v1, i + 1, v2, depth, caps, share, back, best + 1 - total,
+                                      limit - share2)
             if total > best:
                 best = total
                 live = True
             else:
                 self._rollback(mark)
+        if rest > limit:
+            rest = limit
         if best < rest:  # leaving the slot out can still win
             if best < need:
-                return self._assign(v1, i + 1, v2, depth, caps, share, back, need) if rest else 0
+                return self._assign(v1, i + 1, v2, depth, caps, share, back, need,
+                                    limit) if rest else 0
             if live:
                 segment = journal[mark:]
                 self._rollback(mark)
-            total = self._assign(v1, i + 1, v2, depth, caps, share, back, best + 1)
+            total = self._assign(v1, i + 1, v2, depth, caps, share, back, best + 1, limit)
             if total > best:
                 return total
             self._rollback(mark)
@@ -332,7 +381,7 @@ def _ball(labels: Sequence, slots: Sequence, root: int, radius: int, hidden: int
         for v in order[start:end]:
             here = slots[v]
             key += (_HIDDEN if v == hidden else labels[v], len(here))
-            for _, far, label in here:
+            for _, far, label, _ in here:
                 n = number.get(far)
                 if n is None:
                     n = number[far] = len(order)

@@ -393,8 +393,8 @@ class TestOrderingCommand:
             counted.append(g.vertex_count)
             return count(g)
 
+        # ordering imports the count from graphmml.codes when it runs.
         monkeypatch.setattr(graphmml.codes, "automorphism_count", counting)
-        monkeypatch.setattr(graphmml.cli, "automorphism_count", counting)
         code, out, _ = run(["ordering", *paths, "--format", "tsv"], capsys)
         assert code == 0 and counted == [g.vertex_count for g in graphs]
         assert [row.split("\t")[2] for row in out.splitlines()[1:]] == surplus
@@ -624,6 +624,17 @@ class TestExitCodes:
         # No header means molecule records, and "v 0 a" is no molecule.
         assert run(["info", headerless], capsys)[0] == 2
 
+    @pytest.mark.parametrize("header, edges, fault", [
+        ("undirected", "e 0 1 x\n# a comment\ne 2 2 x\n", "7: self-loop at vertex 2"),
+        ("undirected", "e 0 1 x\ne 1 2 x\n\ne 1 0 y\n", "8: duplicate edge between 1 and 0"),
+        # A directed file tells the two orientations apart.
+        ("directed", "e 0 1 x\ne 1 0 x\n\ne 0 1 y\n", "8: duplicate edge between 0 and 1"),
+    ], ids=["self-loop", "repeated", "repeated directed"])
+    def test_an_edge_list_fault_names_its_line(self, header, edges, fault, capsys, tmp_path):
+        bad = tmp_path / "bad.graph"
+        bad.write_text(f"{header}\nv 0 a\nv 1 a\nv 2 a\n" + edges)
+        assert run(["info", bad], capsys) == (2, "", f"graphmml: {bad}:{fault}\n")
+
     def test_usage_error(self, files, capsys):
         with pytest.raises(SystemExit) as exc:
             main(["info"])
@@ -841,6 +852,17 @@ def test_import_loads_no_process_pool():
     proc = python_with_src("-c", "import sys, graphmml.cli; " + PRINT_POOL_MODULES)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+def test_info_loads_no_tree_codecs(tmp_path):
+    # Only tree and ordering read graphmml.codes, so pricing never compiles it.
+    one = tmp_path / "one.txt"
+    one.write_text("benzene c1ccccc1\n")
+    proc = python_with_src(
+        "-c", "import sys, graphmml.cli; graphmml.cli.main(sys.argv[1:]); "
+        "print('graphmml.codes' in sys.modules)", "info", str(one), "--given", str(one))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "False"
 
 
 def test_one_cell_table_loads_no_process_pool(tmp_path):

@@ -2,11 +2,14 @@
 the command line, up to the readers' limits: digit runs longer than int()
 reads, branches nested thousands deep, a byte-order mark or a byte that is
 not UTF-8, and depths of 0, 1 and 10**9.  Every run ends in a documented
-exit code, never an uncaught exception, and valid tree text survives a
+exit code, never an uncaught exception; a failed run says why in one line
+that names the file and line at fault; and valid tree text survives a
 round trip."""
 
 import contextlib
 import io
+import os
+import re
 from pathlib import Path
 
 import pytest
@@ -42,15 +45,51 @@ chain = st.builds(
 smiles = st.one_of(chain, noise)
 
 
+def _run(argv):
+    """The exit code and stderr of one command."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = main(argv)
+    return code, err.getvalue()
+
+
+# Faults that no one line holds: a file of the wrong kind or with nothing
+# to read, or bytes that are not UTF-8, placed by their byte offset.
+WHOLE_FILE = ("already an edge-list file", "empty edge-list file", "no molecule records found",
+              "not UTF-8 text")
+
+
+def _assert_documented(argv, case):
+    """The command exits 0, 2, 3 or 4 and prints no traceback.  A non-zero
+    exit writes one stderr line, starting 'graphmml: ', and an exit 2
+    starts its message with what is at fault: an option, or an input file
+    and, unless the fault is the whole file's, the line it sits on.
+    Returns stderr."""
+    code, err = _run(argv)
+    assert code in (EXIT_OK, EXIT_FORMAT, EXIT_VALENCE, EXIT_SIZE), (argv, case)
+    assert "Traceback" not in err, (argv, case)
+    if code != EXIT_OK:
+        assert err.startswith("graphmml: ") and err.count("\n") == 1 and err.endswith("\n"), (
+            argv, case, err)
+    if code == EXIT_FORMAT:
+        message = err[len("graphmml: "):]
+        options = [a for a in argv if a.startswith("--") and message.startswith(a)]
+        files = [a for a in argv if os.path.isfile(a) and message.startswith(f"{a}:")]
+        assert options or files, (argv, case, err)
+        if files:
+            where = message[len(files[0]) + 1:]
+            assert re.match(r"\d+[: ]", where) or where.lstrip().startswith(WHOLE_FILE), (
+                argv, case, err)
+    return err
+
+
 @settings(max_examples=200, deadline=None, derandomize=True)
 @given(molecules=st.lists(smiles, min_size=1, max_size=3))
 def test_cli_exits_with_a_documented_code(tmp_path_factory, molecules):
     path = tmp_path_factory.mktemp("fuzz") / "molecules.txt"
     path.write_text("".join(f"m{i} {text}\n" for i, text in enumerate(molecules)))
     for command in ("info", "table", "chain", "parse"):
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main([command, str(path)])
-        assert code in (EXIT_OK, EXIT_FORMAT, EXIT_VALENCE, EXIT_SIZE), (command, molecules)
+        _assert_documented([command, str(path)], molecules)
 
 
 @st.composite
@@ -89,9 +128,7 @@ def test_cli_exits_with_a_documented_code_on_edge_lists(tmp_path_factory, text):
     Path(path).write_text(text)
     for args in (["info", path], ["info", path, "--given", path], ["table", path],
                  ["chain", path]):
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
-            code = main(args)
-        assert code in (EXIT_OK, EXIT_FORMAT, EXIT_VALENCE, EXIT_SIZE), (args, text)
+        _assert_documented(args, text)
 
 
 # A run of more digits than int() reads at once, its first digit drawn
@@ -134,17 +171,16 @@ def test_long_digit_runs_exit_with_a_documented_code(tmp_path_factory, case):
             value = str(folder / "limits.cfg")
         argv += [option, value]
     for command in ("info", "parse", "table"):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = main([command, str(path), *argv])
-        assert code in (EXIT_OK, EXIT_FORMAT, EXIT_VALENCE, EXIT_SIZE), (command, case)
-        assert "Traceback" not in err.getvalue() and "set_int_max_str_digits" not in err.getvalue()
+        err = _assert_documented([command, str(path), *argv], case)
+        assert "set_int_max_str_digits" not in err
 
 
 def _tree_command(argv):
-    out = io.StringIO()
-    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(io.StringIO()):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
         code = main(argv)
+    if code != EXIT_OK:
+        assert err.getvalue().startswith("graphmml: ") and err.getvalue().count("\n") == 1
     return code, out.getvalue()
 
 
@@ -180,20 +216,6 @@ def test_valid_tree_text_round_trips(kind_and_text):
     if kind == "strict":  # strict text lists its codeword's letters in order
         assert word == "".join(c for c in text if c in "LF")
     assert _tree_command(["tree", "decode", kind, word]) == (EXIT_OK, text + "\n")
-
-
-def _run(argv):
-    """The exit code and stderr of one command."""
-    err = io.StringIO()
-    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-        code = main(argv)
-    return code, err.getvalue()
-
-
-def _assert_documented(argv, case):
-    code, err = _run(argv)
-    assert code in (EXIT_OK, EXIT_FORMAT, EXIT_VALENCE, EXIT_SIZE), (argv, case)
-    assert "Traceback" not in err, (argv, case)
 
 
 @st.composite

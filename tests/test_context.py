@@ -61,7 +61,8 @@ LOG2_3 = math.log2(3.0)
 
 def search_vertex(matcher, v1, v2, depth, back=-1):
     """Pair two vertices and match their edges through the matcher's one
-    search core, _assign; back is a bound edge the search arrived by, or -1."""
+    search core, _assign; back is a bound edge the search arrived by, or -1.
+    The search's limit is the sum of the shares of v2's unbound edges."""
     if matcher.labels1[v1] != matcher.labels2[v2]:
         return 0
     # Already-corresponded vertices were counted when first bound; a
@@ -76,8 +77,11 @@ def search_vertex(matcher, v1, v2, depth, back=-1):
         return 1
     share = 0  # back's part of v1's caps, if back is one of v1's known edges
     if back >= 0:
-        share = next((1 + matcher.bounds1[depth - 1][far] for e, far, _ in slots if e == back), 0)
-    return 1 + matcher._assign(v1, 0, v2, depth, matcher.caps1[depth][v1], share, back, 0)
+        share = next((matcher.shares1[depth][s] for e, _, _, s in slots if e == back), 0)
+    limit = sum(matcher.shares2[depth][s] for bucket in matcher.buckets2[v2].values()
+                for e, _, s in bucket if matcher.einv[e] < 0)
+    return 1 + matcher._assign(v1, 0, v2, depth, matcher.caps1[depth][v1], share, back, 0,
+                               limit)
 
 
 def search_edge(matcher, e1, far1, e2, far2, depth):
@@ -406,6 +410,58 @@ class TestMatcherPruning:
         assert result.total == pytest.approx(152.31725663244262, abs=1e-9)
 
 
+def one_label(n, edges):
+    """n vertices labelled a, joined by the edges, each labelled b."""
+    return build_graph(False, ["a"] * n, [(u, v, "b") for u, v in edges])
+
+
+def ladder_of_rungs(rungs):
+    """Rung i joins 2i and 2i + 1, and the rails run on from each, rung by rung."""
+    edges = []
+    for i in range(rungs):
+        edges.append((2 * i, 2 * i + 1))
+        if i + 1 < rungs:
+            edges += [(2 * i, 2 * i + 2), (2 * i + 1, 2 * i + 3)]
+    return one_label(2 * rungs, edges)
+
+
+def grid_by_cells(rows, cols):
+    """Each cell's edge to the right, then its edge down, cell by cell."""
+    edges = []
+    for v in range(rows * cols):
+        if (v + 1) % cols:
+            edges.append((v, v + 1))
+        if v + cols < rows * cols:
+            edges.append((v, v + cols))
+    return one_label(rows * cols, edges)
+
+
+# The graph given itself, its label's degree limit, the depth and the
+# bits, as the search priced them before its bounds were shares.
+DEEP_CASES = [
+    ("40-vertex chain", one_label(40, [(i, i + 1) for i in range(39)]), 2, 40,
+     10.335840329760991),
+    ("20-rung ladder", ladder_of_rungs(20), 3, 6, 49.74285396603958),
+    ("6x6 grid", grid_by_cells(6, 6), 4, 3, 123.51871786823483),
+]
+
+
+class TestShares:
+    @pytest.mark.parametrize("case", DEEP_CASES, ids=lambda case: case[0])
+    def test_deep_and_symmetric_searches_keep_their_bits(self, case):
+        # Where the shares prune most: each step's ball is the whole known
+        # prefix of the chain, and the lattices are full of tied alternatives.
+        _, g, degree, depth, bits = case
+        assert information_content(g, [g], {"a": degree}, depth).total == bits
+
+    def test_no_bound_on_a_chain_exceeds_its_size(self):
+        # A share counts only walks that never turn straight back, so on a
+        # chain no level's bound exceeds its 150 vertices plus 149 edges.
+        chain = one_label(150, [(i, i + 1) for i in range(149)])
+        side = graphmml.search._Side(chain, 150)
+        assert max(1 + cap[0] for level in side.caps for cap in level) == 2 * 150 - 1
+
+
 class TestMatcherSearch:
     def test_every_step_leaves_each_matcher_unbound(self, monkeypatch):
         # search rolls back every binding it makes, so every step's
@@ -439,18 +495,18 @@ class TestMatcherSearch:
 
 class TestSideIndexes:
     def test_a_side_deepened_in_place_equals_one_built_at_that_depth(self):
-        # Matchers hold the side's bounds and caps lists, so deepening adds
+        # Matchers hold the side's shares and caps lists, so deepening adds
         # to those same lists, and never takes a level away.
         for g in [*DRUGS, make_k33(), relabelled(grid(4, 4), 0.35, 11)]:
             for known in (None, set(range(0, g.edge_count, 2))):
                 side = graphmml.search._Side(g, 1, known)
-                bounds, caps = side.bounds, side.caps
+                shares, caps = side.shares, side.caps
                 side.deepen(4)
                 built = graphmml.search._Side(g, 4, known)
-                assert side.bounds is bounds and side.caps is caps
-                assert (bounds, caps) == (built.bounds, built.caps)
+                assert side.shares is shares and side.caps is caps
+                assert (shares, caps) == (built.shares, built.caps)
                 side.deepen(2)
-                assert (bounds, caps) == (built.bounds, built.caps)
+                assert (shares, caps) == (built.shares, built.caps)
 
 
 class TestLibraryIndex:
@@ -713,8 +769,8 @@ def rebuilt_every_step(step, depth, calls):
         closed = {e for e in range(g.edge_count) if state.is_closed(e)}
         fresh = graphmml.search._Side(g, depth, closed)
         kept = pricer.target
-        assert (kept.slots, kept.bounds, kept.caps) == (fresh.slots, fresh.bounds, fresh.caps)
-        assert all(m.slots1 is kept.slots and m.bounds1 is kept.bounds and m.caps1 is kept.caps
+        assert (kept.slots, kept.shares, kept.caps) == (fresh.slots, fresh.shares, fresh.caps)
+        assert all(m.slots1 is kept.slots and m.shares1 is kept.shares and m.caps1 is kept.caps
                    for m in pricer.matchers)
         matches = step_matches((vertex_matches, edge_matches), pricer, state, event)
         rebuilt = match_sums(matches, outcome, len(pricer.sides))
@@ -946,7 +1002,7 @@ def check_classes(monkeypatch):
             return got
         side, matcher, depth = self.sides[bi], self.matchers[bi], self.depth
         e1, far1, label = incoming.edge, incoming.head, incoming.label
-        known = {name for e, _, name in self.target.slots[far1] if e != e1}
+        known = {name for e, _, name, _ in self.target.slots[far1] if e != e1}
         for (_, e2, far2, predicted, beside), code, result in zip(
                 self.library.candidates(side, True, label), self.keys(side, True, label), got,
                 strict=True):
@@ -962,7 +1018,7 @@ def check_classes(monkeypatch):
         if self.depth > 0 and self.target.slots[source]:
             side, matcher, depth = self.sides[bi], self.matchers[bi], self.depth
             label = self.target.graph.labels[source]
-            known = {name for *_, name in self.target.slots[source]}
+            known = {name for _, _, name, _ in self.target.slots[source]}
             for (v2, e2, far2, fresh, beside), code, result in zip(
                     self.library.candidates(side, False, label), self.keys(side, False, label),
                     got, strict=True):
@@ -1039,14 +1095,16 @@ class TestClassSharing:
         monkeypatch.setattr(graphmml.search._Matcher, "_assign", counting_assign)
         named, degrees = list(zip(DRUG_SMILES, DRUGS)), tight_degrees(DRUGS)
         table = conditional_table(named, degrees, 3)
-        # Searching every candidate, the table made 14,303 calls.
-        assert calls == {"search": 7_768, "assign": 28_352}
+        # Searching every candidate, the table made 14,303 calls; bounded by
+        # ball sizes less the first way back, its searches made 28,352 frames.
+        assert calls == {"search": 7_768, "assign": 24_229}
         assert table.bits[1] == (
             154.4143645828676, 127.48554812431253, 155.58950783379876, 162.48333295005332)
         calls.clear()
         chain = chain_information(named, degrees, 3)
-        # Searching every candidate, the chain made 4,992 calls.
-        assert calls == {"search": 2_838, "assign": 9_521}
+        # Searching every candidate, the chain made 4,992 calls; bounded by
+        # ball sizes less the first way back, its searches made 9,521 frames.
+        assert calls == {"search": 2_838, "assign": 8_423}
         assert chain.total == 565.8211092723557
 
 
@@ -1547,8 +1605,8 @@ class TestTableAndChain:
         deepen = graphmml.search._Side.deepen
 
         def recording_deepen(side, depth):
-            if len(side.bounds) > 1 and depth >= len(side.bounds):
-                deepened.append((side.graph, len(side.bounds) - 1, depth))
+            if len(side.caps) > 1 and depth >= len(side.caps):
+                deepened.append((side.graph, len(side.caps) - 1, depth))
             deepen(side, depth)
 
         monkeypatch.setattr(graphmml.search._Side, "deepen", recording_deepen)
@@ -1707,7 +1765,7 @@ class TestLayers:
         assert names.isdisjoint({"VertexOutcome", "EdgeOutcome"})
 
     def test_a_side_holds_only_what_the_matcher_reads(self, k33):
-        fields = ("graph", "known", "slots", "buckets", "bounds", "caps")
+        fields = ("graph", "known", "slots", "buckets", "shares", "caps")
         assert graphmml.search._Side.__slots__ == fields
         background, target = graphmml.search._Side(k33, 3), graphmml.search._Side(k33, 3, ())
         for name in ("arrivals", "leaving", "roots", "keys"):

@@ -53,12 +53,15 @@ class TestBuildGraph:
         assert g.degree(0) == 1 and g.degree(1) == 0
 
     def test_self_loop_rejected(self):
-        with pytest.raises(SelfLoopError):
+        with pytest.raises(SelfLoopError) as exc:
             build_graph(False, ["a"], [(0, 0, "x")])
+        assert exc.value.edge == 0
 
     def test_duplicate_rejected_either_orientation(self):
-        with pytest.raises(DuplicateEdgeError):
+        # The error names the repeated edge by its position in the list.
+        with pytest.raises(DuplicateEdgeError) as exc:
             build_graph(False, ["a", "b"], [(0, 1, "x"), (1, 0, "y")])
+        assert exc.value.edge == 1
         # Directed graphs tell the two orientations apart.
         g = build_graph(True, ["a", "b"], [(0, 1, "x"), (1, 0, "y")])
         assert g.edge_count == 2
