@@ -19,7 +19,6 @@ from __future__ import annotations
 
 import argparse
 import functools
-import math
 import sys
 from pathlib import Path
 from typing import Any, Iterable, Sequence
@@ -56,17 +55,13 @@ def _meaningful_lines(text: str):
 
 
 def _load_edge_list(text: str, path: str) -> Graph:
-    directed: bool | None = None
+    """The graph of an edge list, whose first meaningful line _read_input
+    has seen to be 'undirected' or 'directed'."""
+    lines = _meaningful_lines(text)
+    directed = next(lines)[1] == "directed"
     labels: dict[int, str] = {}
     edges: list[tuple[int, int, str]] = []
-    for lineno, line in _meaningful_lines(text):
-        if directed is None:
-            if line not in ("undirected", "directed"):
-                raise FileFormatError(
-                    f"{path}:{lineno}: expected header 'undirected' or 'directed'"
-                )
-            directed = line == "directed"
-            continue
+    for lineno, line in lines:
         parts = line.split()
         try:
             if parts[0] == "v" and len(parts) == 3:
@@ -84,8 +79,6 @@ def _load_edge_list(text: str, path: str) -> Graph:
             if isinstance(exc, FileFormatError):
                 raise
             raise FileFormatError(f"{path}:{lineno}: vertex id {exc}") from exc
-    if directed is None:
-        raise FileFormatError(f"{path}: empty edge-list file")
     # The n declared ids are distinct, so they are 0..n-1 unless one is n
     # or more, and an edge's ends are among them unless one is.  The first
     # line with such an id is named, and the id, which may be too long to
@@ -385,7 +378,7 @@ def cmd_tree(args) -> int:
 
 
 def cmd_ordering(args) -> int:
-    from .codes import SizeLimitError, automorphism_count
+    from .codes import SizeLimitError, _surplus_bits, automorphism_count
 
     named, _, _ = _load_inputs(args)
     rows = [["name", "automorphisms", "surplus_bits"]]
@@ -397,8 +390,7 @@ def cmd_ordering(args) -> int:
             return EXIT_SIZE
         # ordering_surplus_bits(g), from the count already made: counting is
         # the slow part.
-        surplus = math.log2(math.factorial(g.vertex_count) // count)
-        rows.append([name, str(count), _bits(surplus)])
+        rows.append([name, str(count), _bits(_surplus_bits(g.vertex_count, count))])
     _print_rows(rows, args.format == "tsv")
     return EXIT_OK
 

@@ -281,6 +281,11 @@ def automorphism_count(g: Graph) -> int:
     return count
 
 
+def _surplus_bits(vertex_count: int, automorphisms: int) -> float:
+    """log2(n! / a) for n vertices with a automorphisms."""
+    return math.log2(math.factorial(vertex_count) // automorphisms)
+
+
 def ordering_surplus_bits(g: Graph) -> float:
     """Bits wasted by fixing one vertex numbering: log2(|V|! / |A|).
 
@@ -288,5 +293,4 @@ def ordering_surplus_bits(g: Graph) -> float:
     once vertex identities are forgotten, so only |V|!/|A| orderings are
     distinct.  Zero for fully symmetric graphs.
     """
-    aut = automorphism_count(g)
-    return math.log2(math.factorial(g.vertex_count) // aut)
+    return _surplus_bits(g.vertex_count, automorphism_count(g))

@@ -34,7 +34,7 @@ from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 from .graph import (
     EdgeOutcome, Graph, TraversalState, VertexEvent, VertexOutcome, connected_components, traverse,
 )
-from .search import _ball, _Matcher, _Side
+from .search import _Matcher, _Side
 
 
 class ContextError(ValueError):
@@ -150,38 +150,82 @@ def _entry(entries: dict[tuple, tuple], results: Iterable[tuple[int, Any]]) -> t
     return entries.setdefault(entry, entry)
 
 
-class _Library:
-    """Background sides, their candidate indexes and class codes, and the
-    memos, shared by the pricers of one batch call, of one worker's share
-    of it, or of one info call's targets.  It starts empty and fills as
-    pricers read it.
+# Stands in a vertex step's key for the arriving vertex's label, which no
+# search reads: its one known edge is the arrival edge, and that is bound.
+_HIDDEN = object()
 
-    side(bg, depth) builds bg's side and index the first time a pricer
-    asks for it, at that pricer's depth, and deepens the side in place
-    when a deeper pricer asks later, so each background is indexed once
-    and no side is deeper than the deepest pricer that reads it.
-    candidates(side, vertex, label) lists, in vertex id order and then
-    slot order, the candidates of a vertex step whose arrival edge has
-    that label, or of an edge step from a vertex of that label, as (v2,
+
+def _ball(labels: Sequence, slots: Sequence, root: int, radius: int, hidden: int,
+          key: list) -> dict[int, int]:
+    """Append to key the code of the ball of radius around root over the
+    slots, as a _Side lists them, and return the map from each ball
+    vertex to its number.
+
+    The vertices are numbered in breadth-first order from root, out to
+    radius, and the map lists them in number order.  A vertex inside the
+    radius adds its label, its slot count and each slot as (edge label,
+    far end's number), in slot order; a vertex on the radius adds its
+    label alone.  hidden's label is coded as _HIDDEN.
+    """
+    number = {root: 0}
+    order = [root]
+    start = 0
+    for _ in range(radius):
+        end = len(order)
+        for v in order[start:end]:
+            here = slots[v]
+            key += (_HIDDEN if v == hidden else labels[v], len(here))
+            for _, far, label, _ in here:
+                n = number.get(far)
+                if n is None:
+                    n = number[far] = len(order)
+                    order.append(far)
+                key += (label, n)
+        start = end
+    for v in order[start:]:
+        key.append(_HIDDEN if v == hidden else labels[v])
+    return number
+
+
+class _Library:
+    """Background sides, their candidate lists and the memos, shared by
+    the pricers of one batch call, of one worker's share of it, or of one
+    info call's targets.  It starts empty and fills as pricers read it.
+
+    side(bg, depth) builds bg's side the first time a pricer asks for it,
+    at that pricer's depth, and deepens it in place when a deeper pricer
+    asks later, so no side is deeper than the deepest pricer that reads
+    it.  candidates(side, vertex, label, depth) lists, in vertex id order
+    and then slot order, the candidates of a vertex step whose arrival
+    edge has that label, or of an edge step from a vertex of that label,
+    built on the first request and kept in the dict lists.  Each is (v2,
     e2, far2, predicted outcome, the labels on the root's slots other
-    than e2): a vertex step's root is far2 and it predicts v2's
-    VertexOutcome, an edge step's root is v2 and it predicts e2's fresh
-    EdgeOutcome.  codes keeps the class codes of _Pricer.keys.
+    than e2, class code): a vertex step's root is far2 and it predicts
+    v2's VertexOutcome, an edge step's root is v2 and it predicts e2's
+    fresh EdgeOutcome.
+
+    The root's slot e2 is bound when a search starts, and the search
+    reads the root's ball, of radius depth for an edge step and depth - 1
+    for a vertex step.  A class code is e2's slot position at the root,
+    then the _ball code of that ball, so candidates with equal codes score
+    alike and bind equally numbered far ends.  A code is a str of each
+    token's number in ids.
+
     vertex_memo and edge_memo map a step's context key to each side's
     entry there: the weight that side's candidates give each outcome (see
     _Pricer).  A key is stored once, however many sides have an entry
     under it, and vertex_entries and edge_entries intern the entries
-    alike.  ids numbers the tokens of the class codes, and interned
-    interns the codes and label sets.
+    alike.  interned interns the outcomes, label sets and class codes of
+    the candidates: no VertexOutcome equals a fresh EdgeOutcome, as a
+    degree is never None.
     """
 
-    __slots__ = ("sides", "index", "codes", "vertex_memo", "edge_memo", "vertex_entries",
+    __slots__ = ("sides", "lists", "vertex_memo", "edge_memo", "vertex_entries",
                  "edge_entries", "ids", "interned")
 
     def __init__(self):
         self.sides: dict[int, _Side] = {}
-        self.index: dict[_Side, dict] = {}
-        self.codes: dict[tuple, list] = {}
+        self.lists: dict[tuple, list[tuple]] = {}
         self.vertex_memo: dict[tuple, dict[_Side, tuple]] = {}
         self.edge_memo: dict[tuple, dict[_Side, tuple]] = {}
         self.vertex_entries: dict[tuple, tuple] = {}
@@ -193,27 +237,33 @@ class _Library:
         side = self.sides.get(id(bg))
         if side is None:
             side = self.sides[id(bg)] = _Side(bg, depth)
-            # The candidate lists by (vertex, label), in one pass.
-            slots, labels, interned = side.slots, bg.labels, self.interned
-            fresh = {label: EdgeOutcome(label, None) for _, _, label in bg.edges}
-
-            def beside(v, e):  # the labels on v's slots other than e, interned
-                names = frozenset([name for f, _, name, _ in slots[v] if f != e])
-                return interned.setdefault(names, names)
-
-            index = self.index[side] = {}
-            for v, here in enumerate(slots):
-                outcome = VertexOutcome(labels[v], len(here))
-                leaving = index.setdefault((False, labels[v]), [])
-                for e, far, label, _ in here:
-                    # A vertex step's root is far, an edge step's v.
-                    index.setdefault((True, label), []).append((v, e, far, outcome, beside(far, e)))
-                    leaving.append((v, e, far, fresh[label], beside(v, e)))
         side.deepen(depth)
         return side
 
-    def candidates(self, side: _Side, vertex: bool, label) -> Sequence[tuple]:
-        return self.index[side].get((vertex, label), ())
+    def candidates(self, side: _Side, vertex: bool, label, depth: int) -> list[tuple]:
+        listed = self.lists.get((side, vertex, label, depth))
+        if listed is not None:
+            return listed
+        listed = self.lists[side, vertex, label, depth] = []
+        slots, labels, ids, interned = side.slots, side.graph.labels, self.ids, self.interned
+        balls: dict[int, str] = {}  # each root's ball code
+        for v, here in enumerate(slots):
+            for e, far, name, _ in here:
+                # A vertex step's arrival edge has the label, an edge step's v.
+                if (name if vertex else labels[v]) != label:
+                    continue
+                root = far if vertex else v
+                if root not in balls:
+                    tokens: list = []
+                    _ball(labels, slots, root, depth - vertex, -1, tokens)
+                    balls[root] = "".join([chr(ids.setdefault(t, len(ids))) for t in tokens])
+                predicted = VertexOutcome(labels[v], len(here)) if vertex else EdgeOutcome(
+                    name, None)
+                beside = frozenset([n for f, _, n, _ in slots[root] if f != e])
+                code = chr([f for f, *_ in slots[root]].index(e)) + balls[root]
+                listed.append((v, e, far, *[interned.setdefault(x, x)
+                                            for x in (predicted, beside, code)]))
+        return listed
 
 
 class _Pricer:
@@ -235,7 +285,8 @@ class _Pricer:
     match stays inside one component of g.  Capped there, the depth still
     leaves every vertex a match binds at depth >= 1, where it looks at all
     its edges: no score or binding changes, and the sides' per-depth
-    tables stay small.
+    tables and the candidate lists' class codes, which the library builds
+    at that depth, stay small.
 
     A step's searches read only the target's known ball of radius r
     around the root: depth from the source for an edge step, depth - 1
@@ -264,13 +315,15 @@ class _Pricer:
     background root's slots other than e2 carries, as the library lists
     with the candidate; any other candidate scores 1 on an edge step,
     fresh, and 2 on a vertex step whose far ends' labels agree, without a
-    search.  classes maps each class code (see keys) that the step has
+    search.  _entries makes each step one dict, classes, and passes it to
+    the step's loops: it maps each class code (see _Library) the step has
     searched to its result, so each class is searched once across all the
     step's backgrounds and its other members reuse the score and, on an
-    edge step, the bound far end's number.
+    edge step, the bound far end's number.  No state of a step outlives it
+    on the pricer.
     """
 
-    __slots__ = ("depth", "target", "sides", "matchers", "library", "classes")
+    __slots__ = ("depth", "target", "sides", "matchers", "library")
 
     def __init__(self, g: Graph, backgrounds: Sequence[Graph], depth: int, library: _Library,
                  known=()):
@@ -281,7 +334,6 @@ class _Pricer:
         self.target = _Side(g, depth, known) if backgrounds else None
         self.sides = [library.side(bg, depth) for bg in backgrounds]
         self.matchers = [_Matcher(self.target, side) for side in self.sides]
-        self.classes: dict = {}
 
     def _context(self, memos: dict, key: list, root: int, radius: int,
                  hidden: int = -1) -> tuple[dict, dict[int, int]]:
@@ -299,52 +351,23 @@ class _Pricer:
 
     def _entries(self, memo: dict, entries: dict, outcome, results) -> list[tuple[int, tuple]]:
         """Per side, the weight its entry in the step's memo gives outcome,
-        and the entry, made from results(bi) and interned in entries where
-        the memo has none yet."""
-        self.classes = {}
+        and the entry, made from results(bi, classes) and interned in
+        entries where the memo has none yet.  The step's results share one
+        classes dict."""
+        classes: dict = {}
         listed = []
         for bi, side in enumerate(self.sides):
             entry = memo.get(side)
             if entry is None:
-                entry = memo[side] = _entry(entries, results(bi))
+                entry = memo[side] = _entry(entries, results(bi, classes))
             listed.append((entry[entry.index(outcome) + 1] if outcome in entry else 0, entry))
         return listed
 
-    def keys(self, side: _Side, vertex: bool, label) -> list[str]:
-        """The class code of each of side's candidates for a vertex or edge
-        step on label, in order, made on the first call and kept in the
-        library.
-
-        A candidate's root is far2 for a vertex step and v2 for an edge
-        step, and its bound edge e2 is one of the root's slots.  Its class
-        code is e2's slot position at the root, then the _ball code of the
-        root's ball, of radius depth for an edge step and depth - 1 for a
-        vertex step.  That is what a search from the root reads, so
-        candidates with equal codes score alike and bind equally numbered
-        far ends.  A code is a str of each token's number in the library's
-        ids, interned in the library.
-        """
-        library, depth = self.library, self.depth
-        listed = library.codes.get((side, vertex, label, depth))
-        if listed is None:
-            ids, interned, slots = library.ids, library.interned, side.slots
-            listed = library.codes[side, vertex, label, depth] = []
-            balls: dict[int, str] = {}  # each root's ball code
-            for v2, e2, far2, *_ in library.candidates(side, vertex, label):
-                root = far2 if vertex else v2
-                if root not in balls:
-                    tokens: list = []
-                    _ball(side.graph.labels, slots, root, depth - vertex, -1, tokens)
-                    balls[root] = "".join([chr(ids.setdefault(t, len(ids))) for t in tokens])
-                code = chr([e for e, *_ in slots[root]].index(e2)) + balls[root]
-                listed.append(interned.setdefault(code, code))
-        return listed
-
-    def vertex_results(self, incoming, bi: int) -> list[tuple[int, VertexOutcome]]:
+    def vertex_results(self, incoming, bi: int, classes: dict) -> list[tuple[int, VertexOutcome]]:
         """(score, predicted outcome) for each of background bi's candidates
         for the arrival edge incoming, over the known edges, in candidate
         order; for a root, with incoming None, each background vertex's
-        outcome at score 0."""
+        outcome at score 0.  classes holds the step's searched classes."""
         depth, target, matcher, side = self.depth, self.target, self.matchers[bi], self.sides[bi]
         labels2 = side.graph.labels
         if incoming is None:
@@ -356,10 +379,9 @@ class _Pricer:
         # far1, bound as the way back: from depth 2 a search adds to the
         # score only where another of far1's known slots can pair.
         known = {name for e, _, name, _ in target.slots[far1] if e != e1} if depth > 1 else set()
-        codes = self.keys(side, True, label) if known else itertools.count()
-        classes, results = self.classes, []
-        for (_, e2, far2, predicted, beside), code in zip(
-                self.library.candidates(side, True, label), codes):
+        results = []
+        for _, e2, far2, predicted, beside, code in self.library.candidates(
+                side, True, label, depth):
             if labels2[far2] != root_label:
                 score = 1
             elif known.isdisjoint(beside):
@@ -373,21 +395,21 @@ class _Pricer:
         return results
 
     def edge_results(self, source: int, pending_edge: int, bi: int,
-                     number: Mapping[int, int] | Sequence[int]) -> list[tuple[int, EdgeOutcome]]:
+                     number: Mapping[int, int] | Sequence[int],
+                     classes: dict) -> list[tuple[int, EdgeOutcome]]:
         """(score, predicted outcome) for each of background bi's candidates
         for the pending edge, over the known edges, in candidate order.  A
         loop closure's target is number[w] for the vertex w the
-        candidate's far end is bound to."""
+        candidate's far end is bound to.  classes holds the step's
+        searched classes."""
         depth, target, matcher, side = self.depth, self.target, self.matchers[bi], self.sides[bi]
-        label = target.graph.labels[source]
         # The source's own pair scores 1; a search adds what its known edges
         # match, and where none can pair it binds no far end, so the step
         # stays fresh.
         known = {name for _, _, name, _ in target.slots[source]} if depth > 0 else set()
-        codes = self.keys(side, False, label) if known else itertools.count()
-        classes, results = self.classes, []
-        for (v2, e2, far2, fresh, beside), code in zip(
-                self.library.candidates(side, False, label), codes):
+        results = []
+        for v2, e2, far2, fresh, beside, code in self.library.candidates(
+                side, False, target.graph.labels[source], depth):
             if known.isdisjoint(beside):
                 result = 1, fresh
             else:
@@ -407,7 +429,7 @@ class _Pricer:
         memo = memos.setdefault((), {}) if incoming is None else self._context(
             memos, [depth, incoming.label], incoming.head, depth - 1, incoming.tail)[0]
         entries = self._entries(memo, self.library.vertex_entries, outcome,
-                                lambda bi: self.vertex_results(incoming, bi))
+                                lambda bi, classes: self.vertex_results(incoming, bi, classes))
         return [(hit, sum(entry[1::2])) for hit, entry in entries]
 
     def edge_step(self, state: TraversalState, event, outcome) -> list[tuple[int, int]]:
@@ -421,8 +443,9 @@ class _Pricer:
         # where no match binds, codes as a target of -1, which gets no weight.
         if outcome.target is not None:
             outcome = EdgeOutcome(outcome.label, number.get(outcome.target, -1))
-        entries = self._entries(memo, self.library.edge_entries, outcome,
-                                lambda bi: self.edge_results(source, event.edge, bi, number))
+        entries = self._entries(
+            memo, self.library.edge_entries, outcome,
+            lambda bi, classes: self.edge_results(source, event.edge, bi, number, classes))
         legal = {None: True}  # per target, whether the decoder could act on it
         charged = []
         # The actual outcome is legal, so its weight counts in the total.
@@ -463,12 +486,13 @@ def vertex_matches(state: TraversalState, backgrounds: Sequence[Graph], incoming
     if incoming is None:
         return [ScoredMatch((bi, v2), 0, VertexOutcome(bg.labels[v2], bg.degree(v2)))
                 for bi, bg in enumerate(backgrounds) for v2 in range(bg.vertex_count)]
-    pricer = _own_pricer(state, backgrounds, depth)
+    pricer, classes = _own_pricer(state, backgrounds, depth), {}
     candidates = pricer.library.candidates
     return [ScoredMatch((bi, v2, e2), score, predicted)
             for bi, side in enumerate(pricer.sides)
-            for (v2, e2, *_), (score, predicted) in zip(candidates(side, True, incoming.label),
-                                                        pricer.vertex_results(incoming, bi))]
+            for (v2, e2, *_), (score, predicted) in zip(
+                candidates(side, True, incoming.label, pricer.depth),
+                pricer.vertex_results(incoming, bi, classes))]
 
 
 def edge_matches(state: TraversalState, backgrounds: Sequence[Graph], source: int,
@@ -483,13 +507,14 @@ def edge_matches(state: TraversalState, backgrounds: Sequence[Graph], source: in
     a loop.  A match whose implied loop target is not a legal candidate
     predicts nothing a decoder could act on and is dropped.
     """
-    pricer = _own_pricer(state, backgrounds, depth)
+    pricer, classes = _own_pricer(state, backgrounds, depth), {}
     label, ids = state.graph.labels[source], range(state.graph.vertex_count)
     candidates = pricer.library.candidates
     return [ScoredMatch((bi, v2, e2), score, predicted)
             for bi, side in enumerate(pricer.sides)
             for (v2, e2, *_), (score, predicted) in zip(
-                candidates(side, False, label), pricer.edge_results(source, pending_edge, bi, ids))
+                candidates(side, False, label, pricer.depth),
+                pricer.edge_results(source, pending_edge, bi, ids, classes))
             if predicted.target is None or state.is_loop_candidate(source, predicted.target)]
 
 
@@ -584,7 +609,7 @@ def _walk(g: Graph, cells: list[list[Graph]], degrees: Mapping[Any, int], depth:
     size_later = sum(degrees.values())
     size_initial = size_later + len(degrees)
     edge_labels = len(alphabet)
-    # Each background's index, from the library, gets one matcher for the
+    # Each background's side, from the library, gets one matcher for the
     # walk; the target side they share starts with no edge known and learns
     # each edge as the traversal closes it.
     pricer = _Pricer(g, backgrounds, depth, library)

@@ -3,13 +3,12 @@
 A _Side holds one graph's search data, over all its edges or over the
 edges known so far, and a _Matcher between two sides finds the best
 correspondence rooted at a pair of edges: the most vertices plus edges
-it can pair within a radius.  _ball codes the ball of a given radius
-around a vertex, as the pricing layer's context keys and class codes
-read it.  The module imports only graphmml.graph and knows nothing of
-step outcomes: the pricing layer in graphmml.context keeps its own
-candidate index and class codes per background, and only _Matcher.search
-crosses between the two: it returns a search's score and the one binding
-its caller reads, and leaves nothing bound.
+it can pair within a radius.  That is all the module holds.  It imports
+only graphmml.graph and knows nothing of step outcomes: the pricing
+layer in graphmml.context keeps its own candidate lists, class codes and
+context keys per background, and only _Matcher.search crosses between
+the two: it returns a search's score and the one binding its caller
+reads, and leaves nothing bound.
 
 The search prunes with shares: a share bounds what pairing one slot, an
 edge seen from one end, can add within a depth, by counting the walks
@@ -22,7 +21,7 @@ without changing a score or a binding.
 
 from __future__ import annotations
 
-from typing import Any, Container, Iterable, Sequence
+from typing import Any, Container, Iterable
 
 from .graph import Graph
 
@@ -356,38 +355,3 @@ class _Matcher:
             self._apply(segment)
         return best
 
-
-# Stands in a vertex step's key for the arriving vertex's label, which no
-# search reads: its one known edge is the arrival edge, and that is bound.
-_HIDDEN = object()
-
-
-def _ball(labels: Sequence, slots: Sequence, root: int, radius: int, hidden: int,
-          key: list) -> dict[int, int]:
-    """Append to key the code of the ball of radius around root over the
-    slots, and return the map from each ball vertex to its number.
-
-    The vertices are numbered in breadth-first order from root, out to
-    radius, and the map lists them in number order.  A vertex inside the
-    radius adds its label, its slot count and each slot as (edge label,
-    far end's number), in slot order; a vertex on the radius adds its
-    label alone.  hidden's label is coded as _HIDDEN.
-    """
-    number = {root: 0}
-    order = [root]
-    start = 0
-    for _ in range(radius):
-        end = len(order)
-        for v in order[start:end]:
-            here = slots[v]
-            key += (_HIDDEN if v == hidden else labels[v], len(here))
-            for _, far, label, _ in here:
-                n = number.get(far)
-                if n is None:
-                    n = number[far] = len(order)
-                    order.append(far)
-                key += (label, n)
-        start = end
-    for v in order[start:]:
-        key.append(_HIDDEN if v == hidden else labels[v])
-    return number

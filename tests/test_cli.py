@@ -84,6 +84,21 @@ class TestInfo:
         assert lines[0] == "name\tbits\tvertices\tedges"
         assert lines[1] == "k33\t41.226\t6\t9"
 
+    def test_steps_in_the_human_layout(self, capsys, tmp_path):
+        # Each step is indented under the table: its graph, index, kind,
+        # outcome padded to 28 characters and bits.
+        bond = tmp_path / "a.graph"
+        bond.write_text(edge_list_text(["X", "X"], [(0, 1, "s")]))
+        code, out, err = run(["info", bond, "--steps"], capsys)
+        assert (code, err) == (0, "")
+        assert out.splitlines() == [
+            "name   bits  vertices  edges",
+            "a     1.000         2      1",
+            "  a step   0 V vertex X degree 1            1.000",
+            "  a step   1 E edge s fresh                 0.000",
+            "  a step   2 V vertex X degree 1            0.000",
+        ]
+
     def test_given_backgrounds_match_library(self, files, capsys):
         code, out, _ = run(
             ["info", files.k33, "--given", files.near, *K33_FLAGS, "--format", "tsv"],
@@ -504,6 +519,22 @@ class TestExitCodes:
         code, out, err = run(["info", bad], capsys)
         assert (code, out) == (2, "")
         assert err == f"graphmml: {bad}: not UTF-8 text (invalid start byte at byte 8)\n"
+
+    def test_edge_list_record_of_no_kind(self, capsys, tmp_path):
+        bad = tmp_path / "bad.graph"
+        bad.write_text("undirected\nv 0 X\nv 1 X\nw 0 1 s\n")
+        assert run(["info", bad], capsys) == (
+            2, "", f"graphmml: {bad}:4: expected 'v <id> <label>' or 'e <u> <v> <label>'\n")
+
+    def test_molecule_file_of_comments_only(self, capsys, tmp_path):
+        none = tmp_path / "none.smi"
+        none.write_text("# nothing\n\n# but comments\n")
+        assert run(["info", none], capsys) == (
+            2, "", f"graphmml: {none}: no molecule records found\n")
+
+    def test_jobs_below_one(self, files, capsys):
+        assert run(["table", files.bond, "--jobs", "0"], capsys) == (
+            2, "", "graphmml: --jobs must be at least 1\n")
 
     def test_missing_file(self, capsys):
         code, _, err = run(["info", "does-not-exist.txt"], capsys)

@@ -55,8 +55,7 @@ def _run(argv):
 
 # Faults that no one line holds: a file of the wrong kind or with nothing
 # to read, or bytes that are not UTF-8, placed by their byte offset.
-WHOLE_FILE = ("already an edge-list file", "empty edge-list file", "no molecule records found",
-              "not UTF-8 text")
+WHOLE_FILE = ("already an edge-list file", "no molecule records found", "not UTF-8 text")
 
 
 def _assert_documented(argv, case):

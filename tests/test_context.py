@@ -526,29 +526,63 @@ class TestLibraryIndex:
             leaving = [(v, e, far, EdgeOutcome(label, None), beside(v, e))
                        for v, e, far, label in slots]
             edge_labels = {label for *_, label in slots}
-            assert set(library.index[side]) == (
-                {(True, label) for label in edge_labels} | {(False, label) for label in g.labels})
-            for label in edge_labels:
-                assert library.candidates(side, True, label) == [
-                    entry for entry, slot in zip(arrivals, slots) if slot[3] == label]
-            for label in set(g.labels):
-                assert library.candidates(side, False, label) == [
-                    entry for entry in leaving if g.labels[entry[0]] == label]
+            lists = []
+            for depth in (1, 2, 3):
+                for label in edge_labels:
+                    listed = library.candidates(side, True, label, depth)
+                    assert [entry[:5] for entry in listed] == [
+                        entry for entry, slot in zip(arrivals, slots) if slot[3] == label]
+                    lists.append(listed)
+                for label in set(g.labels):
+                    listed = library.candidates(side, False, label, depth)
+                    assert [entry[:5] for entry in listed] == [
+                        entry for entry in leaving if g.labels[entry[0]] == label]
+                    lists.append(listed)
+            # A label no step of a kind reads lists nothing, and every list
+            # is built once, on its first request, at its depth.
+            assert library.candidates(side, True, "no such label", 3) == []
+            assert library.candidates(side, False, "no such label", 3) == []
+            assert len(library.lists) == len(lists) + 2
+            assert all(library.lists[key] is library.candidates(side, *key[1:])
+                       for key in library.lists)
             # Each vertex's outcome and each label's fresh outcome are built
-            # once, and each label set is interned.
+            # once, and each label set and class code is interned.
             outcomes = {}
-            for candidates in library.index[side].values():
-                for v, _, _, outcome, names in candidates:
-                    assert library.interned[names] is names
+            for candidates in lists:
+                for v, _, _, outcome, names, code in candidates:
+                    assert library.interned[names] is names and library.interned[code] is code
                     key = ("V", v) if type(outcome) is VertexOutcome else ("E", outcome.label)
                     assert outcomes.setdefault(key, outcome) is outcome
 
     def test_each_background_is_indexed_once(self, k33):
         library = graphmml.context._Library()
         side = library.side(k33, 1)
-        index = library.index[side]
-        assert library.side(k33, 3) is side and library.index[side] is index
-        assert library.candidates(side, True, "Cable") == ()
+        listed = library.candidates(side, True, "Gas", 1)
+        assert listed and library.side(k33, 3) is side
+        assert library.candidates(side, True, "Gas", 1) is listed
+        assert library.candidates(side, True, "Cable", 1) == []
+
+    def test_class_codes_are_the_root_slot_and_ball_codes(self):
+        # A candidate's class code is its bound edge's position among the
+        # root's slots, then the code of the root's ball that a search from
+        # the root reads: of radius depth for an edge step, depth - 1 for a
+        # vertex step.
+        for g in [*DRUGS[:2], make_k33(), relabelled(grid(4, 4), 0.35, 11)]:
+            library = graphmml.context._Library()
+            side = library.side(g, 3)
+            labels = {s.label for slots in g.adjacency for s in slots} | set(g.labels)
+            for vertex in (True, False):
+                for label in labels:
+                    for depth in (1, 2, 3):
+                        for v2, e2, far2, *_, code in library.candidates(
+                                side, vertex, label, depth):
+                            root = far2 if vertex else v2
+                            tokens = []
+                            graphmml.context._ball(g.labels, side.slots, root, depth - vertex,
+                                                   -1, tokens)
+                            position = [e for e, *_ in side.slots[root]].index(e2)
+                            assert code == chr(position) + "".join(
+                                chr(library.ids[token]) for token in tokens)
 
 
 class KnownPart:
@@ -737,6 +771,32 @@ class TestStepMatchesAgainstPlainReference:
         assert len(checked) == 15 and all(checked)
 
 
+    def test_huge_depth_from_the_state_lists_candidates_at_the_capped_depth(self, monkeypatch):
+        # The candidate lists and their class codes are built at the
+        # pricer's capped depth, the 4-cycle's vertex count: a ball coded at
+        # the raw depth would loop 10**9 times.
+        candidates = graphmml.context._Library.candidates
+
+        def recorded(library, side, vertex, label, depth):
+            assert depth == 4
+            return candidates(library, side, vertex, label, depth)
+
+        monkeypatch.setattr(graphmml.context._Library, "candidates", recorded)
+        g = one_label(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
+        backgrounds = [one_label(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0)])]
+        checked = []
+
+        def on_vertex(state, event):
+            if event.incoming is not None:
+                checked.append(vertex_matches(state, backgrounds, event.incoming, 10**9))
+
+        def on_edge(state, event):
+            checked.append(edge_matches(state, backgrounds, event.source, event.edge, 10**9))
+
+        traverse(g, on_vertex, on_edge)
+        assert len(checked) == 7 and all(checked)
+
+
 def match_sums(matches, outcome, count):
     """Per background index below count, the weight of the matches that
     predict outcome and of all of them, as (hit, total)."""
@@ -866,7 +926,8 @@ def memo_checked(kind, step, tally, searched):
         if kind == "V" and event.incoming is None:  # see TestRootSteps
             return step(pricer, state, event, outcome)
         label = event.incoming.label if kind == "V" else state.graph.labels[event.source]
-        listed = [(kind == "V", label) in pricer.library.index[s] for s in pricer.sides]
+        listed = [pricer.library.candidates(s, kind == "V", label, pricer.depth)
+                  for s in pricer.sides]
         searched.clear()
         charged = step(pricer, state, event, outcome)
         missed = set(searched)
@@ -890,13 +951,13 @@ def check_memo(monkeypatch):
     pricer = graphmml.context._Pricer
     vertex_results, edge_results = pricer.vertex_results, pricer.edge_results
 
-    def searching_vertex(self, incoming, bi):
+    def searching_vertex(self, incoming, bi, classes):
         searched.append(bi)
-        return vertex_results(self, incoming, bi)
+        return vertex_results(self, incoming, bi, classes)
 
-    def searching_edge(self, source, pending_edge, bi, number):
+    def searching_edge(self, source, pending_edge, bi, number, classes):
         searched.append(bi)
-        return edge_results(self, source, pending_edge, bi, number)
+        return edge_results(self, source, pending_edge, bi, number, classes)
 
     monkeypatch.setattr(pricer, "vertex_results", searching_vertex)
     monkeypatch.setattr(pricer, "edge_results", searching_edge)
@@ -988,44 +1049,42 @@ def check_classes(monkeypatch):
     pricer = graphmml.context._Pricer
     vertex_results, edge_results = pricer.vertex_results, pricer.edge_results
 
-    def record(self, bi, code, known, beside, added):
+    def record(classes, bi, code, known, beside, added):
         if known.isdisjoint(beside):
             assert added == 0
             tally["skipped"] += 1
         else:
-            tally["steps"].append(self.classes)  # kept alive, so ids stay unique
-            tally["members"].setdefault((id(self.classes), code), []).append(bi)
+            tally["steps"].append(classes)  # kept alive, so ids stay unique
+            tally["members"].setdefault((id(classes), code), []).append(bi)
 
-    def checked_vertex(self, incoming, bi):
-        got = vertex_results(self, incoming, bi)
+    def checked_vertex(self, incoming, bi, classes):
+        got = vertex_results(self, incoming, bi, classes)
         if incoming is None:  # a root: every background vertex, searched by none
             return got
         side, matcher, depth = self.sides[bi], self.matchers[bi], self.depth
         e1, far1, label = incoming.edge, incoming.head, incoming.label
         known = {name for e, _, name, _ in self.target.slots[far1] if e != e1}
-        for (_, e2, far2, predicted, beside), code, result in zip(
-                self.library.candidates(side, True, label), self.keys(side, True, label), got,
-                strict=True):
+        for (_, e2, far2, predicted, beside, code), result in zip(
+                self.library.candidates(side, True, label, depth), got, strict=True):
             if matcher.labels2[far2] != self.target.graph.labels[far1] or depth < 2:
                 continue  # no search can add to these
             added, _ = matcher.search(e1, e2, far1, far2, depth - 1, incoming.tail)
             assert result == (2 + added, predicted)
-            record(self, bi, code, known, beside, added)
+            record(classes, bi, code, known, beside, added)
         return got
 
-    def checked_edge(self, source, pending_edge, bi, number):
-        got = edge_results(self, source, pending_edge, bi, number)
+    def checked_edge(self, source, pending_edge, bi, number, classes):
+        got = edge_results(self, source, pending_edge, bi, number, classes)
         if self.depth > 0 and self.target.slots[source]:
             side, matcher, depth = self.sides[bi], self.matchers[bi], self.depth
             label = self.target.graph.labels[source]
             known = {name for _, _, name, _ in self.target.slots[source]}
-            for (v2, e2, far2, fresh, beside), code, result in zip(
-                    self.library.candidates(side, False, label), self.keys(side, False, label),
-                    got, strict=True):
+            for (v2, e2, far2, fresh, beside, code), result in zip(
+                    self.library.candidates(side, False, label, depth), got, strict=True):
                 added, w = matcher.search(pending_edge, e2, source, v2, depth, watch=far2)
                 predicted = fresh if w < 0 else EdgeOutcome(fresh.label, number[w])
                 assert result == (1 + added, predicted)
-                record(self, bi, code, known, beside, added)
+                record(classes, bi, code, known, beside, added)
         return got
 
     monkeypatch.setattr(pricer, "vertex_results", checked_vertex)
@@ -1763,6 +1822,20 @@ class TestLayers:
         names = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
         names |= {node.attr for node in ast.walk(tree) if isinstance(node, ast.Attribute)}
         assert names.isdisjoint({"VertexOutcome", "EdgeOutcome"})
+
+    def test_the_search_layer_defines_only_the_matcher(self):
+        # The ball coder and every candidate table belong to the pricing
+        # layer: search.py's top level binds _Side and _Matcher alone.
+        tree = ast.parse(Path(graphmml.search.__file__).read_text())
+        defined = []
+        for node in tree.body:
+            if isinstance(node, (ast.ClassDef, ast.FunctionDef, ast.AsyncFunctionDef)):
+                defined.append(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign, ast.AugAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined += [name.id for target in targets for name in ast.walk(target)
+                            if isinstance(name, ast.Name)]
+        assert defined == ["_Side", "_Matcher"]
 
     def test_a_side_holds_only_what_the_matcher_reads(self, k33):
         fields = ("graph", "known", "slots", "buckets", "shares", "caps")
