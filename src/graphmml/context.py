@@ -32,7 +32,8 @@ from dataclasses import dataclass
 from typing import Any, Iterable, Mapping, NamedTuple, Sequence
 
 from .graph import (
-    EdgeOutcome, Graph, TraversalState, VertexEvent, VertexOutcome, connected_components, traverse,
+    EdgeEvent, EdgeOutcome, Graph, TraversalState, VertexEvent, VertexOutcome, connected_components,
+    traverse,
 )
 from .search import _Matcher, _Side
 
@@ -613,19 +614,16 @@ def _walk(g: Graph, cells: list[list[Graph]], degrees: Mapping[Any, int], depth:
     # walk; the target side they share starts with no edge known and learns
     # each edge as the traversal closes it.
     pricer = _Pricer(g, backgrounds, depth, library)
+    uniform: dict[int, float] = {}  # with no backgrounds, bits per outcome count
 
-    def step(state: TraversalState, event) -> StepRecord:
-        if isinstance(event, VertexEvent):
-            kind, outcome = "V", VertexOutcome(event.label, event.degree)
-            size = size_initial if event.incoming is None else size_later
-            price = pricer.vertex_step
-        else:
-            kind, outcome = "E", EdgeOutcome(event.label, event.target)
-            size = edge_labels * (1 + state.loop_candidate_count(event.source))
-            price = pricer.edge_step
+    def charge(state: TraversalState, event, kind: str, outcome, size: int,
+               price) -> StepRecord:
         if not backgrounds:
+            step_bits = uniform.get(size)
+            if step_bits is None:
+                step_bits = uniform[size] = _step_bits(0, 0, size)
             for cell in bits:
-                cell.append(_step_bits(0, 0, size))
+                cell.append(step_bits)
         else:
             hits, totals = [0] * len(bits), [0] * len(bits)
             for c, (hit, total) in zip(cell_of, price(state, event, outcome)):
@@ -635,7 +633,19 @@ def _walk(g: Graph, cells: list[list[Graph]], degrees: Mapping[Any, int], depth:
                 cell.append(_step_bits(hit, total, size))
         return StepRecord(len(bits[0]) - 1, kind, outcome, bits[0][-1])
 
-    return traverse(g, step, step), bits
+    def on_vertex(state: TraversalState, event: VertexEvent) -> StepRecord:
+        size = size_initial if event.incoming is None else size_later
+        return charge(state, event, "V", VertexOutcome(event.label, event.degree), size,
+                      pricer.vertex_step)
+
+    def on_edge(state: TraversalState, event: EdgeEvent) -> StepRecord:
+        size = edge_labels * (1 + state.loop_candidate_count(event.source))
+        return charge(state, event, "E", EdgeOutcome(event.label, event.target), size,
+                      pricer.edge_step)
+
+    # Positional callbacks: a tracer that wraps traverse's callable
+    # arguments counts every step through them.
+    return traverse(g, on_vertex, on_edge), bits
 
 
 def _information(graphs: Iterable[Graph], backgrounds: Iterable[Graph],

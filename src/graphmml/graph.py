@@ -15,6 +15,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
+# Builds a NamedTuple record from a tuple of its fields, without the Python
+# frame of the class's own __new__: the same type, fields and equality.
+_new = tuple.__new__
+
 
 class GraphError(ValueError):
     """Invalid graph construction or use.
@@ -109,10 +113,10 @@ def build_graph(directed: bool, labels: Sequence, edges: Iterable[tuple]) -> Gra
             raise DuplicateEdgeError(f"duplicate edge between {u} and {v}", len(edge_list))
         seen.add(key)
         eid = len(edge_list)
-        edge_list.append(Edge(u, v, label))
-        adjacency[u].append(OrientedEdge(eid, u, v, label))
+        edge_list.append(_new(Edge, (u, v, label)))
+        adjacency[u].append(_new(OrientedEdge, (eid, u, v, label)))
         if not directed:
-            adjacency[v].append(OrientedEdge(eid, v, u, label))
+            adjacency[v].append(_new(OrientedEdge, (eid, v, u, label)))
     return Graph(
         directed=directed,
         labels=labels,
@@ -218,7 +222,7 @@ class TraversalState:
 
     Exposes only decoder-visible information: the visiting stack and
     which edges have been traversed (closed) so far.  Callbacks must not
-    mutate it.
+    mutate it; `traverse` updates it in place as its events fire.
     """
 
     def __init__(self, g: Graph):
@@ -226,47 +230,25 @@ class TraversalState:
         self.visiting: list[int] = []
         self._closed = [False] * g.edge_count
         # Kept current as edges close: each vertex's neighbours over closed
-        # edges, the index of its first slot that may still be open, and the
-        # visiting vertices whose degree is not yet filled, in stack order.
+        # edges, the index of its first slot that may still be open, the
+        # visiting vertices whose degree is not yet filled, in stack order,
+        # and how many of each vertex's closed-edge neighbours are among them.
         self._neighbours: list[set[int]] = [set() for _ in range(g.vertex_count)]
         self._cursor = [0] * g.vertex_count
         self._open: dict[int, None] = {}
+        self._open_neighbours = [0] * g.vertex_count
 
     def is_closed(self, edge: int) -> bool:
         return self._closed[edge]
 
     def loop_candidate_count(self, source: int) -> int:
-        """len(loop_candidates(self, source)), in O(source's degree)."""
+        """len(loop_candidates(self, source)), in O(1)."""
         open_ = self._open
-        adjacent = sum(1 for w in self._neighbours[source] if w in open_)
-        return len(open_) - (source in open_) - adjacent
+        return len(open_) - (source in open_) - self._open_neighbours[source]
 
     def is_loop_candidate(self, source: int, w: int) -> bool:
         """Whether w is in loop_candidates(self, source), in O(1)."""
         return w in self._open and w != source and w not in self._neighbours[source]
-
-    # internal transitions -----------------------------------------------
-
-    def _push(self, v: int) -> None:
-        self.visiting.append(v)
-        if len(self._neighbours[v]) < len(self.graph.adjacency[v]):
-            self._open[v] = None
-
-    def _close(self, slot: OrientedEdge) -> None:
-        self._closed[slot.edge] = True
-        for v, w in ((slot.tail, slot.head), (slot.head, slot.tail)):
-            neighbours = self._neighbours[v]
-            neighbours.add(w)
-            if len(neighbours) == len(self.graph.adjacency[v]):
-                self._open.pop(v, None)
-
-    def _first_open(self, v: int) -> OrientedEdge | None:
-        slots = self.graph.adjacency[v]
-        i = self._cursor[v]
-        while i < len(slots) and self._closed[slots[i].edge]:
-            i += 1
-        self._cursor[v] = i
-        return slots[i] if i < len(slots) else None
 
 
 def loop_candidates(state: TraversalState, source: int) -> tuple[int, ...]:
@@ -298,35 +280,72 @@ def traverse(
     fires twice.
 
     Returns the list of callback results in event order (the events
-    themselves when a callback is omitted).
+    themselves when a callback is omitted).  The state is updated in this
+    one loop, in O(1) per event plus O(degree) once per vertex.
     """
     if g.directed:
         raise GraphError("traversal is defined for undirected graphs")
     state = TraversalState(g)
+    labels, adjacency = g.labels, g.adjacency
+    visiting, closed, cursor = state.visiting, state._closed, state._cursor
+    neighbours, open_, open_neighbours = state._neighbours, state._open, state._open_neighbours
     reached = [False] * g.vertex_count
     results: list = []
-
-    def emit_vertex(v: int, incoming: OrientedEdge | None) -> None:
-        event = VertexEvent(v, g.labels[v], len(g.adjacency[v]), incoming)
-        results.append(on_vertex(state, event) if on_vertex else event)
-        reached[v] = True
-        state._push(v)
-
+    append = results.append
     for root in range(g.vertex_count):
         if reached[root]:
             continue
-        emit_vertex(root, None)
-        while state.visiting:
-            u = state.visiting[-1]
-            slot = state._first_open(u)
-            if slot is None:
-                state.visiting.pop()
-                continue
-            w = slot.head
+        v, incoming = root, None
+        while True:
+            if v >= 0:
+                # A vertex event, then the push: v opens if its degree is
+                # not yet filled, and its closed-edge neighbour, if any,
+                # gains an open one.
+                slots = adjacency[v]
+                event = _new(VertexEvent, (v, labels[v], len(slots), incoming))
+                append(on_vertex(state, event) if on_vertex else event)
+                reached[v] = True
+                visiting.append(v)
+                if len(neighbours[v]) < len(slots):
+                    open_[v] = None
+                    for x in neighbours[v]:
+                        open_neighbours[x] += 1
+            # Pop filled vertices until the top one has an edge to take.
+            while visiting:
+                u = visiting[-1]
+                slots = adjacency[u]
+                i = cursor[u]
+                while i < len(slots) and closed[slots[i][0]]:
+                    i += 1
+                cursor[u] = i
+                if i < len(slots):
+                    break
+                visiting.pop()
+            else:
+                break
+            e, _, w, label = slots[i]
             fresh = not reached[w]
-            event = EdgeEvent(slot.edge, u, slot.label, None if fresh else w)
-            results.append(on_edge(state, event) if on_edge else event)
-            state._close(slot)
+            event = _new(EdgeEvent, (e, u, label, None if fresh else w))
+            append(on_edge(state, event) if on_edge else event)
+            # Close e.  u is open, as e is not closed; so is w, unless fresh:
+            # a reached w off the stack would have no open edge.  Each end
+            # that fills leaves the open set, and its neighbours lose an
+            # open one.
+            closed[e] = True
+            neighbours[u].add(w)
+            neighbours[w].add(u)
+            open_neighbours[w] += 1
             if fresh:
-                emit_vertex(w, OrientedEdge(slot.edge, w, u, slot.label))
+                v, incoming = w, _new(OrientedEdge, (e, w, u, label))
+            else:
+                v = -1
+                open_neighbours[u] += 1
+                if len(neighbours[w]) == len(adjacency[w]):
+                    del open_[w]
+                    for x in neighbours[w]:
+                        open_neighbours[x] -= 1
+            if len(neighbours[u]) == len(adjacency[u]):
+                del open_[u]
+                for x in neighbours[u]:
+                    open_neighbours[x] -= 1
     return results

@@ -20,7 +20,7 @@ import re
 from dataclasses import dataclass, field
 from typing import Mapping
 
-from .graph import Graph, build_graph
+from .graph import DuplicateEdgeError, Graph, build_graph
 
 
 class SmilesError(ValueError):
@@ -355,17 +355,12 @@ def smiles_to_graph(ast: SmilesAst) -> Graph:
         closing.setdefault(ring.closer, []).append(ring)
 
     edges: list[tuple[int, int, Bond]] = []
-    seen: set[tuple[int, int]] = set()
+    whats: list[str] = []  # what wrote each edge, for an error message
 
     def add_edge(a: int, b: int, bond: Bond, what: str) -> None:
-        if a not in heavy or b not in heavy:
-            return
-        u, v = heavy[a], heavy[b]
-        key = (min(u, v), max(u, v))
-        if key in seen:
-            raise SmilesError(f"{what} duplicates the bond between atoms {u} and {v}")
-        seen.add(key)
-        edges.append((u, v, bond))
+        if a in heavy and b in heavy:
+            edges.append((heavy[a], heavy[b], bond))
+            whats.append(what)
 
     for atom in ast.atoms:
         for ring in closing.get(atom.index, ()):
@@ -374,7 +369,12 @@ def smiles_to_graph(ast: SmilesAst) -> Graph:
             if bond is None:
                 raise SmilesError("bonds not inferred; run infer_implicit_bonds first")
             add_edge(atom.index, child, bond, "the chain")
-    return build_graph(False, labels, edges)
+    try:
+        return build_graph(False, labels, edges)
+    except DuplicateEdgeError as exc:
+        u, v, _ = edges[exc.edge]
+        message = f"{whats[exc.edge]} duplicates the bond between atoms {u} and {v}"
+        raise SmilesError(message) from None
 
 
 def read_molecule(

@@ -867,9 +867,9 @@ def src_env():
     return dict(os.environ, PYTHONPATH=str(Path(graphmml.__file__).resolve().parent.parent))
 
 
-def python_with_src(*args):
+def python_with_src(*args, timeout=None):
     return subprocess.run([sys.executable, *args], capture_output=True, text=True,
-                          env=src_env())
+                          env=src_env(), timeout=timeout)
 
 
 # Prints the process-pool modules the process has loaded.
@@ -906,6 +906,21 @@ def test_one_cell_table_loads_no_process_pool(tmp_path):
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.splitlines()[0] == "name\tbenzene"
     assert proc.stdout.splitlines()[-1] == "[]"
+
+
+def test_a_hub_of_39999_leaves_prices_cold_in_linear_time(tmp_path):
+    # Every edge step leaves the hub, whose closed neighbours grow to 39,999
+    # leaves: a loop-candidate count that scanned them at each step took
+    # about 25 s on a 2-core x86 host, where the count the traversal keeps
+    # takes under 1 s there.
+    star = tmp_path / "star.graph"
+    star.write_text(edge_list_text(["hub"] + ["leaf"] * 39999,
+                                   [(0, i, "x") for i in range(1, 40000)]))
+    proc = python_with_src("-m", "graphmml", "info", str(star), "--format", "tsv", timeout=10)
+    assert proc.returncode == 0, proc.stderr
+    # log2(40002) for the root hub, then log2(40000) per leaf; every edge
+    # step has one outcome.
+    assert proc.stdout.splitlines()[1] == "star\t611508.495\t40000\t39999"
 
 
 def test_python_dash_m_runs_the_cli():

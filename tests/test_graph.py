@@ -271,7 +271,11 @@ def reference_loop_candidates(state, source):
 def state_check_graphs():
     rng = random.Random(6)
     graphs = [random_connected_graph(rng, rng.randint(2, 9), "ab", "xy") for _ in range(60)]
-    return graphs + [star(7), rails_first_ladder(6), grid(4, 5)]
+    # Components {0, 3, 5}, the triangle {1, 4, 6}, {2, 7} and the
+    # isolated 8: the open set empties and refills at each new root.
+    components = build_graph(False, ["a", "b"] * 4 + ["a"], [
+        (3, 0, "x"), (5, 3, "y"), (1, 4, "x"), (4, 6, "x"), (6, 1, "y"), (7, 2, "x")])
+    return graphs + [star(7), star(60), components, rails_first_ladder(6), grid(4, 5)]
 
 
 class TestIncrementalStateAgainstRescan:

@@ -170,6 +170,18 @@ class TestRejectedInput:
         with pytest.raises(SmilesError):
             graph_of(text)
 
+    @pytest.mark.parametrize("text, message", [
+        ("C1C1", "ring closure 1 duplicates the bond between atoms 0 and 1"),
+        ("C12CC12", "ring closure 2 duplicates the bond between atoms 0 and 2"),
+        ("C11", "ring closure 1 forms a self-loop"),
+        # Both ends are hydrogens, so the graph never sees this bond.
+        ("[H]11", "ring closure 1 forms a self-loop"),
+    ])
+    def test_repeated_and_self_bonds_name_the_ring_closure(self, text, message):
+        with pytest.raises(SmilesError) as exc:
+            graph_of(text)
+        assert str(exc.value) == message
+
     def test_bonds_must_be_inferred_before_building(self):
         with pytest.raises(SmilesError):
             smiles_to_graph(parse_smiles("CC"))
